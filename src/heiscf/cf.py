@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .domain import DirichletDomain, Domain
+from .domain import DirichletDomain
 from .errors import CertificationError, InternalError, InvalidDigitString
 from .gaussian import GaussInt
 from .matrices import (
@@ -42,20 +42,18 @@ __all__ = [
 ]
 
 _E1 = (GaussInt(1, 0), GaussInt(0, 0), GaussInt(0, 0))
+_K_D = DirichletDomain()
 
 
-def gauss_map_step(
-    h: SiegelPoint, K: Optional[Domain] = None
-) -> tuple[IntegerPoint, SiegelPoint]:
+def gauss_map_step(h: SiegelPoint) -> tuple[IntegerPoint, SiegelPoint]:
     """One Gauss-map step: digit [iota h] and next iterate [iota h]^-1 * iota h.
 
     The origin is a fixed point and yields the zero digit.
     """
-    K = K or DirichletDomain()
     if h.is_origin():
         return IntegerPoint.origin(), h
     ih = koranyi_inversion(h)
-    gamma = K.nearest(ih)
+    gamma = _K_D.nearest(ih)
     h_next = group_mul(gamma.inv().to_siegel(h.ctx), ih)
     return gamma, h_next
 
@@ -112,12 +110,20 @@ class CFExpansion:
     def convergents(self) -> list[ProjIntPoint]:
         return [self.convergent(n) for n in range(self.depth + 1)]
 
+    def as_dict(self) -> dict:
+        """The expansion record of fixtures and `heiscf expand` reports."""
+        return {
+            "point": str(self.point),
+            "gamma0": str(self.gamma0),
+            "digits": [str(g) for g in self.digits],
+            "convergents": [str(c) for c in self.convergents()],
+            "terminated": self.terminated,
+            "backend": "exact" if self.ctx is None else "bigfloat",
+            "bits": None if self.ctx is None else self.ctx.bits,
+        }
 
-def expand(
-    h: SiegelPoint,
-    K: Optional[Domain] = None,
-    max_depth: Optional[int] = None,
-) -> CFExpansion:
+
+def expand(h: SiegelPoint, max_depth: Optional[int] = None) -> CFExpansion:
     """Expand h into continued-fraction digits.
 
     Exact backend: runs to termination (rational points always terminate)
@@ -125,7 +131,6 @@ def expand(
     non-termination into an InternalError.  Big-float backend: produces
     max_depth certified digits or raises CertificationError.
     """
-    K = K or DirichletDomain()
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     guard = None
@@ -136,7 +141,7 @@ def expand(
     elif max_depth is None:
         raise ValueError("max_depth is required on the big-float backend")
 
-    gamma0 = K.nearest(h)
+    gamma0 = _K_D.nearest(h)
     h0 = group_mul(gamma0.inv().to_siegel(h.ctx), h)
 
     digits: list[IntegerPoint] = []
@@ -161,7 +166,7 @@ def expand(
                     raise CertificationError(
                         "orbit too close to the origin to certify inversion"
                     )
-        gamma, nxt = gauss_map_step(cur, K)
+        gamma, nxt = gauss_map_step(cur)
         digits.append(gamma)
         continuants.append(mat_mul(continuants[-1], digit_matrix(gamma)))
         iterates.append(nxt)
@@ -211,13 +216,4 @@ def tail_convergents(
 
 def expansion_to_json(e: CFExpansion) -> str:
     """One-line JSON fixture record for an expansion."""
-    rec = {
-        "point": str(e.point),
-        "gamma0": str(e.gamma0),
-        "digits": [str(g) for g in e.digits],
-        "convergents": [str(c) for c in e.convergents()],
-        "terminated": e.terminated,
-        "backend": "exact" if e.ctx is None else "bigfloat",
-        "bits": None if e.ctx is None else e.ctx.bits,
-    }
-    return json.dumps(rec, separators=(",", ":"))
+    return json.dumps(e.as_dict(), separators=(",", ":"))

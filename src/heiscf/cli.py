@@ -86,16 +86,16 @@ def _base_report(command: str, args, seed=None) -> dict:
     return rep
 
 
-def _expansion_record(e) -> dict:
-    return {
-        "point": str(e.point),
-        "gamma0": str(e.gamma0),
-        "digits": [str(g) for g in e.digits],
-        "convergents": [str(c) for c in e.convergents()],
-        "terminated": e.terminated,
-        "backend": "exact" if e.ctx is None else "bigfloat",
-        "bits": None if e.ctx is None else e.ctx.bits,
-    }
+def _check_numbers(args) -> None:
+    """Usage errors in numeric flags, reported before any work starts."""
+    bits = getattr(args, "bits", None)
+    depth = getattr(args, "depth", None)
+    if bits is not None and bits < 64:
+        raise ParseError("--bits must be at least 64")
+    if depth is not None and depth < 0:
+        raise ParseError("--depth must not be negative")
+    if args.command == "expand" and bits is not None and depth is None:
+        raise ParseError("expand --bits needs --depth")
 
 
 def _parse_point_arg(args):
@@ -111,7 +111,7 @@ def cmd_expand(args) -> int:
     h = _parse_point_arg(args)
     e = expand(h, max_depth=args.depth)
     rep = _base_report("expand", args)
-    rep["expansion"] = _expansion_record(e)
+    rep["expansion"] = e.as_dict()
     rep["max_depth_hit"] = e.max_depth_hit
     _emit(rep, args.format, args.out)
     return EXIT_OK
@@ -360,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,15 +1,14 @@
-"""Fundamental domains and the certified nearest-integer map.
+"""The Dirichlet fundamental domain K_D and its nearest-integer map.
 
-Only the Dirichlet domain is shipped: the set of points whose nearest
-integer point is the origin, with radius 2^(-1/4).  The abstract base
-keeps the door open for other domains satisfying the same tiling and
-radius conditions.
+K_D is the set of points whose nearest integer point is the origin; its
+radius is 2^(-1/4).  One candidate search ranks the integer points near
+h for all three number types the package computes with: exact Fractions,
+mpmath big floats and machine floats.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -19,7 +18,6 @@ from .gaussian import GaussInt
 from .siegel import IntegerPoint, SiegelPoint
 
 __all__ = [
-    "Domain",
     "DirichletDomain",
     "integer_point",
     "rk_constant",
@@ -33,35 +31,45 @@ def integer_point(a: int, b: int, c: int) -> IntegerPoint:
     return IntegerPoint(GaussInt(a, b), GaussInt((a * a + b * b) // 2, c))
 
 
-class Domain(ABC):
-    """A fundamental domain for S under left-translation by S(Z)."""
+def _ranked_candidates(ure, uim, vim) -> list[tuple]:
+    """Integer points (d4, a, b, c) near (u, v), closest first.
 
-    @abstractmethod
-    def contains(self, h: SiegelPoint) -> bool: ...
+    d4 = d(gamma, h)^4 for gamma = (a+bi; (a^2+b^2)/2 + ci); ties break
+    toward the lexicographically smallest (a, b, c).  Any minimizer has
+    d4 <= rad^4 = 1/2, forcing |u - u_gamma|^2 <= sqrt(2); candidates keep
+    |u - u_gamma|^2 <= 8/5 and take c from the one or two integers nearest
+    Im(v - conj(u_gamma) u).  The coordinates are Fractions, mpfs (inside
+    their working precision) or floats, floored in their own arithmetic.
+    """
+    floor = mp.floor if isinstance(ure, mpf) else math.floor
+    # u_gamma = s(1+i) + t(1-i) with integers s, t, and |u - u_gamma|^2 =
+    # 2(|x - s|^2 + |y - t|^2) for x = (Re u + Im u)/2, y = (Re u - Im u)/2:
+    # within 8/5, s and t are among the two integers nearest x and y.
+    s0 = int(floor((ure + uim) / 2))
+    t0 = int(floor((ure - uim) / 2))
+    ranked = []
+    for s in (s0, s0 + 1):
+        for t in (t0, t0 + 1):
+            a, b = s + t, s - t
+            du_sq = (ure - a) ** 2 + (uim - b) ** 2
+            if 5 * du_sq > 8:
+                continue
+            delta = vim - (a * uim - b * ure)
+            c0 = int(floor(delta))
+            for c in (c0,) if delta == c0 else (c0, c0 + 1):
+                ranked.append(((du_sq / 2) ** 2 + (delta - c) ** 2, a, b, c))
+    ranked.sort()
+    return ranked
 
-    @abstractmethod
-    def radius(self) -> float: ...
 
-    @abstractmethod
-    def nearest(self, h: SiegelPoint) -> IntegerPoint: ...
-
-
-# Any minimizer gamma has d(gamma, h)^4 <= rad^4 = 1/2, forcing
-# |u - u_gamma|^2 <= sqrt(2); 8/5 adds slack for the big-float backend.
-_U_DIST_SQ_BOUND = Fraction(8, 5)
-_U_COORD_SLACK = Fraction(13, 10)
-
-
-class DirichletDomain(Domain):
+class DirichletDomain:
     """The Dirichlet fundamental domain K_D with certified nearest map.
 
     Ties on the boundary break toward the lexicographically smallest
-    (Re u, Im u, Im v) candidate; on the big-float backend candidates
-    closer than the certification tolerance trigger precision escalation
-    and finally an AmbiguousNearestInteger error.
+    (Re u, Im u, Im v) candidate.  On the big-float backend the runner-up
+    must trail the best candidate by the certification tolerance
+    check_scale * max(1, |v|), else AmbiguousNearestInteger is raised.
     """
-
-    name = "dirichlet"
 
     def radius(self) -> float:
         return 2.0 ** -0.25
@@ -74,84 +82,17 @@ class DirichletDomain(Domain):
 
     def nearest(self, h: SiegelPoint) -> IntegerPoint:
         if h.exact:
-            return self._nearest_exact(h)
-        return self._nearest_bigfloat(h)
-
-    # -- exact backend ------------------------------------------------------
-
-    def _nearest_exact(self, h: SiegelPoint) -> IntegerPoint:
-        ure, uim = h.u.re(), h.u.im()
-        vim = h.v.im()
-        best = None
-        for a, b in _u_candidates_exact(ure, uim):
-            du_sq = (ure - a) ** 2 + (uim - b) ** 2
-            # Im(v - conj(u_gamma) u) = Im v - (a*Im u - b*Re u)
-            delta = vim - (a * uim - b * ure)
-            for c in _int_candidates(delta):
-                d4 = (du_sq / 2) ** 2 + (delta - c) ** 2
-                key = (d4, a, b, c)
-                if best is None or key < best:
-                    best = key
-        _, a, b, c = best
+            ranked = _ranked_candidates(h.u.re(), h.u.im(), h.v.im())
+        else:
+            with h.ctx.work():
+                ranked = _ranked_candidates(h.u.real, h.u.imag, h.v.imag)
+                tol = h.ctx.check_scale * max(mpf(1), abs(h.v))
+                if len(ranked) > 1 and ranked[1][0] - ranked[0][0] < tol:
+                    raise AmbiguousNearestInteger(
+                        "nearest integer ambiguous at working precision"
+                    )
+        _, a, b, c = ranked[0]
         return integer_point(a, b, c)
-
-    # -- big-float backend --------------------------------------------------
-
-    def _nearest_bigfloat(self, h: SiegelPoint) -> IntegerPoint:
-        ctx = h.ctx
-        tol = ctx.check_scale
-        with ctx.work():
-            tol = tol * max(mpf(1), abs(h.v))
-        bits = ctx.bits
-        for _ in range(5):
-            ranked = self._ranked_candidates(h, bits)
-            if len(ranked) == 1 or ranked[1][0] - ranked[0][0] >= tol:
-                _, a, b, c = ranked[0]
-                return integer_point(a, b, c)
-            bits *= 2
-        raise AmbiguousNearestInteger(
-            "nearest integer ambiguous at working precision"
-        )
-
-    def _ranked_candidates(self, h: SiegelPoint, bits: int):
-        with mp.workprec(bits):
-            ure, uim = h.u.real, h.u.imag
-            vim = h.v.imag
-            cands = []
-            for a in _int_range(ure, _U_COORD_SLACK):
-                for b in _int_range(uim, _U_COORD_SLACK):
-                    if (a + b) % 2 != 0:
-                        continue
-                    du_sq = (ure - a) ** 2 + (uim - b) ** 2
-                    if du_sq > float(_U_DIST_SQ_BOUND):
-                        continue
-                    delta = vim - (a * uim - b * ure)
-                    for c in {int(mp.floor(delta)), int(mp.ceil(delta))}:
-                        d4 = (du_sq / 2) ** 2 + (delta - c) ** 2
-                        cands.append((d4, a, b, c))
-            cands.sort(key=lambda t: (t[0], t[1:]))
-            return cands
-
-
-def _int_candidates(delta: Fraction) -> list[int]:
-    lo = math.floor(delta)
-    return [lo] if delta == lo else [lo, lo + 1]
-
-
-def _u_candidates_exact(ure: Fraction, uim: Fraction):
-    for a in range(math.ceil(ure - _U_COORD_SLACK), math.floor(ure + _U_COORD_SLACK) + 1):
-        for b in range(
-            math.ceil(uim - _U_COORD_SLACK), math.floor(uim + _U_COORD_SLACK) + 1
-        ):
-            if (a + b) % 2 != 0:
-                continue
-            if (ure - a) ** 2 + (uim - b) ** 2 <= _U_DIST_SQ_BOUND:
-                yield a, b
-
-
-def _int_range(x, slack: Fraction):
-    xf = float(x)
-    return range(math.ceil(xf - float(slack)), math.floor(xf + float(slack)) + 1)
 
 
 def rk_constant(rad: float, tol: float = 1e-9) -> float:

@@ -8,6 +8,7 @@ division used by the Euclidean algorithm.
 
 from __future__ import annotations
 
+import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,6 @@ __all__ = [
     "GaussRat",
     "canonical_associate",
     "gi_gcd",
-    "gi_norm",
     "parse_gauss_int",
     "r2_count",
     "r2_count_naive",
@@ -91,6 +91,9 @@ class GaussInt:
         t = self * other.conj()
         return GaussInt(_round_half_up(t.re, n), _round_half_up(t.im, n))
 
+    def __complex__(self) -> complex:
+        return complex(self.re, self.im)
+
     def __str__(self) -> str:
         return format_gauss_int(self)
 
@@ -99,11 +102,6 @@ ZERO = GaussInt(0, 0)
 ONE = GaussInt(1, 0)
 I = GaussInt(0, 1)
 UNITS = (GaussInt(1, 0), GaussInt(0, 1), GaussInt(-1, 0), GaussInt(0, -1))
-
-
-def gi_norm(g: GaussInt) -> int:
-    """|g|^2 = re^2 + im^2."""
-    return g.norm()
 
 
 def canonical_associate(g: GaussInt) -> tuple[GaussInt, GaussInt]:
@@ -153,9 +151,31 @@ def reduce_triple(
     for x in (r, p):
         if not g.is_unit() and not x.is_zero():
             g = gi_gcd(g, x)
-    q, r, p = q.exact_div(g), r.exact_div(g), p.exact_div(g)
+    return _fold_unit(q.exact_div(g), r.exact_div(g), p.exact_div(g))
+
+
+def _fold_unit(
+    q: GaussInt, r: GaussInt, p: GaussInt
+) -> tuple[GaussInt, GaussInt, GaussInt]:
+    """The unit multiple of (q, r, p) whose q is the canonical associate."""
     _, u = canonical_associate(q)
     return u * q, u * r, u * p
+
+
+def _coprime(q: GaussInt, r: GaussInt, p: GaussInt) -> bool:
+    """True iff q, r and p have no common non-unit factor in Z[i]."""
+    g = q
+    for x in (r, p):
+        if not x.is_zero():
+            g = gi_gcd(g, x)
+        if g.is_unit():
+            return True
+    return g.is_unit()
+
+
+def _trip_key(t) -> tuple:
+    """Sort key of an integer triple: its coordinates as int pairs."""
+    return tuple((g.re, g.im) for g in t)
 
 
 def r2_count_naive(n: int) -> int:
@@ -166,7 +186,7 @@ def r2_count_naive(n: int) -> int:
     a = 0
     while a * a <= n:
         rest = n - a * a
-        b = _isqrt(rest)
+        b = math.isqrt(rest)
         if b * b == rest:
             sa = 1 if a == 0 else 2
             sb = 1 if b == 0 else 2
@@ -175,33 +195,33 @@ def r2_count_naive(n: int) -> int:
     return count
 
 
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
-
-
 def r2_count(n: int) -> int:
     """Number of ways to write n = a^2 + b^2 counting signs and order.
 
-    Computed from the factorization: zero if some prime = 3 mod 4 occurs
-    to an odd power, else 4 * prod(e_p + 1) over primes p = 1 mod 4.
+    Computed from the factorization, found by trial division up to
+    sqrt(n): zero if some prime = 3 mod 4 occurs to an odd power, else
+    4 * prod(e_p + 1) over primes p = 1 mod 4.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return 4
-    from sympy import factorint
-
+    while n % 2 == 0:
+        n //= 2
     result = 4
-    for p, e in factorint(n).items():
-        if p == 2:
-            continue
-        if p % 4 == 3:
-            if e % 2 == 1:
-                return 0
-        else:
+    p = 3
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if p % 4 == 3 and e % 2 == 1:
+            return 0
+        if p % 4 == 1:
             result *= e + 1
+        p += 2
+    if n > 1:  # one prime left, to the first power
+        if n % 4 == 3:
+            return 0
+        result *= 2
     return result
 
 
@@ -243,7 +263,7 @@ class GaussRat:
 
     @staticmethod
     def from_fractions(re: Fraction, im: Fraction) -> "GaussRat":
-        d = re.denominator * im.denominator // _gcd_int(
+        d = re.denominator * im.denominator // math.gcd(
             re.denominator, im.denominator
         )
         num = GaussInt(
@@ -293,8 +313,8 @@ class GaussRat:
     def abs_sq(self) -> Fraction:
         return Fraction(self.num.norm(), self.den.norm())
 
-    def is_integral(self) -> bool:
-        return self.den.divides(self.num)
+    def __complex__(self) -> complex:
+        return complex(float(self.re()), float(self.im()))
 
     def to_gauss_int(self) -> GaussInt:
         return self.num.exact_div(self.den)
@@ -313,12 +333,6 @@ class GaussRat:
 
 RAT_ZERO = GaussRat(ZERO, ONE)
 RAT_ONE = GaussRat(ONE, ONE)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(a, b)
 
 
 # ---------------------------------------------------------------------------

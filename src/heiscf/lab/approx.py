@@ -13,7 +13,7 @@ from typing import Optional
 
 from ..cf import CFExpansion
 from ..domain import rk_constant
-from ..gaussian import GaussInt, canonical_associate, gi_gcd
+from ..gaussian import GaussInt, _coprime, _fold_unit, _trip_key
 from ..matrices import mat_apply_triple, u21_inverse
 from ..siegel import (
     ProjIntPoint,
@@ -84,13 +84,6 @@ def _v_abs(e: CFExpansion, i: int) -> float:
         return float(abs(h.v))
 
 
-def _v_complex(e: CFExpansion, i: int) -> complex:
-    h = e.iterates[i]
-    if h.exact:
-        return complex(float(h.v.re()), float(h.v.im()))
-    return complex(float(h.v.real), float(h.v.imag))
-
-
 def convergent_distance(e: CFExpansion, n: int) -> float:
     """d(nth convergent, h_0), via the exact route where possible."""
     q, r, p = e.first_column(n)
@@ -114,7 +107,7 @@ def approx_quality(e: CFExpansion, n: int, rk: Optional[float] = None) -> Approx
     rk = rk if rk is not None else RK_KD
     q_abs = _abs_gi(e.first_column(n)[0])
     d_n = convergent_distance(e, n)
-    v_next = _v_complex(e, n + 1)
+    v_next = complex(e.iterates[n + 1].v)
     v_next_abs = _v_abs(e, n + 1)
 
     ratio = None
@@ -160,18 +153,6 @@ def approx_quality(e: CFExpansion, n: int, rk: Optional[float] = None) -> Approx
 # Candidate enumeration near a point
 
 
-def _point_floats(h: SiegelPoint) -> tuple[complex, complex]:
-    if h.exact:
-        return (
-            complex(float(h.u.re()), float(h.u.im())),
-            complex(float(h.v.re()), float(h.v.im())),
-        )
-    return (
-        complex(float(h.u.real), float(h.u.imag)),
-        complex(float(h.v.real), float(h.v.imag)),
-    )
-
-
 def candidate_triples(h: SiegelPoint, B: float, dist_bound: float = 2.0, dist_fn=None):
     """Lowest-terms triples (Q, R, P) with |Q| <= B near h.
 
@@ -181,7 +162,7 @@ def candidate_triples(h: SiegelPoint, B: float, dist_bound: float = 2.0, dist_fn
     whose radius comes back <= 0 are skipped outright.  Yields raw integer
     triples; unit multiples are folded into a canonical representative.
     """
-    uh, vh = _point_floats(h)
+    uh, vh = complex(h.u), complex(h.v)
     seen = set()
     qmax2 = int(B * B + 1e-9)
     for qa in range(-int(B) - 1, int(B) + 2):
@@ -228,25 +209,6 @@ def candidate_triples(h: SiegelPoint, B: float, dist_bound: float = 2.0, dist_fn
                             continue
                         seen.add(trip)
                         yield trip
-
-
-def _coprime(q: GaussInt, r: GaussInt, p: GaussInt) -> bool:
-    g = q
-    for x in (r, p):
-        if not x.is_zero():
-            g = gi_gcd(g, x)
-        if g.is_unit():
-            return True
-    return g.is_unit()
-
-
-def _fold_unit(q: GaussInt, r: GaussInt, p: GaussInt):
-    _, u = canonical_associate(q)
-    return (u * q, u * r, u * p)
-
-
-def _trip_key(t):
-    return tuple((g.re, g.im) for g in t)
 
 
 def _cand_distance_pow4(h: SiegelPoint, trip):
@@ -344,22 +306,20 @@ def prop71_check(
         raise IndexError("prop71_check requires n + 1 <= depth")
     rk = rk if rk is not None else RK_KD
     h0 = e.iterates[0]
-    uh, vh = _point_floats(h0)
+    uh, vh = complex(h0.u), complex(h0.v)
 
     qn, rn, pn = e.first_column(n)
     q_abs = _abs_gi(qn)
     base = abs(
-        _gi_c(pn).conjugate() - _gi_c(rn).conjugate() * uh + _gi_c(qn).conjugate() * vh
+        complex(pn).conjugate() - complex(rn).conjugate() * uh + complex(qn).conjugate() * vh
     )
     vn_abs = _v_abs(e, n)
     bound_stated = 1.0 / (vn_abs * rk) if vn_abs > 0 else math.inf
 
-    bound_proof = None
-    qn1 = _gi_c(e.first_column(n + 1)[0])
-    fqn1 = _gi_c(e.second_column(n + 1)[0])
-    un1 = _u_complex(e, n + 1)
-    vn1 = _v_complex(e, n + 1)
-    proof_num = qn1 + fqn1 * un1 - _gi_c(qn) * vn1
+    qn1 = complex(e.first_column(n + 1)[0])
+    fqn1 = complex(e.second_column(n + 1)[0])
+    un1, vn1 = complex(e.iterates[n + 1].u), complex(e.iterates[n + 1].v)
+    proof_num = qn1 + fqn1 * un1 - complex(qn) * vn1
     bound_proof = math.sqrt(abs(proof_num) / q_abs)
 
     d_n4 = _cand_distance_pow4(h0, (qn, rn, pn))
@@ -403,7 +363,7 @@ def prop71_check(
         report.candidates_checked += 1
         Q, R, P = trip
         num = abs(
-            _gi_c(P).conjugate() - _gi_c(R).conjugate() * uh + _gi_c(Q).conjugate() * vh
+            complex(P).conjugate() - complex(R).conjugate() * uh + complex(Q).conjugate() * vh
         )
         x1 = num / base if base > 0 else math.inf
         x2 = math.sqrt(Q.norm()) / q_abs
@@ -423,14 +383,3 @@ def prop71_check(
             if not d4 > d_n4:
                 report.violations_thm16.append(dict(entry, d4=float(d4)))
     return report
-
-
-def _gi_c(g: GaussInt) -> complex:
-    return complex(g.re, g.im)
-
-
-def _u_complex(e: CFExpansion, i: int) -> complex:
-    h = e.iterates[i]
-    if h.exact:
-        return complex(float(h.u.re()), float(h.u.im()))
-    return complex(float(h.u.real), float(h.u.imag))

@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..gaussian import GaussInt, gi_gcd
-from ..siegel import ProjIntPoint
+from ..gaussian import GaussInt, _coprime, _fold_unit, _trip_key
 
 __all__ = [
     "Region",
@@ -62,9 +61,6 @@ class RationalEnumeration:
     @property
     def count(self) -> int:
         return len(self.points)
-
-    def reduced_points(self) -> list[ProjIntPoint]:
-        return [ProjIntPoint.reduced(*t) for t in self.points]
 
 
 def qnorm_representations(m: int) -> list[GaussInt]:
@@ -128,13 +124,6 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int]:
     return old_x, old_y
 
 
-def _canonical_unit_triple(q: GaussInt, r: GaussInt, p: GaussInt):
-    from ..gaussian import canonical_associate
-
-    _, u = canonical_associate(q)
-    return (u * q, u * r, u * p)
-
-
 def enumerate_rationals_qnorm(
     m: int, region: Region, lowest_terms: bool = True
 ) -> RationalEnumeration:
@@ -158,8 +147,8 @@ def enumerate_rationals_qnorm(
                 continue
             for c, d in solve_p_line(a, b, rn // 2, p_norm_max):
                 p = GaussInt(c, d)
-                trip = _canonical_unit_triple(q, r, p)
-                if lowest_terms and not _triple_coprime(*trip):
+                trip = _fold_unit(q, r, p)
+                if lowest_terms and not _coprime(*trip):
                     continue
                 if trip not in seen:
                     seen.add(trip)
@@ -192,28 +181,14 @@ def enumerate_rationals_naive(
         rhs = 2 * (a * pc + b * pd)
         match = r_norm[:, None] == rhs[None, :]
         for ri, pi in zip(*np.nonzero(match)):
-            trip = _canonical_unit_triple(q, rs[ri], ps[pi])
-            if lowest_terms and not _triple_coprime(*trip):
+            trip = _fold_unit(q, rs[ri], ps[pi])
+            if lowest_terms and not _coprime(*trip):
                 continue
             if trip not in seen:
                 seen.add(trip)
                 points.append(trip)
     points.sort(key=_trip_key)
     return RationalEnumeration(m, region, lowest_terms, points)
-
-
-def _trip_key(t):
-    return tuple((g.re, g.im) for g in t)
-
-
-def _triple_coprime(q: GaussInt, r: GaussInt, p: GaussInt) -> bool:
-    g = q
-    for x in (r, p):
-        if not x.is_zero():
-            g = gi_gcd(g, x)
-        if g.is_unit():
-            return True
-    return g.is_unit()
 
 
 def _gauss_ints_in_disk(norm_max: int):

@@ -16,7 +16,7 @@ from mpmath import mpc, mpf
 from ..cf import CFExpansion
 from ..errors import HeisCFError
 from ..gaussian import GaussInt, GaussRat
-from ..siegel import SiegelPoint, distance, distance_pow4, proj_to_planar
+from ..siegel import ProjIntPoint, distance, distance_pow4, proj_to_planar
 
 __all__ = [
     "IdentityReport",
@@ -67,9 +67,6 @@ class _ExactArith:
     def neg_one(self) -> GaussRat:
         return GaussRat.from_int(GaussInt(-1, 0))
 
-    def to_complex(self, x: GaussRat) -> complex:
-        return complex(float(x.re()), float(x.im()))
-
     def report(self, identity: str, n: int, lhs, rhs, extra_terms=()) -> IdentityReport:
         diff = lhs - rhs
         scale = max(
@@ -79,8 +76,8 @@ class _ExactArith:
         return IdentityReport(
             identity=identity,
             n=n,
-            lhs=self.to_complex(lhs),
-            rhs=self.to_complex(rhs),
+            lhs=complex(lhs),
+            rhs=complex(rhs),
             residual=0.0 if exact_zero else self.mag(diff),
             scale=scale,
             passed=exact_zero,
@@ -108,9 +105,6 @@ class _BigArith:
     def neg_one(self) -> mpc:
         return mpc(-1)
 
-    def to_complex(self, x: mpc) -> complex:
-        return complex(float(x.real), float(x.imag))
-
     def report(self, identity: str, n: int, lhs, rhs, extra_terms=()) -> IdentityReport:
         with self.ctx.work():
             diff = abs(lhs - rhs)
@@ -121,8 +115,8 @@ class _BigArith:
         return IdentityReport(
             identity=identity,
             n=n,
-            lhs=self.to_complex(lhs),
-            rhs=self.to_complex(rhs),
+            lhs=complex(lhs),
+            rhs=complex(rhs),
             residual=float(diff),
             scale=float(scale),
             passed=bool(passed),
@@ -218,7 +212,7 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
     """
     ar = _arith(e)
     q, r, p = e.first_column(n)
-    conv = proj_to_planar(_reduced(q, r, p))
+    conv = proj_to_planar(ProjIntPoint.reduced(q, r, p))
 
     if e.ctx is None:
         h0 = e.iterates[0]
@@ -249,18 +243,18 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
         # compare fourth powers: the linear form underlying the direct
         # distance is what carries the certified precision, not its root
         h0 = e.iterates[0]
-        d_direct = distance(conv.to_bigfloat(e.ctx) if isinstance(conv, SiegelPoint) else conv, h0)
+        d_direct = distance(conv.to_bigfloat(e.ctx), h0)
         d4_direct = d_direct ** 4
         prod = mpc(1)
         for i in range(n + 1):
             prod = prod * e.iterates[i].v
-        qn = mpc(q.re, q.im)
+        qn = ar.from_gi(q)
         d4_form1 = abs(prod / qn) ** 2
         residual = abs(d4_direct - d4_form1)
         forms = [d4_direct, d4_form1]
         if n + 1 <= e.depth:
-            qn1 = mpc(*_gi_pair(e.first_column(n + 1)[0]))
-            fqn1 = mpc(*_gi_pair(e.second_column(n + 1)[0]))
+            qn1 = ar.from_gi(e.first_column(n + 1)[0])
+            fqn1 = ar.from_gi(e.second_column(n + 1)[0])
             un1, vn1 = _coords(e, n + 1)
             denom = qn.conjugate() * (qn1 + fqn1 * un1 - qn * vn1)
             if denom != 0:
@@ -278,16 +272,6 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
             scale=float(scale),
             passed=bool(passed),
         )
-
-
-def _gi_pair(g: GaussInt):
-    return g.re, g.im
-
-
-def _reduced(q, r, p):
-    from ..siegel import ProjIntPoint
-
-    return ProjIntPoint.reduced(q, r, p)
 
 
 def _form2_exact(e: CFExpansion, n: int):

@@ -10,6 +10,7 @@ points are uniform dyadic samples of the domain's bounding box.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Optional
 
 from ..cf import reconstruct
@@ -75,7 +76,8 @@ def random_bigfloat_point(
     scale = 1 << ctx.bits
 
     def dyadic(bound: float) -> int:
-        return rng.randint(-int(bound * scale), int(bound * scale))
+        n = int(Fraction(bound) * scale)
+        return rng.randint(-n, n)
 
     z_re, z_im = dyadic(2.0**-0.25), dyadic(2.0**-0.25)
     t = dyadic(2.0**-0.5)

@@ -9,7 +9,6 @@ cross-checks.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -17,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..domain import Domain
+from ..domain import _ranked_candidates
 from ..siegel import PrecisionContext, SiegelPoint
 from .enumerate import enumerate_rationals_qnorm, kprime_region
 
@@ -32,26 +31,12 @@ __all__ = [
 
 _Z_BOUND = 2.0**-0.25
 _T_BOUND = 2.0**-0.5
-_U_SLACK = 1.3
 
 
 def nearest_float(u: complex, v: complex) -> tuple[int, int, int]:
     """Double-precision nearest integer point (a, b, c); fast path for experiments."""
-    best = None
-    for a in range(math.ceil(u.real - _U_SLACK), math.floor(u.real + _U_SLACK) + 1):
-        for b in range(math.ceil(u.imag - _U_SLACK), math.floor(u.imag + _U_SLACK) + 1):
-            if (a + b) % 2 != 0:
-                continue
-            du_sq = (u.real - a) ** 2 + (u.imag - b) ** 2
-            if du_sq > 1.6:
-                continue
-            delta = v.imag - (a * u.imag - b * u.real)
-            for c in {math.floor(delta), math.ceil(delta)}:
-                d4 = (du_sq / 2.0) ** 2 + (delta - c) ** 2
-                key = (d4, a, b, c)
-                if best is None or key < best:
-                    best = key
-    return best[1], best[2], best[3]
+    _, a, b, c = _ranked_candidates(u.real, u.imag, v.imag)[0]
+    return a, b, c
 
 
 def sample_K_floats(rng: random.Random) -> tuple[complex, complex]:
@@ -70,12 +55,9 @@ def sample_K_floats(rng: random.Random) -> tuple[complex, complex]:
 
 
 def sample_K(
-    rng: random.Random,
-    K: Optional[Domain] = None,
-    ctx: Optional[PrecisionContext] = None,
+    rng: random.Random, ctx: Optional[PrecisionContext] = None
 ) -> SiegelPoint:
-    """Uniform sample of K w.r.t. the inherited measure, as a big-float point."""
-    del K  # only the Dirichlet domain ships; kept for interface symmetry
+    """Uniform sample of K_D w.r.t. the inherited measure, as a big-float point."""
     ctx = ctx or PrecisionContext(64)
     u, v = sample_K_floats(rng)
     from mpmath import mpc
@@ -152,9 +134,9 @@ def _range_point_arrays(k_lo: int, k_hi: int, C: float, eps: float):
                 continue
             phi = C * m ** (-(1.0 + eps) / 2.0)
             for q, r, p in enum.points:
-                qc = complex(q.re, q.im)
-                us.append(complex(r.re, r.im) / qc)
-                vs.append(complex(p.re, p.im) / qc)
+                qc = complex(q)
+                us.append(complex(r) / qc)
+                vs.append(complex(p) / qc)
                 thr4.append(phi**4)
         out.append(
             (

@@ -41,7 +41,6 @@ __all__ = [
     "group_inv",
     "koranyi_inversion",
     "gauge_norm",
-    "gauge_norm_pow4",
     "distance",
     "distance_pow4",
     "proj_to_planar",
@@ -72,13 +71,6 @@ class PrecisionContext:
     def check_scale(self) -> mpf:
         with mp.workprec(self.bits):
             return mpf(2) ** (-self.bits / 2)
-
-    def doubled(self) -> "PrecisionContext":
-        return PrecisionContext(self.bits * 2)
-
-
-ExactComplex = GaussRat
-BigComplex = mpc
 
 
 def _rat_to_mpc(x: GaussRat, ctx: PrecisionContext) -> mpc:
@@ -143,10 +135,6 @@ class SiegelPoint:
         with ctx.work():
             return SiegelPoint(mpc(0), mpc(0), ctx)
 
-    @staticmethod
-    def exact_rational(u: GaussRat, v: GaussRat) -> "SiegelPoint":
-        return SiegelPoint(u, v)
-
     def is_origin(self) -> bool:
         if self.exact:
             return self.u.is_zero() and self.v.is_zero()
@@ -177,7 +165,8 @@ def _fmt_mpc(x: mpc, ctx: PrecisionContext) -> str:
     im = x.imag
     if im == 0:
         return re_s
-    im_s = mp.nstr(abs(im), digits)
+    with ctx.work():  # abs() rounds to the working precision
+        im_s = mp.nstr(abs(im), digits)
     sign = "+" if im >= 0 else "-"
     return f"{re_s}{sign}{im_s}i"
 
@@ -257,14 +246,6 @@ def koranyi_inversion(h: SiegelPoint) -> SiegelPoint:
         return SiegelPoint(u, v, h.ctx)
 
 
-def gauge_norm_pow4(h: SiegelPoint) -> Union[Fraction, mpf]:
-    """|v|^2, i.e. the fourth power of the gauge norm; exact on the exact backend."""
-    if h.exact:
-        return h.v.abs_sq()
-    with h.ctx.work():
-        return abs(h.v) ** 2
-
-
 def gauge_norm(h: SiegelPoint) -> Union[float, mpf]:
     """The gauge norm |v|^(1/2)."""
     if h.exact:
@@ -322,9 +303,6 @@ class IntegerPoint:
         return IntegerPoint(
             self.u + other.u, self.v + self.u.conj() * other.u + other.v
         )
-
-    def norm_pow4(self) -> int:
-        return self.v.norm()
 
     def to_siegel(self, ctx: Optional[PrecisionContext] = None) -> SiegelPoint:
         h = SiegelPoint(GaussRat.from_int(self.u), GaussRat.from_int(self.v))

@@ -32,13 +32,13 @@ K = DirichletDomain()
 
 class TestGaussMapStep:
     def test_origin_fixed(self):
-        gamma, nxt = gauss_map_step(SiegelPoint.origin(), K)
+        gamma, nxt = gauss_map_step(SiegelPoint.origin())
         assert gamma.u.is_zero() and gamma.v.is_zero()
         assert nxt.is_origin()
 
     def test_step_structure(self):
         h = parse_planar_point("(1/2; 1/8+1/3i)")
-        gamma, nxt = gauss_map_step(h, K)
+        gamma, nxt = gauss_map_step(h)
         # h' = gamma^{-1} * iota(h) and gamma = [iota h]
         ih = koranyi_inversion(h)
         assert K.nearest(ih) == gamma

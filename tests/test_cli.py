@@ -1,9 +1,12 @@
 import json
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from heiscf.cli import main
 
@@ -91,6 +94,86 @@ class TestExpand:
             capsys,
         )
         assert code == 3
+
+
+def printed_parts(point: str) -> list[Fraction]:
+    """Re u, Im u, Re v, Im v of a printed big-float point "(u; v)"."""
+    parts = []
+    for c in point.strip("()").split("; "):
+        m = re.fullmatch(r"(-?[0-9.e+-]+?)([+-])([0-9.e+-]+)i", c)
+        sign = -1 if m.group(2) == "-" else 1
+        parts += [Fraction(m.group(1)), sign * Fraction(m.group(3))]
+    return parts
+
+
+class TestBigfloatExpand:
+    def test_printed_digits_exact(self, capsys):
+        # dyadic coordinates with more than 53 significant bits and at most
+        # 126 fractional ones: at 512 bits every printed digit of both parts
+        # must equal the exact value
+        zr, zi = Fraction(2**60 + 1, 2**62), Fraction(-(2**61 + 3), 2**63)
+        t = Fraction(2**70 + 5, 2**72)
+        heis = f"{zr}{zi}i, {t}"
+        code, out = run_cli(
+            ["expand", "--heis", heis, "--bits", "512", "--depth", "1", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        point = check_json(out)["expansion"]["point"]
+        assert printed_parts(point) == [zr - zi, zr + zi, zr * zr + zi * zi, t]
+
+    def test_printed_imaginary_part_full_precision(self, capsys):
+        code, out = run_cli(
+            ["expand", "--heis", "1/3+1/7i, 2/11", "--bits", "512", "--depth", "1",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        ure, uim, vre, vim = printed_parts(check_json(out)["expansion"]["point"])
+        exact = [Fraction(4, 21), Fraction(10, 21), Fraction(58, 441), Fraction(2, 11)]
+        for got, want in zip((ure, uim, vre, vim), exact):
+            assert abs(got - want) < Fraction(1, 2**500)
+
+    def test_huge_orbit_coordinates_match_exact(self, capsys):
+        # after one inversion |Re u| and |Im u| exceed 2^53, past what a
+        # window centred on float(Re u) could place
+        heis = (
+            "1/3458764513820540928+1/8070450532247928832i,"
+            " 1/6646139978924579364519035301003722752"
+        )
+        args = ["expand", "--heis", heis, "--depth", "3", "--format", "json"]
+        code, out = run_cli(args + ["--bits", "512"], capsys)
+        assert code == 0
+        big = check_json(out)["expansion"]["digits"]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        assert big == check_json(out)["expansion"]["digits"]
+        assert big[1:] == ["(0; -3i)", "(-2i; 2+i)"]
+
+    def test_verify_1024_bits(self, capsys):
+        code, out = run_cli(
+            ["verify", "--bits", "1024", "--samples", "1", "--depth", "3", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert check_json(out)["identities"]["failures"] == []
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--bits", "32", "--samples", "1", "--depth", "3"],
+            ["expand", "--point", "(1+i; 1+4/5i)", "--depth", "-1"],
+            ["expand", "--heis", "1/3+1/7i, 2/11", "--bits", "128"],
+        ],
+        ids=["bits-below-64", "negative-depth", "bits-without-depth"],
+    )
+    def test_exit_2_with_one_line(self, args, capsys):
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerify:

@@ -129,7 +129,12 @@ class TestR2Count:
         assert r2_count(5) == 8
         assert r2_count(25) == 12
 
-    @pytest.mark.parametrize("n", list(range(1, 200)))
+    # primes above 200 that are 1 and 3 mod 4, and their squares
+    BIG_PRIMES = [211, 223, 227, 229, 233, 1009, 1019, 10007, 10009]
+
+    @pytest.mark.parametrize(
+        "n", list(range(1, 200)) + BIG_PRIMES + [p * p for p in BIG_PRIMES]
+    )
     def test_against_naive(self, n):
         assert r2_count(n) == r2_count_naive(n)
 

@@ -1,0 +1,42 @@
+"""Byte-for-byte CLI output against reports recorded under tests/data/golden.
+
+The recorded files are the stdout of ``python -m heiscf.cli <args>``.  A
+refactor that keeps every digit and every report field leaves them as they
+are; a change that means to alter one of these reports re-records it and
+says why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from heiscf.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+CASES = {
+    "expand_point": ["expand", "--point", "(1+i; 1+4/5i)", "--format", "json"],
+    "verify_exact": ["verify", "--samples", "5", "--depth", "6", "--format", "json"],
+    "verify_bits128": [
+        "verify", "--bits", "128", "--samples", "3", "--depth", "8", "--format", "json",
+    ],
+    "measure_exact": ["measure", "--samples", "5", "--depth", "6", "--format", "json"],
+    "measure_bits128": [
+        "measure", "--bits", "128", "--samples", "2", "--depth", "8", "--format", "json",
+    ],
+    "bestapprox_samples": ["bestapprox", "--samples", "1", "--format", "json"],
+    "bestapprox_point": [
+        "bestapprox", "--point", "(1+i; 1+4/5i)", "--m-max", "9", "--format", "json",
+    ],
+    "count": ["count", "--m-max", "20", "--format", "csv"],
+    "khinchin": ["khinchin", "--m-max", "300", "--format", "json"],
+    "constants": ["constants", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_recording(name, capsys):
+    code = main(CASES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_text()
