@@ -30,6 +30,7 @@ from .siegel import (
     group_mul,
     koranyi_inversion,
     planar_to_proj,
+    proj_to_planar,
 )
 
 __all__ = [
@@ -160,7 +161,7 @@ def expand(h: SiegelPoint, max_depth: Optional[int] = None) -> CFExpansion:
                 )
             max_depth_hit = True
             break
-        if not cur.exact:
+        if not cur.exact:  # only big floats can lose 1/v to rounding
             with cur.ctx.work():
                 if abs(cur.v) < 4 * cur.ctx.check_scale:
                     raise CertificationError(
@@ -186,16 +187,21 @@ def expand(h: SiegelPoint, max_depth: Optional[int] = None) -> CFExpansion:
 
 
 def reconstruct(gamma0: IntegerPoint, digits: list[IntegerPoint]) -> SiegelPoint:
-    """Exact rational point gamma0 * iota(gamma_1 * iota(... gamma_n))."""
-    w = SiegelPoint.origin()
+    """Exact rational point gamma0 * iota(gamma_1 * iota(... gamma_n)).
+
+    Computed as the convergent T_gamma0 A_gamma1 ... A_gamman (1:0:0),
+    applied right to left; a zero q entry on the way is the v = 0 at which
+    an inversion of the nested form is undefined.
+    """
+    t = _E1
     for gamma in reversed(digits):
-        gw = group_mul(gamma.to_siegel(), w)
-        if gw.v.is_zero():
+        t = mat_apply_triple(digit_matrix(gamma), t)
+        if t[0].is_zero():
             raise InvalidDigitString(
                 "invalid digit string: intermediate point has v = 0"
             )
-        w = koranyi_inversion(gw)
-    return group_mul(gamma0.to_siegel(), w)
+    t = mat_apply_triple(translation_matrix(gamma0), t)
+    return proj_to_planar(ProjIntPoint.reduced(*t))
 
 
 def tail_convergents(

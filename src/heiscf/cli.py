@@ -96,6 +96,14 @@ def _check_numbers(args) -> None:
         raise ParseError("--depth must not be negative")
     if args.command == "expand" and bits is not None and depth is None:
         raise ParseError("expand --bits needs --depth")
+    for flag in ("samples", "m_max"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise ParseError(f"--{flag.replace('_', '-')} must be at least 1")
+    for flag in ("epsilon", "bigc"):
+        value = getattr(args, flag, None)
+        if value is not None and not value > 0:
+            raise ParseError(f"--{flag} must be positive")
 
 
 def _parse_point_arg(args):

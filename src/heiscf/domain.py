@@ -81,7 +81,7 @@ class DirichletDomain:
         return self.nearest(h).is_origin()
 
     def nearest(self, h: SiegelPoint) -> IntegerPoint:
-        if h.exact:
+        if h.exact:  # exact Fractions; big floats also certify the runner-up gap
             ranked = _ranked_candidates(h.u.re(), h.u.im(), h.v.im())
         else:
             with h.ctx.work():

@@ -293,7 +293,7 @@ class GaussRat:
     def __neg__(self) -> "GaussRat":
         return GaussRat(-self.num, self.den)
 
-    def conj(self) -> "GaussRat":
+    def conjugate(self) -> "GaussRat":
         return GaussRat.make(self.num.conj(), self.den.conj())
 
     def inverse(self) -> "GaussRat":
@@ -303,6 +303,9 @@ class GaussRat:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
 
     def re(self) -> Fraction:
         return _fraction_parts(self.num, self.den)[0]

@@ -78,21 +78,16 @@ def _abs_gi(g: GaussInt) -> float:
 
 def _v_abs(e: CFExpansion, i: int) -> float:
     h = e.iterates[i]
-    if h.exact:
+    if h.exact:  # a float from the exact |v|^2, or the mpf |v| rounded once
         return float(h.v.abs_sq()) ** 0.5
     with e.ctx.work():
         return float(abs(h.v))
 
 
 def convergent_distance(e: CFExpansion, n: int) -> float:
-    """d(nth convergent, h_0), via the exact route where possible."""
-    q, r, p = e.first_column(n)
-    conv = proj_to_planar(ProjIntPoint.reduced(q, r, p))
-    h0 = e.iterates[0]
-    if h0.exact:
-        return float(distance_pow4(conv, h0)) ** 0.25
-    with e.ctx.work():
-        return float(distance(conv.to_bigfloat(e.ctx), h0))
+    """d(nth convergent, h_0), exact up to the final root on the exact backend."""
+    conv = proj_to_planar(ProjIntPoint.reduced(*e.first_column(n)))
+    return float(distance(conv.to_bigfloat(e.ctx), e.iterates[0]))
 
 
 def approx_quality(e: CFExpansion, n: int, rk: Optional[float] = None) -> ApproxRecord:
@@ -214,10 +209,7 @@ def candidate_triples(h: SiegelPoint, B: float, dist_bound: float = 2.0, dist_fn
 def _cand_distance_pow4(h: SiegelPoint, trip):
     """d(planar(trip), h)^4, exact Fraction on the exact backend."""
     pt = proj_to_planar(ProjIntPoint.reduced(*trip))
-    if h.exact:
-        return distance_pow4(pt, h)
-    with h.ctx.work():
-        return distance_pow4(pt.to_bigfloat(h.ctx), h)
+    return distance_pow4(pt.to_bigfloat(h.ctx), h)
 
 
 def best_approx_search(

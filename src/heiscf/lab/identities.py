@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mpc, mpf
+from mpmath import mpf
 
 from ..cf import CFExpansion
 from ..errors import HeisCFError
-from ..gaussian import GaussInt, GaussRat
-from ..siegel import ProjIntPoint, distance, distance_pow4, proj_to_planar
+from ..gaussian import GaussInt
+from ..siegel import ProjIntPoint, abs_sq, distance, distance_pow4, proj_to_planar
 
 __all__ = [
     "IdentityReport",
@@ -49,129 +49,53 @@ class IdentityReport:
         }
 
 
-class _ExactArith:
-    exact = True
-
-    def from_gi(self, g: GaussInt) -> GaussRat:
-        return GaussRat.from_int(g)
-
-    def conj(self, x: GaussRat) -> GaussRat:
-        return x.conj()
-
-    def mag(self, x: GaussRat) -> float:
-        return float(x.abs_sq()) ** 0.5
-
-    def one(self) -> GaussRat:
-        return GaussRat.from_int(GaussInt(1, 0))
-
-    def neg_one(self) -> GaussRat:
-        return GaussRat.from_int(GaussInt(-1, 0))
-
-    def report(self, identity: str, n: int, lhs, rhs, extra_terms=()) -> IdentityReport:
+def _report(e: CFExpansion, identity: str, n: int, lhs, rhs, terms) -> IdentityReport:
+    """The residual of lhs = rhs against the largest magnitude among lhs, rhs
+    and terms (at least 1).  Exact backend: pass iff lhs == rhs.  Big floats:
+    pass iff residual <= check_scale * scale."""
+    exact = e.ctx is None
+    mag = (lambda x: float(abs_sq(x)) ** 0.5) if exact else abs
+    with e.point.work():
         diff = lhs - rhs
-        scale = max(
-            [1.0, self.mag(lhs), self.mag(rhs)] + [self.mag(t) for t in extra_terms]
-        )
-        exact_zero = diff.is_zero()
-        return IdentityReport(
-            identity=identity,
-            n=n,
-            lhs=complex(lhs),
-            rhs=complex(rhs),
-            residual=0.0 if exact_zero else self.mag(diff),
-            scale=scale,
-            passed=exact_zero,
-        )
+        residual = mag(diff)
+        scale = max([1.0, mag(lhs), mag(rhs)] + [mag(t) for t in terms])
+        passed = not diff if exact else residual <= e.ctx.check_scale * scale
+    return IdentityReport(
+        identity=identity,
+        n=n,
+        lhs=complex(lhs),
+        rhs=complex(rhs),
+        residual=float(residual),
+        scale=float(scale),
+        passed=bool(passed),
+    )
 
 
-class _BigArith:
-    exact = False
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-
-    def from_gi(self, g: GaussInt) -> mpc:
-        return mpc(g.re, g.im)
-
-    def conj(self, x: mpc) -> mpc:
-        return x.conjugate()
-
-    def mag(self, x: mpc) -> mpf:
-        return abs(x)
-
-    def one(self) -> mpc:
-        return mpc(1)
-
-    def neg_one(self) -> mpc:
-        return mpc(-1)
-
-    def report(self, identity: str, n: int, lhs, rhs, extra_terms=()) -> IdentityReport:
-        with self.ctx.work():
-            diff = abs(lhs - rhs)
-            scale = max(
-                [mpf(1), abs(lhs), abs(rhs)] + [abs(t) for t in extra_terms]
-            )
-            passed = diff <= self.ctx.check_scale * scale
-        return IdentityReport(
-            identity=identity,
-            n=n,
-            lhs=complex(lhs),
-            rhs=complex(rhs),
-            residual=float(diff),
-            scale=float(scale),
-            passed=bool(passed),
-        )
-
-
-def _arith(e: CFExpansion):
-    return _ExactArith() if e.ctx is None else _BigArith(e.ctx)
-
-
-def _coords(e: CFExpansion, i: int):
-    h = e.iterates[i]
-    return h.u, h.v
-
-
-def _run(e, fn):
-    if e.ctx is None:
-        return fn()
-    with e.ctx.work():
-        return fn()
+def _linear_form(e: CFExpansion, column) -> tuple:
+    """The terms conj(p), conj(r) u_0 and conj(q) v_0 of a continuant column."""
+    h0 = e.iterates[0]
+    q, r, p = (h0.lift(g) for g in column)
+    return p.conjugate(), r.conjugate() * h0.u, q.conjugate() * h0.v
 
 
 def verify_prq(e: CFExpansion, n: int) -> IdentityReport:
     """conj(p_n) - conj(r_n) u + conj(q_n) v = (-1)^n prod_{i<=n} v_i at h_0."""
-    ar = _arith(e)
-
-    def go():
-        q, r, p = (ar.from_gi(g) for g in e.first_column(n))
-        u0, v0 = _coords(e, 0)
-        t1, t2, t3 = ar.conj(p), ar.conj(r) * u0, ar.conj(q) * v0
-        lhs = t1 - t2 + t3
-        rhs = ar.one() if n % 2 == 0 else ar.neg_one()
+    with e.point.work():
+        t1, t2, t3 = _linear_form(e, e.first_column(n))
+        rhs = e.point.lift(GaussInt((-1) ** n))
         for i in range(n + 1):
             rhs = rhs * e.iterates[i].v
-        return ar.report("prq", n, lhs, rhs, (t1, t2, t3))
-
-    return _run(e, go)
+        return _report(e, "prq", n, t1 - t2 + t3, rhs, (t1, t2, t3))
 
 
 def verify_tildeprq(e: CFExpansion, n: int) -> IdentityReport:
     """Middle-column variant: rhs = (-1)^(n-1) u_n prod_{i<n} v_i."""
-    ar = _arith(e)
-
-    def go():
-        q, r, p = (ar.from_gi(g) for g in e.second_column(n))
-        u0, v0 = _coords(e, 0)
-        t1, t2, t3 = ar.conj(p), ar.conj(r) * u0, ar.conj(q) * v0
-        lhs = t1 - t2 + t3
-        rhs = ar.neg_one() if n % 2 == 0 else ar.one()
-        rhs = rhs * e.iterates[n].u
+    with e.point.work():
+        t1, t2, t3 = _linear_form(e, e.second_column(n))
+        rhs = e.point.lift(GaussInt((-1) ** (n + 1))) * e.iterates[n].u
         for i in range(n):
             rhs = rhs * e.iterates[i].v
-        return ar.report("tildeprq", n, lhs, rhs, (t1, t2, t3))
-
-    return _run(e, go)
+        return _report(e, "tildeprq", n, t1 - t2 + t3, rhs, (t1, t2, t3))
 
 
 def verify_fracq(e: CFExpansion, n: int) -> IdentityReport:
@@ -184,24 +108,17 @@ def verify_fracq(e: CFExpansion, n: int) -> IdentityReport:
     if n < 1:
         raise ValueError("identity requires n >= 1")
     for i in range(n):
-        h = e.iterates[i]
-        if (h.exact and h.v.is_zero()) or (not h.exact and h.v == 0):
+        if not e.iterates[i].v:
             raise HeisCFError(f"identity undefined (v_{i} = 0)")
-    ar = _arith(e)
-
-    def go():
-        qn = ar.from_gi(e.first_column(n)[0])
-        fqn = ar.from_gi(e.second_column(n)[0])
-        qprev = ar.from_gi(-e.third_column(n)[0])
-        un, vn = _coords(e, n)
-        t1, t2, t3 = qn, fqn * un, qprev * vn
+    lift, hn = e.point.lift, e.iterates[n]
+    with e.point.work():
+        t1 = lift(e.first_column(n)[0])
+        t2 = lift(e.second_column(n)[0]) * hn.u
+        t3 = lift(-e.third_column(n)[0]) * hn.v
         lhs = t1 + t2 - t3
         for i in range(n):
             lhs = lhs * e.iterates[i].v
-        rhs = ar.one() if n % 2 == 0 else ar.neg_one()
-        return ar.report("fracq", n, lhs, rhs, (t1, t2, t3))
-
-    return _run(e, go)
+        return _report(e, "fracq", n, lhs, lift(GaussInt((-1) ** n)), (t1, t2, t3))
 
 
 def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
@@ -210,76 +127,41 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
     Form 1: |prod_{i<=n} v_i / q_n|^(1/2).  Form 2 (needs n+1 <= depth):
     |conj(q_n) (q_{n+1} + q~_{n+1} u_{n+1} - q_n v_{n+1})|^(-1/2).
     """
-    ar = _arith(e)
     q, r, p = e.first_column(n)
-    conv = proj_to_planar(ProjIntPoint.reduced(q, r, p))
-
-    if e.ctx is None:
-        h0 = e.iterates[0]
-        d4_direct = distance_pow4(conv, h0)
-        prod = GaussRat.from_int(GaussInt(1, 0))
+    conv = proj_to_planar(ProjIntPoint.reduced(q, r, p)).to_bigfloat(e.ctx)
+    h0, lift = e.iterates[0], e.point.lift
+    with h0.work():
+        if h0.exact:
+            d4_direct = distance_pow4(conv, h0)
+        else:
+            # compare fourth powers: the linear form underlying the direct
+            # distance is what carries the certified precision, not its root
+            d4_direct = distance(conv, h0) ** 4
+        prod = lift(GaussInt(1))
         for i in range(n + 1):
             prod = prod * e.iterates[i].v
-        qn = GaussRat.from_int(q)
-        d4_form1 = (prod / qn).abs_sq()
-        resid = d4_direct - d4_form1
-        passed = resid == 0
-        if passed and n + 1 <= e.depth:
-            d4_form2 = _form2_exact(e, n)
-            if d4_form2 is not None:
-                passed = d4_form2 == d4_direct
-                resid = d4_direct - d4_form2
-        return IdentityReport(
-            identity="distance",
-            n=n,
-            lhs=complex(float(d4_direct) ** 0.25, 0.0),
-            rhs=complex(float(d4_form1) ** 0.25, 0.0),
-            residual=0.0 if passed else abs(float(resid)),
-            scale=max(1.0, float(d4_direct) ** 0.25),
-            passed=bool(passed),
-        )
-
-    with e.ctx.work():
-        # compare fourth powers: the linear form underlying the direct
-        # distance is what carries the certified precision, not its root
-        h0 = e.iterates[0]
-        d_direct = distance(conv.to_bigfloat(e.ctx), h0)
-        d4_direct = d_direct ** 4
-        prod = mpc(1)
-        for i in range(n + 1):
-            prod = prod * e.iterates[i].v
-        qn = ar.from_gi(q)
-        d4_form1 = abs(prod / qn) ** 2
-        residual = abs(d4_direct - d4_form1)
-        forms = [d4_direct, d4_form1]
+        qn = lift(q)
+        forms = [abs_sq(prod / qn)]
         if n + 1 <= e.depth:
-            qn1 = ar.from_gi(e.first_column(n + 1)[0])
-            fqn1 = ar.from_gi(e.second_column(n + 1)[0])
-            un1, vn1 = _coords(e, n + 1)
-            denom = qn.conjugate() * (qn1 + fqn1 * un1 - qn * vn1)
-            if denom != 0:
-                d4_form2 = abs(1 / denom) ** 2
-                forms.append(d4_form2)
-                residual = max(residual, abs(d4_direct - d4_form2))
-        scale = max(mpf(1), *[abs(f) for f in forms])
-        passed = residual <= e.ctx.check_scale * scale
-        return IdentityReport(
-            identity="distance",
-            n=n,
-            lhs=complex(float(d4_direct) ** 0.25, 0.0),
-            rhs=complex(float(d4_form1) ** 0.25, 0.0),
-            residual=float(residual),
-            scale=float(scale),
-            passed=bool(passed),
-        )
-
-
-def _form2_exact(e: CFExpansion, n: int):
-    qn = GaussRat.from_int(e.first_column(n)[0])
-    qn1 = GaussRat.from_int(e.first_column(n + 1)[0])
-    fqn1 = GaussRat.from_int(e.second_column(n + 1)[0])
-    un1, vn1 = _coords(e, n + 1)
-    denom = qn.conj() * (qn1 + fqn1 * un1 - qn * vn1)
-    if denom.is_zero():
-        return None
-    return denom.inverse().abs_sq()
+            hn1 = e.iterates[n + 1]
+            qn1 = lift(e.first_column(n + 1)[0])
+            fqn1 = lift(e.second_column(n + 1)[0])
+            denom = qn.conjugate() * (qn1 + fqn1 * hn1.u - qn * hn1.v)
+            if denom:
+                forms.append(abs_sq(lift(GaussInt(1)) / denom))
+        residual = max(abs(d4_direct - f) for f in forms)
+        if h0.exact:  # exact: both forms equal the direct distance
+            passed = residual == 0
+            scale = max(1.0, float(d4_direct) ** 0.25)
+        else:
+            scale = max(mpf(1), *[abs(f) for f in [d4_direct] + forms])
+            passed = residual <= e.ctx.check_scale * scale
+    return IdentityReport(
+        identity="distance",
+        n=n,
+        lhs=complex(float(d4_direct) ** 0.25, 0.0),
+        rhs=complex(float(forms[0]) ** 0.25, 0.0),
+        residual=float(residual),
+        scale=float(scale),
+        passed=bool(passed),
+    )

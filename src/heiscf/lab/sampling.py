@@ -39,19 +39,24 @@ def nearest_float(u: complex, v: complex) -> tuple[int, int, int]:
     return a, b, c
 
 
+def _draw(rng: random.Random) -> Optional[tuple[complex, complex]]:
+    """One try of the rejection sampler: float (u, v) if it lands in K_D."""
+    zr = rng.uniform(-_Z_BOUND, _Z_BOUND)
+    zi = rng.uniform(-_Z_BOUND, _Z_BOUND)
+    if zr * zr + zi * zi > _Z_BOUND * _Z_BOUND:
+        return None
+    t = rng.uniform(-_T_BOUND, _T_BOUND)
+    z = complex(zr, zi)
+    u = z * complex(1.0, 1.0)
+    v = complex(abs(z) ** 2, t)
+    return (u, v) if nearest_float(u, v) == (0, 0, 0) else None
+
+
 def sample_K_floats(rng: random.Random) -> tuple[complex, complex]:
     """One uniform sample of K_D as float (u, v) Siegel coordinates."""
-    while True:
-        zr = rng.uniform(-_Z_BOUND, _Z_BOUND)
-        zi = rng.uniform(-_Z_BOUND, _Z_BOUND)
-        if zr * zr + zi * zi > _Z_BOUND * _Z_BOUND:
-            continue
-        t = rng.uniform(-_T_BOUND, _T_BOUND)
-        z = complex(zr, zi)
-        u = z * complex(1.0, 1.0)
-        v = complex(abs(z) ** 2, t)
-        if nearest_float(u, v) == (0, 0, 0):
-            return u, v
+    while (uv := _draw(rng)) is None:
+        pass
+    return uv
 
 
 def sample_K(
@@ -74,18 +79,11 @@ def acceptance_stats(rng: random.Random, samples: int) -> dict:
     tried = 0
     max_norm4 = 0.0
     while accepted < samples:
-        zr = rng.uniform(-_Z_BOUND, _Z_BOUND)
-        zi = rng.uniform(-_Z_BOUND, _Z_BOUND)
         tried += 1
-        if zr * zr + zi * zi > _Z_BOUND * _Z_BOUND:
-            continue
-        t = rng.uniform(-_T_BOUND, _T_BOUND)
-        z = complex(zr, zi)
-        u = z * complex(1.0, 1.0)
-        v = complex(abs(z) ** 2, t)
-        if nearest_float(u, v) == (0, 0, 0):
+        uv = _draw(rng)
+        if uv is not None:
             accepted += 1
-            max_norm4 = max(max_norm4, abs(v) ** 2)
+            max_norm4 = max(max_norm4, abs(uv[1]) ** 2)
     return {
         "samples": accepted,
         "tried": tried,

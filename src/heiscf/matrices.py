@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotInU21, PointAtInfinity
-from .gaussian import GaussInt, GaussRat, format_gauss_int
+from .gaussian import GaussInt, format_gauss_int
 from .siegel import IntegerPoint, ProjIntPoint, SiegelPoint
 
 __all__ = [
@@ -133,30 +133,15 @@ def mat_apply(m: UMatrix, h):
         q, r, p = mat_apply_triple(m, (h.q, h.r, h.p))
         return ProjIntPoint.reduced(q, r, p)
     if isinstance(h, SiegelPoint):
-        if h.exact:
-            one = GaussRat.from_int(_ONE)
-            col = (one, h.u, h.v)
+        with h.work():
+            col = (h.lift(_ONE), h.u, h.v)
             out = []
             for i in range(3):
-                acc = GaussRat.from_int(_ZERO)
+                acc = h.lift(_ZERO)
                 for k in range(3):
-                    acc = acc + GaussRat.from_int(m.rows[i][k]) * col[k]
+                    acc = acc + h.lift(m.rows[i][k]) * col[k]
                 out.append(acc)
-            if out[0].is_zero():
-                raise PointAtInfinity("matrix image at infinity")
-            return SiegelPoint(out[1] / out[0], out[2] / out[0])
-        from mpmath import mpc
-
-        with h.ctx.work():
-            col = (mpc(1), h.u, h.v)
-            out = []
-            for i in range(3):
-                acc = mpc(0)
-                for k in range(3):
-                    e = m.rows[i][k]
-                    acc += mpc(e.re, e.im) * col[k]
-                out.append(acc)
-            if out[0] == 0:
+            if not out[0]:
                 raise PointAtInfinity("matrix image at infinity")
             return SiegelPoint(out[1] / out[0], out[2] / out[0], h.ctx)
     raise TypeError(f"cannot apply matrix to {type(h).__name__}")

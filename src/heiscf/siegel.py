@@ -3,16 +3,21 @@
 Points live on the surface |u|^2 = 2 Re(v) in C^2.  Two numeric backends
 are supported: exact Gaussian-rational coordinates (rational points,
 exact identities) and arbitrary-precision big floats with an explicit
-precision context (everything else).
+precision context (everything else).  Both coordinate types offer
++ - * /, conjugate() and truth as "nonzero", so each operation is written
+once: inside SiegelPoint.work(), with integers brought in by
+SiegelPoint.lift() and magnitudes taken by abs_sq().
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import prec_to_dps
 
 from .errors import (
     BackendMismatch,
@@ -37,6 +42,7 @@ __all__ = [
     "ProjIntPoint",
     "from_heis",
     "to_heis",
+    "abs_sq",
     "group_mul",
     "group_inv",
     "koranyi_inversion",
@@ -112,7 +118,7 @@ class SiegelPoint:
     ctx: Optional[PrecisionContext] = None
 
     def __post_init__(self):
-        if self.ctx is None:
+        if self.ctx is None:  # exact: equality; big floats: a tolerance
             if self.u.abs_sq() != 2 * self.v.re():
                 raise ValueError(
                     f"not on the Siegel surface: |u|^2 != 2 Re v for ({self.u}; {self.v})"
@@ -136,14 +142,23 @@ class SiegelPoint:
             return SiegelPoint(mpc(0), mpc(0), ctx)
 
     def is_origin(self) -> bool:
-        if self.exact:
-            return self.u.is_zero() and self.v.is_zero()
-        return self.u == 0 and self.v == 0
+        return not self.u and not self.v
 
-    def to_bigfloat(self, ctx: PrecisionContext) -> "SiegelPoint":
+    def work(self):
+        """The context this point's arithmetic runs in; none when exact."""
+        return nullcontext() if self.ctx is None else self.ctx.work()
+
+    def lift(self, g: GaussInt) -> Union[GaussRat, mpc]:
+        """g as a coordinate of this point's backend; call inside work()."""
+        return GaussRat.from_int(g) if self.ctx is None else mpc(g.re, g.im)
+
+    def to_bigfloat(self, ctx: Optional[PrecisionContext]) -> "SiegelPoint":
+        """This point at precision ctx; an exact point stays as it is for None."""
+        if self.ctx == ctx:
+            return self
+        if ctx is None:
+            raise BackendMismatch("a big-float point has no exact form")
         if not self.exact:
-            if self.ctx == ctx:
-                return self
             with ctx.work():
                 return SiegelPoint(mpc(self.u), mpc(self.v), ctx)
         return SiegelPoint(_rat_to_mpc(self.u, ctx), _rat_to_mpc(self.v, ctx), ctx)
@@ -155,12 +170,11 @@ class SiegelPoint:
 
 
 def _fmt_mpf(x: mpf, ctx: PrecisionContext) -> str:
-    digits = int(ctx.bits * 0.3011) + 2
-    return mp.nstr(x, digits)
+    return mp.nstr(x, prec_to_dps(ctx.bits))
 
 
 def _fmt_mpc(x: mpc, ctx: PrecisionContext) -> str:
-    digits = int(ctx.bits * 0.3011) + 2
+    digits = prec_to_dps(ctx.bits)  # only the digits the bits carry
     re_s = mp.nstr(x.real, digits)
     im = x.imag
     if im == 0:
@@ -208,12 +222,15 @@ def to_heis(h: SiegelPoint) -> HeisPoint:
 # Group operations
 
 
+def abs_sq(x: Union[GaussRat, mpc]) -> Union[Fraction, mpf]:
+    """|x|^2: an exact Fraction for a GaussRat, abs(x) ** 2 for an mpc."""
+    return x.abs_sq() if isinstance(x, GaussRat) else abs(x) ** 2
+
+
 def group_mul(h1: SiegelPoint, h2: SiegelPoint) -> SiegelPoint:
     """Heisenberg product (u1+u2, v1 + conj(u1) u2 + v2)."""
     _check_same_backend(h1, h2)
-    if h1.exact:
-        return SiegelPoint(h1.u + h2.u, h1.v + h1.u.conj() * h2.u + h2.v)
-    with h1.ctx.work():
+    with h1.work():
         return SiegelPoint(
             h1.u + h2.u, h1.v + h1.u.conjugate() * h2.u + h2.v, h1.ctx
         )
@@ -221,9 +238,7 @@ def group_mul(h1: SiegelPoint, h2: SiegelPoint) -> SiegelPoint:
 
 def group_inv(h: SiegelPoint) -> SiegelPoint:
     """(u, v)^(-1) = (-u, conj(v))."""
-    if h.exact:
-        return SiegelPoint(-h.u, h.v.conj())
-    with h.ctx.work():
+    with h.work():
         return SiegelPoint(-h.u, h.v.conjugate(), h.ctx)
 
 
@@ -233,13 +248,11 @@ def koranyi_inversion(h: SiegelPoint) -> SiegelPoint:
     On the big-float backend the real part of 1/v is re-projected onto the
     constraint surface to stop drift across deep orbits.
     """
-    if h.exact:
-        if h.v.is_zero():
-            raise InversionAtOrigin("inversion at origin")
+    if not h.v:
+        raise InversionAtOrigin("inversion at origin")
+    if h.exact:  # exact: 1/v is on the surface as it stands
         return SiegelPoint(-(h.u / h.v), h.v.inverse())
     with h.ctx.work():
-        if h.v == 0:
-            raise InversionAtOrigin("inversion at origin")
         u = -h.u / h.v
         v = 1 / h.v
         v = mpc(abs(u) ** 2 / 2, v.imag)
@@ -248,7 +261,7 @@ def koranyi_inversion(h: SiegelPoint) -> SiegelPoint:
 
 def gauge_norm(h: SiegelPoint) -> Union[float, mpf]:
     """The gauge norm |v|^(1/2)."""
-    if h.exact:
+    if h.exact:  # a float from the exact |v|^2, an mpf at working precision
         return float(h.v.abs_sq()) ** 0.25
     with h.ctx.work():
         return abs(h.v) ** mpf("0.5")
@@ -257,18 +270,14 @@ def gauge_norm(h: SiegelPoint) -> Union[float, mpf]:
 def distance_pow4(h1: SiegelPoint, h2: SiegelPoint) -> Union[Fraction, mpf]:
     """d(h1, h2)^4 = |conj(v1) - conj(u1) u2 + v2|^2."""
     _check_same_backend(h1, h2)
-    if h1.exact:
-        w = h1.v.conj() - h1.u.conj() * h2.u + h2.v
-        return w.abs_sq()
-    with h1.ctx.work():
-        w = h1.v.conjugate() - h1.u.conjugate() * h2.u + h2.v
-        return abs(w) ** 2
+    with h1.work():
+        return abs_sq(h1.v.conjugate() - h1.u.conjugate() * h2.u + h2.v)
 
 
 def distance(h1: SiegelPoint, h2: SiegelPoint) -> Union[float, mpf]:
     """Left-invariant gauge distance between two points."""
     d4 = distance_pow4(h1, h2)
-    if h1.exact:
+    if h1.exact:  # a float from the exact d^4, an mpf at working precision
         return float(d4) ** 0.25
     with h1.ctx.work():
         return d4 ** mpf("0.25")
@@ -306,7 +315,7 @@ class IntegerPoint:
 
     def to_siegel(self, ctx: Optional[PrecisionContext] = None) -> SiegelPoint:
         h = SiegelPoint(GaussRat.from_int(self.u), GaussRat.from_int(self.v))
-        return h if ctx is None else h.to_bigfloat(ctx)
+        return h.to_bigfloat(ctx)
 
     def __str__(self) -> str:
         return f"({format_gauss_int(self.u)}; {format_gauss_int(self.v)})"

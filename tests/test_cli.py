@@ -7,6 +7,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from mpmath import mp, mpf
 
 from heiscf.cli import main
 
@@ -134,6 +135,24 @@ class TestBigfloatExpand:
         for got, want in zip((ure, uim, vre, vim), exact):
             assert abs(got - want) < Fraction(1, 2**500)
 
+    def test_prints_only_digits_the_bits_carry(self, capsys):
+        # 512 bits carry 153 significant digits: each printed part is the
+        # exact value rounded to 153 digits, with no noise digits after it
+        code, out = run_cli(
+            ["expand", "--heis", "1/3+1/7i, 2/11", "--bits", "512", "--depth", "1",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        point = check_json(out)["expansion"]["point"]
+        printed = re.split(r"[+;]\s*", point.strip("()").replace("i", ""))
+        with mp.workprec(2048):
+            want = [
+                mp.nstr(mpf(x.numerator) / x.denominator, 153)
+                for x in (Fraction(4, 21), Fraction(10, 21), Fraction(58, 441), Fraction(2, 11))
+            ]
+        assert printed == want
+
     def test_huge_orbit_coordinates_match_exact(self, capsys):
         # after one inversion |Re u| and |Im u| exceed 2^53, past what a
         # window centred on float(Re u) could place
@@ -166,8 +185,22 @@ class TestUsageErrors:
             ["verify", "--bits", "32", "--samples", "1", "--depth", "3"],
             ["expand", "--point", "(1+i; 1+4/5i)", "--depth", "-1"],
             ["expand", "--heis", "1/3+1/7i, 2/11", "--bits", "128"],
+            ["verify", "--samples", "-3", "--format", "json"],
+            ["measure", "--samples", "-1"],
+            ["bestapprox", "--samples", "-2"],
+            ["khinchin", "--m-max", "-5"],
+            ["khinchin", "--m-max", "0"],
+            ["khinchin", "--epsilon", "-1"],
+            ["khinchin", "--bigc", "0"],
+            ["count", "--m-max", "-5"],
         ],
-        ids=["bits-below-64", "negative-depth", "bits-without-depth"],
+        ids=[
+            "bits-below-64", "negative-depth", "bits-without-depth",
+            "verify-negative-samples", "measure-negative-samples",
+            "bestapprox-negative-samples", "khinchin-negative-m-max",
+            "khinchin-zero-m-max", "khinchin-negative-epsilon",
+            "khinchin-zero-bigc", "count-negative-m-max",
+        ],
     )
     def test_exit_2_with_one_line(self, args, capsys):
         code = main(args)

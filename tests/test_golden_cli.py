@@ -31,6 +31,10 @@ CASES = {
     "count": ["count", "--m-max", "20", "--format", "csv"],
     "khinchin": ["khinchin", "--m-max", "300", "--format", "json"],
     "constants": ["constants", "--format", "json"],
+    "expand_heis_bits512": [
+        "expand", "--heis", "1/3+1/7i, 2/11", "--bits", "512", "--depth", "3",
+        "--format", "json",
+    ],
 }
 
 

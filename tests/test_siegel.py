@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
-from heiscf.errors import InversionAtOrigin, ParseError
+from heiscf.domain import integer_point
+from heiscf.errors import BackendMismatch, InversionAtOrigin, ParseError
 from heiscf.gaussian import GaussInt, GaussRat
+from heiscf.matrices import digit_matrix, mat_apply
 from heiscf.siegel import (
     HeisPoint,
     IntegerPoint,
@@ -216,6 +219,23 @@ class TestParsing:
         assert parse_planar_point(str(h)) == h
 
 
+class TestBackendMismatch:
+    def test_mixed_backends_raise(self):
+        ex = rational_point(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+        big = ex.to_bigfloat(PrecisionContext(128))
+        with pytest.raises(BackendMismatch):
+            group_mul(ex, big)
+        with pytest.raises(BackendMismatch):
+            group_mul(big, ex.to_bigfloat(PrecisionContext(256)))
+        with pytest.raises(BackendMismatch):
+            distance_pow4(big, ex)
+        with pytest.raises(BackendMismatch):
+            planar_to_proj(big)
+        with pytest.raises(BackendMismatch):
+            big.to_bigfloat(None)
+        assert ex.to_bigfloat(None) is ex
+
+
 class TestBigfloatBackend:
     def test_precision_context_floor(self):
         with pytest.raises(ValueError):
@@ -236,6 +256,25 @@ class TestBigfloatBackend:
         with ctx.work():
             assert abs(complex(ab_big.u) - complex(float(ab_ex.u.re()), float(ab_ex.u.im()))) < 1e-12
             assert abs(complex(ab_big.v) - complex(float(ab_ex.v.re()), float(ab_ex.v.im()))) < 1e-12
+        # the same operation code on both backends: exact and 256-bit agree
+        # within check_scale for group_mul, group_inv, mat_apply, distance_pow4
+        ctx = PrecisionContext(256)
+        a_big, b_big = a_ex.to_bigfloat(ctx), b_ex.to_bigfloat(ctx)
+        m = digit_matrix(integer_point(2, 0, 3))
+        pairs = [
+            (group_mul(a_ex, b_ex), group_mul(a_big, b_big)),
+            (group_inv(b_ex), group_inv(b_big)),
+            (mat_apply(m, a_ex), mat_apply(m, a_big)),
+        ]
+        d4_ex = distance_pow4(a_ex, b_ex)
+        d4_big = distance_pow4(a_big, b_big)
+        with ctx.work():
+            for ex, big in pairs:
+                assert big.ctx == ctx
+                want = ex.to_bigfloat(ctx)
+                assert abs(big.u - want.u) <= ctx.check_scale
+                assert abs(big.v - want.v) <= ctx.check_scale
+            assert abs(d4_big - mpf(d4_ex.numerator) / d4_ex.denominator) <= ctx.check_scale
 
     def test_inversion_projects_back_to_model(self):
         ctx = PrecisionContext(64)
