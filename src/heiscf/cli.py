@@ -35,6 +35,7 @@ EXIT_PARSE = 2
 EXIT_CERTIFY = 3
 
 RAD = 2.0**-0.25
+EXACT_DEPTH_MAX = 10  # longest digit string exact verify/measure draw
 
 
 def _emit(report: dict, fmt: str, out: Optional[str], csv_rows=None) -> None:
@@ -125,6 +126,14 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
+def _sample_report(command: str, args) -> dict:
+    """The report of verify/measure; it states a clamped depth."""
+    rep = _base_report(command, args, seed=args.seed)
+    if not args.bits and args.depth > EXACT_DEPTH_MAX:
+        rep["depth_used"] = EXACT_DEPTH_MAX
+    return rep
+
+
 def _random_expansions(args, rng):
     """Seeded expansions for verify/measure: rational or certified big-float."""
     from .lab.random_points import random_bigfloat_point, random_digit_string
@@ -135,7 +144,7 @@ def _random_expansions(args, rng):
             h = random_bigfloat_point(rng, ctx)
             yield expand(h, max_depth=args.depth)
         else:
-            g0, digits = random_digit_string(rng, min(args.depth, 10))
+            g0, digits = random_digit_string(rng, min(args.depth, EXACT_DEPTH_MAX))
             yield expand(reconstruct(g0, digits))
 
 
@@ -166,7 +175,7 @@ def cmd_verify(args) -> int:
                 max_residual = max(max_residual, r.residual / max(r.scale, 1.0))
                 if not r.passed:
                     failures.append(r.as_dict())
-    rep = _base_report("verify", args, seed=args.seed)
+    rep = _sample_report("verify", args)
     rep["identities"] = {
         "checked": checked,
         "max_relative_residual": max_residual,
@@ -190,7 +199,7 @@ def cmd_measure(args) -> int:
             violations.extend(rec.violations)
     c_max = max((r.c_n for r in records), default=0.0)
     rel = [r.relsize_n for r in records]
-    rep = _base_report("measure", args, seed=args.seed)
+    rep = _sample_report("measure", args)
     rep["measurements"] = {
         "indices_measured": len(records),
         "max_c_n": c_max,

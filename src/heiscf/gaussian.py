@@ -98,7 +98,6 @@ class GaussInt:
         return format_gauss_int(self)
 
 
-ZERO = GaussInt(0, 0)
 ONE = GaussInt(1, 0)
 I = GaussInt(0, 1)
 UNITS = (GaussInt(1, 0), GaussInt(0, 1), GaussInt(-1, 0), GaussInt(0, -1))
@@ -128,11 +127,13 @@ def gi_gcd(g1: GaussInt, g2: GaussInt) -> GaussInt:
     """
     if g1.is_zero() and g2.is_zero():
         raise ValueError("gcd undefined for (0, 0)")
-    a, b = g1, g2
-    while not b.is_zero():
-        q = a.round_div(b)
-        a, b = b, a - q * b
-    return canonical_associate(a)[0]
+    a, b, c, d = g1.re, g1.im, g2.re, g2.im
+    while c or d:  # (a + bi, c + di) -> (c + di, (a + bi) - q (c + di))
+        n = c * c + d * d
+        qr = _round_half_up(a * c + b * d, n)
+        qi = _round_half_up(b * c - a * d, n)
+        a, b, c, d = c, d, a - qr * c + qi * d, b - qr * d - qi * c
+    return canonical_associate(GaussInt(a, b))[0]
 
 
 def reduce_triple(
@@ -229,104 +230,141 @@ def r2_count(n: int) -> int:
 # Gaussian rationals
 
 
-def _fraction_parts(num: GaussInt, den: GaussInt) -> tuple[Fraction, Fraction]:
-    n = den.norm()
-    t = num * den.conj()
-    return Fraction(t.re, n), Fraction(t.im, n)
+def _rat(a: int, b: int, d: int) -> "GaussRat":
+    """(a + b*i)/d in lowest terms; d must be positive."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return GaussRat(a, b, d)
 
 
 @dataclass(frozen=True)
 class GaussRat:
-    """A Gaussian rational num/den in canonical lowest terms.
+    """A Gaussian rational (a + b*i)/d over a positive integer denominator.
 
-    gcd(num, den) is a unit and den is the canonical associate; arithmetic
-    is exact and closed.
+    gcd(a, b, d) = 1 and d > 0, so the form is unique: equal values have
+    equal fields, and arithmetic reduces with one integer gcd.  The
+    constructor takes that form as given; make() and from_fractions() build
+    it from anything else.  num and den, the Gaussian lowest terms with den
+    the canonical associate, are derived on demand.
     """
 
-    num: GaussInt
-    den: GaussInt
+    a: int
+    b: int
+    d: int = 1
 
     @staticmethod
     def make(num: GaussInt, den: GaussInt = ONE) -> "GaussRat":
-        if den.is_zero():
+        """num/den, computed as num * conj(den) / |den|^2."""
+        n = den.norm()
+        if n == 0:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            return GaussRat(ZERO, ONE)
-        g = gi_gcd(num, den)
-        num, den = num.exact_div(g), den.exact_div(g)
-        _, u = canonical_associate(den)
-        return GaussRat(u * num, u * den)
+        t = num * den.conj()
+        return _rat(t.re, t.im, n)
 
     @staticmethod
     def from_int(g: GaussInt) -> "GaussRat":
-        return GaussRat(g, ONE)
+        return GaussRat(g.re, g.im)
 
     @staticmethod
     def from_fractions(re: Fraction, im: Fraction) -> "GaussRat":
-        d = re.denominator * im.denominator // math.gcd(
-            re.denominator, im.denominator
+        # Both parts are in lowest terms, so over the lcm of their
+        # denominators the triple is already reduced.
+        d = math.lcm(re.denominator, im.denominator)
+        return GaussRat(
+            re.numerator * (d // re.denominator),
+            im.numerator * (d // im.denominator),
+            d,
         )
-        num = GaussInt(
-            int(re * d),
-            int(im * d),
-        )
-        return GaussRat.make(num, GaussInt(d, 0))
+
+    @property
+    def num(self) -> GaussInt:
+        return self._lowest_terms()[0]
+
+    @property
+    def den(self) -> GaussInt:
+        return self._lowest_terms()[1]
+
+    def _lowest_terms(self) -> tuple[GaussInt, GaussInt]:
+        num, den = GaussInt(self.a, self.b), GaussInt(self.d, 0)
+        g = gi_gcd(num, den)
+        num, den = num.exact_div(g), den.exact_div(g)
+        _, u = canonical_associate(den)
+        return u * num, u * den
 
     def __add__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat.make(
-            self.num * other.den + other.num * self.den, self.den * other.den
+        return _rat(
+            self.a * other.d + other.a * self.d,
+            self.b * other.d + other.b * self.d,
+            self.d * other.d,
         )
 
     def __sub__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat.make(
-            self.num * other.den - other.num * self.den, self.den * other.den
+        return _rat(
+            self.a * other.d - other.a * self.d,
+            self.b * other.d - other.b * self.d,
+            self.d * other.d,
         )
 
     def __mul__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat.make(self.num * other.num, self.den * other.den)
+        return _rat(
+            self.a * other.a - self.b * other.b,
+            self.a * other.b + self.b * other.a,
+            self.d * other.d,
+        )
 
     def __truediv__(self, other: "GaussRat") -> "GaussRat":
-        if other.is_zero():
+        # x/y = (x.a + x.b*i) * conj(y.a + y.b*i) * y.d / (x.d * |y.a + y.b*i|^2)
+        n = other.a * other.a + other.b * other.b
+        if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRat.make(self.num * other.den, self.den * other.num)
+        return _rat(
+            (self.a * other.a + self.b * other.b) * other.d,
+            (self.b * other.a - self.a * other.b) * other.d,
+            self.d * n,
+        )
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.num, self.den)
+        return GaussRat(-self.a, -self.b, self.d)
 
     def conjugate(self) -> "GaussRat":
-        return GaussRat.make(self.num.conj(), self.den.conj())
+        return GaussRat(self.a, -self.b, self.d)
 
     def inverse(self) -> "GaussRat":
-        if self.is_zero():
+        n = self.a * self.a + self.b * self.b
+        if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return GaussRat.make(self.den, self.num)
+        return _rat(self.a * self.d, -self.b * self.d, n)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self.a == 0 and self.b == 0
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return self.a != 0 or self.b != 0
 
     def re(self) -> Fraction:
-        return _fraction_parts(self.num, self.den)[0]
+        return Fraction(self.a, self.d)
 
     def im(self) -> Fraction:
-        return _fraction_parts(self.num, self.den)[1]
+        return Fraction(self.b, self.d)
 
     def abs_sq(self) -> Fraction:
-        return Fraction(self.num.norm(), self.den.norm())
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re()), float(self.im()))
+        return complex(self.a / self.d, self.b / self.d)
 
     def to_gauss_int(self) -> GaussInt:
-        return self.num.exact_div(self.den)
+        if self.d != 1:
+            raise ValueError(f"{self} is not a Gaussian integer")
+        return GaussInt(self.a, self.b)
 
     def __str__(self) -> str:
-        if self.den == ONE:
-            return format_gauss_int(self.num)
-        ns = format_gauss_int(self.num)
-        ds = format_gauss_int(self.den)
+        if self.d == 1:
+            return format_gauss_int(GaussInt(self.a, self.b))
+        num, den = self._lowest_terms()
+        ns = format_gauss_int(num)
+        ds = format_gauss_int(den)
         if ("+" in ns[1:]) or ("-" in ns[1:]):
             ns = f"({ns})"
         if ("+" in ds[1:]) or ("-" in ds[1:]):
@@ -334,8 +372,7 @@ class GaussRat:
         return f"{ns}/{ds}"
 
 
-RAT_ZERO = GaussRat(ZERO, ONE)
-RAT_ONE = GaussRat(ONE, ONE)
+RAT_ZERO = GaussRat(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +464,25 @@ def parse_complex_rational(s: str) -> tuple[Fraction, Fraction]:
     """Parse a complex rational: term sums (`1+4/5i`) or `num/den` with
     parenthesized Gaussian-integer parts (`(1+i)/(2-i)`)."""
     s = s.strip().replace(" ", "")
-    if ")/(" in s or (s.startswith("(") and "/" in s):
-        left, _, right = s.partition(")/")
-        num = parse_gauss_int(left.lstrip("("))
-        den = parse_gauss_int(right.strip("()"))
-        r = GaussRat.make(num, den)
+    if "(" in s:  # only the quotient form has parentheses
+        left, slash, right = s.partition("/")
+        if not slash:
+            raise ParseError(f"bad complex literal {s!r}")
+        r = GaussRat.make(
+            parse_gauss_int(_unparenthesize(left)),
+            parse_gauss_int(_unparenthesize(right)),
+        )
         return r.re(), r.im()
     return _parse_complex_terms(s)
+
+
+def _unparenthesize(part: str) -> str:
+    """part without one enclosing pair of parentheses, which it may omit."""
+    if part.startswith("(") and part.endswith(")"):
+        part = part[1:-1]
+    if "(" in part or ")" in part:
+        raise ParseError(f"bad quotient part {part!r}")
+    return part
 
 
 def parse_gauss_rat(s: str) -> GaussRat:

@@ -221,6 +221,26 @@ class TestVerify:
         assert rep["seed"] == 1
 
 
+class TestDepthClamp:
+    """Exact verify/measure draw digit strings of at most 10 digits."""
+
+    @pytest.mark.parametrize("command", ["verify", "measure"])
+    def test_report_states_the_depth_used(self, command, capsys):
+        args = [command, "--samples", "2", "--depth", "15", "--seed", "4"]
+        code, out = run_cli(args + ["--format", "json"], capsys)
+        assert code == 0
+        rep = check_json(out)
+        assert rep["params"]["depth"] == 15 and rep["depth_used"] == 10
+        code, out = run_cli(args + ["--format", "text"], capsys)
+        assert "depth_used: 10" in out.splitlines()
+
+    @pytest.mark.parametrize("extra", [["--depth", "10"], ["--depth", "15", "--bits", "64"]])
+    def test_no_clamp_no_field(self, extra, capsys):
+        code, out = run_cli(["verify", "--samples", "1", *extra, "--format", "json"], capsys)
+        assert code == 0
+        assert "depth_used" not in check_json(out)
+
+
 class TestMeasure:
     def test_reports_stats(self, capsys):
         code, out = run_cli(

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,48 @@ class TestGcd:
     def test_common_factor_detected(self, a, b, c):
         g = gi_gcd(a * c, b * c)
         assert g.norm() % canonical_associate(c)[0].norm() == 0 or c.divides(g) or g.norm() >= c.norm()
+
+
+def _gi_gcd_reference(g1: GaussInt, g2: GaussInt) -> GaussInt:
+    """gi_gcd as first written, on GaussInt objects: the oracle for the
+    int-pair loop."""
+    if g1.is_zero() and g2.is_zero():
+        raise ValueError("gcd undefined for (0, 0)")
+    a, b = g1, g2
+    while not b.is_zero():
+        q = a.round_div(b)
+        a, b = b, a - q * b
+    return canonical_associate(a)[0]
+
+
+wide_gauss_ints = st.builds(
+    GaussInt, st.integers(-(10**12), 10**12), st.integers(-(10**12), 10**12)
+)
+
+
+class TestGcdAgainstReference:
+    @given(st.one_of(gauss_ints, wide_gauss_ints), st.one_of(gauss_ints, wide_gauss_ints))
+    @settings(max_examples=300)
+    def test_equals_reference(self, a, b):
+        if a.is_zero() and b.is_zero():
+            for gcd in (gi_gcd, _gi_gcd_reference):
+                with pytest.raises(ValueError):
+                    gcd(a, b)
+        else:
+            assert gi_gcd(a, b) == _gi_gcd_reference(a, b)
+
+    @given(nonzero_gauss_ints, nonzero_gauss_ints, nonzero_gauss_ints)
+    @settings(max_examples=100)
+    def test_common_factor_equals_reference(self, a, b, c):
+        assert gi_gcd(a * c, b * c) == _gi_gcd_reference(a * c, b * c)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [((0, 0), (3, -4)), ((-5, 0), (0, 0)), ((-2, -2), (0, -4)), ((7, -1), (-7, 1))],
+    )
+    def test_zero_and_negative(self, a, b):
+        a, b = GaussInt(*a), GaussInt(*b)
+        assert gi_gcd(a, b) == _gi_gcd_reference(a, b)
 
 
 class TestReduceTriple:
@@ -205,3 +248,96 @@ class TestGaussRat:
         assert (x + y) - y == x
         if not y.is_zero():
             assert (x * y) / y == x
+
+
+gauss_rats = st.one_of(
+    st.builds(GaussRat.make, st.one_of(gauss_ints, wide_gauss_ints), nonzero_gauss_ints),
+    st.builds(GaussRat.from_fractions, st.fractions(), st.fractions()),
+)
+
+Pair = tuple[Fraction, Fraction]
+
+
+def _pair(x: GaussRat) -> Pair:
+    return x.re(), x.im()
+
+
+def _ref_mul(x: Pair, y: Pair) -> Pair:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _ref_inverse(x: Pair) -> Pair:
+    n = x[0] ** 2 + x[1] ** 2
+    return x[0] / n, -x[1] / n
+
+
+def _assert_reduced(x: GaussRat) -> None:
+    assert x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+
+
+class TestGaussRatProperties:
+    """The integer-denominator form against a (Fraction, Fraction) reference."""
+
+    @given(gauss_rats, gauss_rats)
+    @settings(max_examples=200)
+    def test_field_ops_match_reference(self, x, y):
+        px, py = _pair(x), _pair(y)
+        results = {
+            "+": (x + y, (px[0] + py[0], px[1] + py[1])),
+            "-": (x - y, (px[0] - py[0], px[1] - py[1])),
+            "*": (x * y, _ref_mul(px, py)),
+            "conjugate": (x.conjugate(), (px[0], -px[1])),
+            "neg": (-x, (-px[0], -px[1])),
+        }
+        if y:
+            results["/"] = (x / y, _ref_mul(px, _ref_inverse(py)))
+            results["inverse"] = (y.inverse(), _ref_inverse(py))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            with pytest.raises(ZeroDivisionError):
+                y.inverse()
+        for op, (got, want) in results.items():
+            assert _pair(got) == want, op
+            _assert_reduced(got)
+
+    @given(gauss_rats)
+    def test_abs_sq_and_complex(self, x):
+        re, im = _pair(x)
+        assert x.abs_sq() == re * re + im * im
+        assert complex(x) == complex(float(re), float(im))
+
+    @given(gauss_rats, gauss_rats)
+    @settings(max_examples=200)
+    def test_equal_exactly_when_values_equal(self, x, y):
+        assert (x == y) == (_pair(x) == _pair(y))
+        same = GaussRat.from_fractions(*_pair(x))
+        assert same == x and hash(same) == hash(x)
+
+    @given(gauss_ints, nonzero_gauss_ints, nonzero_gauss_ints)
+    def test_equal_values_from_different_quotients(self, a, b, c):
+        x, y = GaussRat.make(a, b), GaussRat.make(a * c, b * c)
+        assert x == y and hash(x) == hash(y)
+
+    @given(gauss_rats)
+    @settings(max_examples=200)
+    def test_str_parses_back(self, x):
+        assert parse_gauss_rat(str(x)) == x
+
+    @pytest.mark.parametrize("s", ["-17/(12+9i)", "3i/(2+i)", "-i/(1+i)", "(26-5i)/4"])
+    def test_single_term_numerator_parses(self, s):
+        x = parse_gauss_rat(s)
+        assert str(x) == s and parse_gauss_rat(str(x)) == x
+
+    @pytest.mark.parametrize("s", ["(1/2+i)", "(1+i/2", "(1+i)/(2-i)/3", "(1+i)"])
+    def test_malformed_quotient_is_a_parse_error(self, s):
+        with pytest.raises(ParseError):
+            parse_gauss_rat(s)
+
+    @given(gauss_rats)
+    @settings(max_examples=200)
+    def test_num_den_canonical_lowest_terms(self, x):
+        num, den = x.num, x.den
+        assert den.re > 0 and den.im >= 0
+        assert gi_gcd(num, den).is_unit()
+        assert GaussRat.make(num, den) == x
