@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import __version__
 from .cf import expand, reconstruct
-from .domain import rk_constant
+from .domain import RAD_KD, rk_constant
 from .errors import (
     AmbiguousNearestInteger,
     CertificationError,
@@ -34,7 +34,6 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_CERTIFY = 3
 
-RAD = 2.0**-0.25
 EXACT_DEPTH_MAX = 10  # longest digit string exact verify/measure draw
 
 
@@ -200,6 +199,7 @@ def cmd_measure(args) -> int:
     c_max = max((r.c_n for r in records), default=0.0)
     rel = [r.relsize_n for r in records]
     rep = _sample_report("measure", args)
+    # reference_*: the bands acceptance criterion 4 observes (tests/test_acceptance.py)
     rep["measurements"] = {
         "indices_measured": len(records),
         "max_c_n": c_max,
@@ -294,13 +294,13 @@ def cmd_khinchin(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    rk = rk_constant(RAD, 1e-9)
+    rk = rk_constant(RAD_KD, 1e-9)
     rep = _base_report("constants", args)
     rep["constants"] = {
-        "rad": RAD,
+        "rad": RAD_KD,
         "rad_exact": "2^(-1/4)",
         "rk": rk,
-        "rad_times_rk": RAD * rk,
+        "rad_times_rk": RAD_KD * rk,
     }
     _emit(rep, args.format, args.out)
     return EXIT_OK

@@ -18,10 +18,13 @@ from .gaussian import GaussInt
 from .siegel import IntegerPoint, SiegelPoint
 
 __all__ = [
+    "RAD_KD",
     "DirichletDomain",
     "integer_point",
     "rk_constant",
 ]
+
+RAD_KD = 2.0**-0.25  # the radius of K_D
 
 
 def integer_point(a: int, b: int, c: int) -> IntegerPoint:
@@ -72,7 +75,7 @@ class DirichletDomain:
     """
 
     def radius(self) -> float:
-        return 2.0 ** -0.25
+        return RAD_KD
 
     def radius_pow4(self) -> Fraction:
         return Fraction(1, 2)

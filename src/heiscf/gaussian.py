@@ -354,11 +354,6 @@ class GaussRat:
     def __complex__(self) -> complex:
         return complex(self.a / self.d, self.b / self.d)
 
-    def to_gauss_int(self) -> GaussInt:
-        if self.d != 1:
-            raise ValueError(f"{self} is not a Gaussian integer")
-        return GaussInt(self.a, self.b)
-
     def __str__(self) -> str:
         if self.d == 1:
             return format_gauss_int(GaussInt(self.a, self.b))
@@ -419,20 +414,17 @@ _NUM_RE = _re.compile(
 
 def _parse_term(tok: str) -> tuple[Fraction, bool]:
     m = _NUM_RE.match(tok)
-    if not m or (m.group("a") is None and m.group("i") is None):
+    if not m:
         raise ParseError(f"bad term {tok!r}")
-    if m.group("a") is None and (m.group("b") is not None):
+    sign, a, b, i, c = m.group("sign", "a", "b", "i", "c")
+    if (a is None and (i is None or b is not None)) or (c is not None and i is None):
         raise ParseError(f"bad term {tok!r}")
-    val = Fraction(m.group("a")) if m.group("a") is not None else Fraction(1)
-    if m.group("b") is not None:
-        val /= Fraction(m.group("b"))
-    if m.group("c") is not None:
-        if m.group("i") is None:
-            raise ParseError(f"bad term {tok!r}")
-        val /= Fraction(m.group("c"))
-    if m.group("sign") == "-":
-        val = -val
-    return val, m.group("i") is not None
+    val = Fraction(a) if a is not None else Fraction(1)
+    for den in filter(None, (b, c)):
+        if not Fraction(den):
+            raise ParseError(f"zero denominator in {tok!r}")
+        val /= Fraction(den)
+    return (-val if sign == "-" else val), i is not None
 
 
 def _parse_complex_terms(s: str) -> tuple[Fraction, Fraction]:
@@ -468,10 +460,10 @@ def parse_complex_rational(s: str) -> tuple[Fraction, Fraction]:
         left, slash, right = s.partition("/")
         if not slash:
             raise ParseError(f"bad complex literal {s!r}")
-        r = GaussRat.make(
-            parse_gauss_int(_unparenthesize(left)),
-            parse_gauss_int(_unparenthesize(right)),
-        )
+        den = parse_gauss_int(_unparenthesize(right))
+        if den.is_zero():
+            raise ParseError(f"zero denominator in {s!r}")
+        r = GaussRat.make(parse_gauss_int(_unparenthesize(left)), den)
         return r.re(), r.im()
     return _parse_complex_terms(s)
 

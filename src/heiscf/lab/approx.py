@@ -12,16 +12,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..cf import CFExpansion
-from ..domain import rk_constant
+from ..domain import RAD_KD, rk_constant
 from ..gaussian import GaussInt, _coprime, _fold_unit, _trip_key
 from ..matrices import mat_apply_triple, u21_inverse
-from ..siegel import (
-    ProjIntPoint,
-    SiegelPoint,
-    distance,
-    distance_pow4,
-    proj_to_planar,
-)
+from ..siegel import ProjIntPoint, SiegelPoint, triple_distance_pow4
 from .enumerate import solve_p_line
 
 __all__ = [
@@ -36,7 +30,6 @@ __all__ = [
     "prop71_check",
 ]
 
-RAD_KD = 2.0**-0.25
 RK_KD = rk_constant(RAD_KD, 1e-6)
 
 
@@ -86,8 +79,9 @@ def _v_abs(e: CFExpansion, i: int) -> float:
 
 def convergent_distance(e: CFExpansion, n: int) -> float:
     """d(nth convergent, h_0), exact up to the final root on the exact backend."""
-    conv = proj_to_planar(ProjIntPoint.reduced(*e.first_column(n)))
-    return float(distance(conv.to_bigfloat(e.ctx), e.iterates[0]))
+    h0 = e.iterates[0]
+    with h0.work():  # an mpf d^4 takes its root in mpf, as in siegel.distance
+        return float(triple_distance_pow4(e.first_column(n), h0) ** 0.25)
 
 
 def approx_quality(e: CFExpansion, n: int, rk: Optional[float] = None) -> ApproxRecord:
@@ -206,12 +200,6 @@ def candidate_triples(h: SiegelPoint, B: float, dist_bound: float = 2.0, dist_fn
                         yield trip
 
 
-def _cand_distance_pow4(h: SiegelPoint, trip):
-    """d(planar(trip), h)^4, exact Fraction on the exact backend."""
-    pt = proj_to_planar(ProjIntPoint.reduced(*trip))
-    return distance_pow4(pt.to_bigfloat(h.ctx), h)
-
-
 def best_approx_search(
     h: SiegelPoint, B: float, dist_bound: float = 2.0
 ) -> tuple[ProjIntPoint, float]:
@@ -223,7 +211,7 @@ def best_approx_search(
         raise ValueError("B must be >= 1")
     best = None
     for trip in candidate_triples(h, B, dist_bound):
-        d4 = _cand_distance_pow4(h, trip)
+        d4 = triple_distance_pow4(trip, h)
         key = (d4, _trip_key(trip))
         if best is None or key < best[0]:
             best = (key, trip)
@@ -300,11 +288,12 @@ def prop71_check(
     h0 = e.iterates[0]
     uh, vh = complex(h0.u), complex(h0.v)
 
+    def form_abs(Q, R, P) -> float:  # |conj(P) - conj(R) u + conj(Q) v| in floats
+        return abs(complex(P.conj()) - complex(R.conj()) * uh + complex(Q.conj()) * vh)
+
     qn, rn, pn = e.first_column(n)
     q_abs = _abs_gi(qn)
-    base = abs(
-        complex(pn).conjugate() - complex(rn).conjugate() * uh + complex(qn).conjugate() * vh
-    )
+    base = form_abs(qn, rn, pn)
     vn_abs = _v_abs(e, n)
     bound_stated = 1.0 / (vn_abs * rk) if vn_abs > 0 else math.inf
 
@@ -314,7 +303,7 @@ def prop71_check(
     proof_num = qn1 + fqn1 * un1 - complex(qn) * vn1
     bound_proof = math.sqrt(abs(proof_num) / q_abs)
 
-    d_n4 = _cand_distance_pow4(h0, (qn, rn, pn))
+    d_n4 = triple_distance_pow4((qn, rn, pn), h0)
     thm16_cutoff = q_abs / (2.0 * RAD_KD**2 * rk**2)
 
     # violation of sqrt(x1) + sqrt(x2) >= bound requires, at distance d and
@@ -354,10 +343,7 @@ def prop71_check(
             continue
         report.candidates_checked += 1
         Q, R, P = trip
-        num = abs(
-            complex(P).conjugate() - complex(R).conjugate() * uh + complex(Q).conjugate() * vh
-        )
-        x1 = num / base if base > 0 else math.inf
+        x1 = form_abs(Q, R, P) / base if base > 0 else math.inf
         x2 = math.sqrt(Q.norm()) / q_abs
         s = math.sqrt(x1) + math.sqrt(x2)
         entry = {
@@ -371,7 +357,7 @@ def prop71_check(
         if s < bound_proof * (1 - 1e-9):
             report.violations_proof.append(dict(entry, bound=bound_proof))
         if math.sqrt(Q.norm()) < thm16_cutoff:
-            d4 = _cand_distance_pow4(h0, trip)
+            d4 = triple_distance_pow4(trip, h0)
             if not d4 > d_n4:
                 report.violations_thm16.append(dict(entry, d4=float(d4)))
     return report

@@ -129,29 +129,26 @@ def enumerate_rationals_qnorm(
 ) -> RationalEnumeration:
     """Structured enumeration of triples (q : r : p), |q|^2 = m, in the region.
 
-    For each q = a+bi and each admissible r, the p coordinate is read off
-    the line a c + b d = |r|^2 / 2 intersected with the |p| disk.  Unit
-    multiples are folded into a canonical representative.
+    For each canonical q = a+bi (a > 0, b >= 0; its associates give only unit
+    multiples) and each admissible r, the p coordinate is read off the line
+    a c + b d = |r|^2 / 2 intersected with the |p| disk.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     r_norm_max = _floor_frac(m * region.u_sq)
     p_norm_max = _floor_frac(m * region.v_sq)
-    seen = set()
     points = []
     for q in qnorm_representations(m):
         a, b = q.re, q.im
+        if a <= 0 or b < 0:
+            continue
         for r in _gauss_ints_in_disk(r_norm_max):
             rn = r.norm()
             if rn % 2 != 0:
                 continue
             for c, d in solve_p_line(a, b, rn // 2, p_norm_max):
-                p = GaussInt(c, d)
-                trip = _fold_unit(q, r, p)
-                if lowest_terms and not _coprime(*trip):
-                    continue
-                if trip not in seen:
-                    seen.add(trip)
+                trip = (q, r, GaussInt(c, d))
+                if not lowest_terms or _coprime(*trip):
                     points.append(trip)
     points.sort(key=_trip_key)
     return RationalEnumeration(m, region, lowest_terms, points)

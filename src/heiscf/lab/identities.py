@@ -16,7 +16,14 @@ from mpmath import mpf
 from ..cf import CFExpansion
 from ..errors import HeisCFError
 from ..gaussian import GaussInt
-from ..siegel import ProjIntPoint, abs_sq, distance, distance_pow4, proj_to_planar
+from ..siegel import (
+    ProjIntPoint,
+    abs_sq,
+    distance,
+    distance_pow4,
+    linear_form_terms,
+    proj_to_planar,
+)
 
 __all__ = [
     "IdentityReport",
@@ -71,17 +78,10 @@ def _report(e: CFExpansion, identity: str, n: int, lhs, rhs, terms) -> IdentityR
     )
 
 
-def _linear_form(e: CFExpansion, column) -> tuple:
-    """The terms conj(p), conj(r) u_0 and conj(q) v_0 of a continuant column."""
-    h0 = e.iterates[0]
-    q, r, p = (h0.lift(g) for g in column)
-    return p.conjugate(), r.conjugate() * h0.u, q.conjugate() * h0.v
-
-
 def verify_prq(e: CFExpansion, n: int) -> IdentityReport:
     """conj(p_n) - conj(r_n) u + conj(q_n) v = (-1)^n prod_{i<=n} v_i at h_0."""
     with e.point.work():
-        t1, t2, t3 = _linear_form(e, e.first_column(n))
+        t1, t2, t3 = linear_form_terms(e.first_column(n), e.iterates[0])
         rhs = e.point.lift(GaussInt((-1) ** n))
         for i in range(n + 1):
             rhs = rhs * e.iterates[i].v
@@ -91,7 +91,7 @@ def verify_prq(e: CFExpansion, n: int) -> IdentityReport:
 def verify_tildeprq(e: CFExpansion, n: int) -> IdentityReport:
     """Middle-column variant: rhs = (-1)^(n-1) u_n prod_{i<n} v_i."""
     with e.point.work():
-        t1, t2, t3 = _linear_form(e, e.second_column(n))
+        t1, t2, t3 = linear_form_terms(e.second_column(n), e.iterates[0])
         rhs = e.point.lift(GaussInt((-1) ** (n + 1))) * e.iterates[n].u
         for i in range(n):
             rhs = rhs * e.iterates[i].v
@@ -128,6 +128,7 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
     |conj(q_n) (q_{n+1} + q~_{n+1} u_{n+1} - q_n v_{n+1})|^(-1/2).
     """
     q, r, p = e.first_column(n)
+    # the planar route, not the linear form: verify_prq already checks that
     conv = proj_to_planar(ProjIntPoint.reduced(q, r, p)).to_bigfloat(e.ctx)
     h0, lift = e.iterates[0], e.point.lift
     with h0.work():

@@ -11,6 +11,7 @@ SiegelPoint.lift() and magnitudes taken by abs_sq().
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +50,8 @@ __all__ = [
     "gauge_norm",
     "distance",
     "distance_pow4",
+    "linear_form_terms",
+    "triple_distance_pow4",
     "proj_to_planar",
     "planar_to_proj",
     "is_integer_point",
@@ -77,6 +80,10 @@ class PrecisionContext:
     def check_scale(self) -> mpf:
         with mp.workprec(self.bits):
             return mpf(2) ** (-self.bits / 2)
+
+
+def _lift(g: GaussInt, ctx: Optional[PrecisionContext]) -> Union[GaussRat, mpc]:
+    return GaussRat.from_int(g) if ctx is None else mpc(g.re, g.im)
 
 
 def _rat_to_mpc(x: GaussRat, ctx: PrecisionContext) -> mpc:
@@ -150,7 +157,7 @@ class SiegelPoint:
 
     def lift(self, g: GaussInt) -> Union[GaussRat, mpc]:
         """g as a coordinate of this point's backend; call inside work()."""
-        return GaussRat.from_int(g) if self.ctx is None else mpc(g.re, g.im)
+        return _lift(g, self.ctx)
 
     def to_bigfloat(self, ctx: Optional[PrecisionContext]) -> "SiegelPoint":
         """This point at precision ctx; an exact point stays as it is for None."""
@@ -274,13 +281,25 @@ def distance_pow4(h1: SiegelPoint, h2: SiegelPoint) -> Union[Fraction, mpf]:
         return abs_sq(h1.v.conjugate() - h1.u.conjugate() * h2.u + h2.v)
 
 
+def linear_form_terms(triple, h: SiegelPoint) -> tuple:
+    """The terms of conj(p) - conj(r) u + conj(q) v for an integer triple
+    (q, r, p) at h = (u, v), in h's backend; call inside h.work()."""
+    q, r, p = (h.lift(g) for g in triple)
+    return p.conjugate(), r.conjugate() * h.u, q.conjugate() * h.v
+
+
+def triple_distance_pow4(triple, h: SiegelPoint) -> Union[Fraction, mpf]:
+    """d((q : r : p), h)^4 = |conj(p) - conj(r) u + conj(q) v|^2 / |q|^2, which
+    holds for every nonzero multiple of a triple: none needs reducing."""
+    with h.work():
+        t1, t2, t3 = linear_form_terms(triple, h)
+        return abs_sq(t1 - t2 + t3) / triple[0].norm()
+
+
 def distance(h1: SiegelPoint, h2: SiegelPoint) -> Union[float, mpf]:
     """Left-invariant gauge distance between two points."""
-    d4 = distance_pow4(h1, h2)
-    if h1.exact:  # a float from the exact d^4, an mpf at working precision
-        return float(d4) ** 0.25
-    with h1.ctx.work():
-        return d4 ** mpf("0.25")
+    with h1.work():  # Fraction ** 0.25 is a float; an mpf's root stays an mpf
+        return distance_pow4(h1, h2) ** 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +333,8 @@ class IntegerPoint:
         )
 
     def to_siegel(self, ctx: Optional[PrecisionContext] = None) -> SiegelPoint:
-        h = SiegelPoint(GaussRat.from_int(self.u), GaussRat.from_int(self.v))
-        return h.to_bigfloat(ctx)
+        with nullcontext() if ctx is None else ctx.work():
+            return SiegelPoint(_lift(self.u, ctx), _lift(self.v, ctx), ctx)
 
     def __str__(self) -> str:
         return f"({format_gauss_int(self.u)}; {format_gauss_int(self.v)})"
@@ -358,14 +377,12 @@ def proj_to_planar(pt: ProjIntPoint) -> SiegelPoint:
 
 
 def planar_to_proj(h: SiegelPoint) -> ProjIntPoint:
-    """Clear denominators of an exact planar point and reduce."""
+    """Clear the integer denominators of an exact planar point and reduce."""
     if not h.exact:
         raise BackendMismatch("planar_to_proj requires the exact backend")
-    q0 = h.u.den * h.v.den
-    qr = GaussRat.from_int(q0)
-    r = (h.u * qr).to_gauss_int()
-    p = (h.v * qr).to_gauss_int()
-    return ProjIntPoint.reduced(q0, r, p)
+    q = math.lcm(h.u.d, h.v.d)
+    r, p = (GaussInt(x.a * (q // x.d), x.b * (q // x.d)) for x in (h.u, h.v))
+    return ProjIntPoint.reduced(GaussInt(q), r, p)
 
 
 # ---------------------------------------------------------------------------

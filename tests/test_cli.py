@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import jsonschema
 import pytest
 from mpmath import mp, mpf
 
+import heiscf
 from heiscf.cli import main
 
 
@@ -193,6 +195,11 @@ class TestUsageErrors:
             ["khinchin", "--epsilon", "-1"],
             ["khinchin", "--bigc", "0"],
             ["count", "--m-max", "-5"],
+            ["expand", "--point", "(1/0; 0)"],
+            ["expand", "--heis", "1/0, 0"],
+            ["expand", "--point", "(1/(0); 0)"],
+            ["expand", "--point", "(1; 0/0i)"],
+            ["bestapprox", "--point", "(1/0; 0)"],
         ],
         ids=[
             "bits-below-64", "negative-depth", "bits-without-depth",
@@ -200,6 +207,9 @@ class TestUsageErrors:
             "bestapprox-negative-samples", "khinchin-negative-m-max",
             "khinchin-zero-m-max", "khinchin-negative-epsilon",
             "khinchin-zero-bigc", "count-negative-m-max",
+            "point-zero-denominator", "heis-zero-denominator",
+            "point-zero-quotient-denominator", "point-zero-imag-denominator",
+            "bestapprox-zero-denominator",
         ],
     )
     def test_exit_2_with_one_line(self, args, capsys):
@@ -299,9 +309,14 @@ class TestReproducibility:
 
 class TestEntryPoint:
     def test_console_script(self):
+        # the src directory of the imported package, which pytest's
+        # pythonpath setting does not pass on to a subprocess
+        src = os.path.dirname(os.path.dirname(heiscf.__file__))
+        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
         out = subprocess.run(
             [sys.executable, "-m", "heiscf.cli", "--version"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         )
         assert out.returncode == 0

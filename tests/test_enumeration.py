@@ -80,10 +80,13 @@ class TestEnumerationInvariants:
             assert g.is_unit()
 
     def test_canonical_q_unique(self):
-        pts = enumerate_rationals_qnorm(5, REGION).points
-        for q, r, p in pts:
-            assert q.re > 0 and q.im >= 0
-        assert len(pts) == len(set(pts))
+        # 25 and 65 are shells with several canonical q
+        for m in (5, 25, 65):
+            for lowest_terms in (True, False):
+                pts = enumerate_rationals_qnorm(m, REGION, lowest_terms).points
+                for q, r, p in pts:
+                    assert q.re > 0 and q.im >= 0
+                assert len(pts) == len(set(pts))
 
     def test_region_bound_respected(self):
         region = Region(Fraction(1, 2), Fraction(1, 4))

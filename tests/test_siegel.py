@@ -32,6 +32,7 @@ from heiscf.siegel import (
     planar_to_proj,
     proj_to_planar,
     to_heis,
+    triple_distance_pow4,
 )
 
 
@@ -191,6 +192,47 @@ class TestProjective:
     def test_constraint(self):
         with pytest.raises(ValueError):
             ProjIntPoint(GaussInt(1, 0), GaussInt(1, 0), GaussInt(1, 0))
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            (Fraction(1, 6), Fraction(1, 4), Fraction(5, 12)),
+            (Fraction(2, 15), Fraction(-1, 10), Fraction(7, 30)),
+            (Fraction(1, 4), Fraction(1, 4), Fraction(1, 8)),
+            (Fraction(-3, 14), Fraction(5, 21), Fraction(1, 6)),
+        ],
+    )
+    def test_round_trip_shared_denominators(self, c):
+        h = rational_point(*c)
+        assert math.gcd(h.u.d, h.v.d) > 1
+        pt = planar_to_proj(h)
+        assert proj_to_planar(pt) == h
+        # lowest terms with canonical q: reducing any multiple gives it back
+        lam = GaussInt(2, 1)
+        assert ProjIntPoint.reduced(lam * pt.q, lam * pt.r, lam * pt.p) == pt
+
+
+class TestTripleDistance:
+    """d^4 from a raw integer triple equals the planar route's d^4."""
+
+    @given(
+        heis_coords,
+        heis_coords,
+        st.sampled_from([(1, 0), (-1, 0), (0, 1), (2, 1), (-3, 5), (6, 0)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_multiple_matches_planar_route(self, c1, c2, lam):
+        pt = planar_to_proj(rational_point(*c1))
+        h = rational_point(*c2)
+        want = distance_pow4(proj_to_planar(pt), h)
+        lam = GaussInt(*lam)
+        trip = (lam * pt.q, lam * pt.r, lam * pt.p)
+        assert triple_distance_pow4(trip, h) == want
+        ctx = PrecisionContext(256)
+        got = triple_distance_pow4(trip, h.to_bigfloat(ctx))
+        with ctx.work():
+            tol = ctx.check_scale * max(1, abs(want))
+            assert abs(got - mpf(want.numerator) / want.denominator) <= tol
 
 
 class TestParsing:
