@@ -13,7 +13,7 @@ from typing import Optional
 
 from .domain import DirichletDomain
 from .errors import CertificationError, InternalError, InvalidDigitString
-from .gaussian import GaussInt
+from .gaussian import GaussInt, GaussRat
 from .matrices import (
     UMatrix,
     digit_matrix,
@@ -30,7 +30,6 @@ from .siegel import (
     group_mul,
     koranyi_inversion,
     planar_to_proj,
-    proj_to_planar,
 )
 
 __all__ = [
@@ -201,7 +200,8 @@ def reconstruct(gamma0: IntegerPoint, digits: list[IntegerPoint]) -> SiegelPoint
                 "invalid digit string: intermediate point has v = 0"
             )
     t = mat_apply_triple(translation_matrix(gamma0), t)
-    return proj_to_planar(ProjIntPoint.reduced(*t))
+    q, r, p = (GaussRat.from_int(g) for g in t)  # the quotients reduce themselves
+    return SiegelPoint(r / q, p / q)
 
 
 def tail_convergents(

@@ -379,7 +379,7 @@ def main(argv=None) -> int:
     try:
         _check_numbers(args)
         return args.func(args)
-    except ParseError as e:
+    except (ParseError, OSError) as e:  # OSError: an --out path that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (CertificationError, AmbiguousNearestInteger) as e:

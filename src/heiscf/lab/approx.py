@@ -143,21 +143,21 @@ def approx_quality(e: CFExpansion, n: int, rk: Optional[float] = None) -> Approx
 
 
 def candidate_triples(h: SiegelPoint, B: float, dist_bound: float = 2.0, dist_fn=None):
-    """Lowest-terms triples (Q, R, P) with |Q| <= B near h.
+    """Lowest-terms triples (Q, R, P), |Q| <= B and Q canonical, near h, each once.
 
     Near means gauge distance <= dist_bound (any candidate beating a
     convergent at distance < 1 lies within 2 of h).  A dist_fn(q_norm)
     further tightens the search radius per denominator norm; q values
-    whose radius comes back <= 0 are skipped outright.  Yields raw integer
-    triples; unit multiples are folded into a canonical representative.
+    whose radius comes back <= 0 are skipped outright.  The other three
+    associates of Q would only repeat these triples: a unit multiplies
+    every complex product and quotient below exactly, bit for bit.
     """
     uh, vh = complex(h.u), complex(h.v)
-    seen = set()
     qmax2 = int(B * B + 1e-9)
-    for qa in range(-int(B) - 1, int(B) + 2):
-        for qb in range(-int(B) - 1, int(B) + 2):
+    for qa in range(1, int(B) + 2):
+        for qb in range(int(B) + 2):
             qn = qa * qa + qb * qb
-            if qn == 0 or qn > qmax2:
+            if qn > qmax2:
                 continue
             dist_q = dist_bound
             if dist_fn is not None:
@@ -191,13 +191,8 @@ def candidate_triples(h: SiegelPoint, B: float, dist_bound: float = 2.0, dist_fn
                         if d4f > db2 * db2 * 1.000001 + 1e-9:
                             continue
                         trip = (q, GaussInt(ra, rb), GaussInt(pc, pd))
-                        if not _coprime(*trip):
-                            continue
-                        trip = _fold_unit(*trip)
-                        if trip in seen:
-                            continue
-                        seen.add(trip)
-                        yield trip
+                        if _coprime(*trip):
+                            yield trip
 
 
 def best_approx_search(
@@ -218,7 +213,7 @@ def best_approx_search(
     if best is None:
         raise ValueError("no candidate in the search region; widen dist_bound")
     (d4, _), trip = best
-    return ProjIntPoint.reduced(*trip), float(d4) ** 0.25
+    return ProjIntPoint(*trip), float(d4) ** 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +275,8 @@ def prop71_check(
     |(q_{n+1} + q~_{n+1} u_{n+1} - q_n v_{n+1}) / q_n|^(1/2) are compared;
     discrepancies are logged, not adjudicated.  Also checks the
     consequence that candidates with |Q| below |q_n| / (2 rad^2 R^2)
-    cannot beat the convergent.
+    cannot beat the convergent.  Candidates are checked in triple order,
+    so the violation lists do not depend on the order of the search.
     """
     if n + 1 > e.depth:
         raise IndexError("prop71_check requires n + 1 <= depth")
@@ -338,7 +334,8 @@ def prop71_check(
         thm16_cutoff=thm16_cutoff,
         dist_bound_used=dist_used,
     )
-    for trip in candidate_triples(h0, a_bound * q_abs, dist_bound, dist_fn=dist_fn):
+    cands = candidate_triples(h0, a_bound * q_abs, dist_bound, dist_fn=dist_fn)
+    for trip in sorted(cands, key=_trip_key):
         if trip == conv_fold:
             continue
         report.candidates_checked += 1

@@ -97,8 +97,9 @@ def translation_matrix(gamma: IntegerPoint) -> UMatrix:
 
 
 def digit_matrix(gamma: IntegerPoint) -> UMatrix:
-    """A_gamma = J * T_gamma."""
-    return mat_mul(J, translation_matrix(gamma))
+    """A_gamma = J * T_gamma: the rows of T_gamma reversed, the outer two negated."""
+    u, v = gamma.u, gamma.v
+    return _mat([[-v, -u.conj(), -_ONE], [u, _ONE, _ZERO], [-_ONE, _ZERO, _ZERO]])
 
 
 def mat_mul(m1: UMatrix, m2: UMatrix) -> UMatrix:

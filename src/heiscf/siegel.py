@@ -15,6 +15,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from mpmath import mp, mpc, mpf
@@ -76,7 +77,7 @@ class PrecisionContext:
     def work(self):
         return mp.workprec(self.bits)
 
-    @property
+    @cached_property  # not a field: equality and hash see bits only
     def check_scale(self) -> mpf:
         with mp.workprec(self.bits):
             return mpf(2) ** (-self.bits / 2)

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from heiscf.cf import expand, reconstruct
-from heiscf.gaussian import GaussInt
+from heiscf.gaussian import GaussInt, _coprime, _fold_unit, _trip_key
+from heiscf.lab import approx
 from heiscf.lab.approx import (
     RAD_KD,
     RK_KD,
@@ -15,6 +16,7 @@ from heiscf.lab.approx import (
     decompose_triple,
     prop71_check,
 )
+from heiscf.lab.enumerate import solve_p_line
 from heiscf.lab.random_points import random_digit_string, random_rational_point
 from heiscf.siegel import (
     ProjIntPoint,
@@ -28,6 +30,56 @@ def exact_expansion(seed, length=7):
     rng = random.Random(seed)
     g0, digits = random_digit_string(rng, length)
     return expand(reconstruct(g0, digits))
+
+
+def candidate_triples_all_associates(h, B, dist_bound=2.0, dist_fn=None):
+    """Oracle: the search over every nonzero Q, unit multiples folded.
+
+    Visits all four associates of each denominator and keeps the first
+    copy of each folded triple.
+    """
+    uh, vh = complex(h.u), complex(h.v)
+    seen = set()
+    qmax2 = int(B * B + 1e-9)
+    for qa in range(-int(B) - 1, int(B) + 2):
+        for qb in range(-int(B) - 1, int(B) + 2):
+            qn = qa * qa + qb * qb
+            if qn == 0 or qn > qmax2:
+                continue
+            dist_q = dist_bound
+            if dist_fn is not None:
+                dist_q = min(dist_bound, dist_fn(qn))
+                if dist_q <= 0.0:
+                    continue
+            db2 = dist_q * dist_q
+            u_slack = math.sqrt(2.0) * dist_q + 1e-9
+            q = GaussInt(qa, qb)
+            qc = complex(qa, qb)
+            center = qc * uh
+            rad = math.sqrt(qn) * u_slack
+            u_r_max = abs(uh) + u_slack
+            v_r_max = db2 + u_r_max * abs(uh) + abs(vh)
+            p_norm_max = int(qn * (v_r_max * v_r_max) + 1)
+            for ra in range(math.floor(center.real - rad), math.ceil(center.real + rad) + 1):
+                for rb in range(math.floor(center.imag - rad), math.ceil(center.imag + rad) + 1):
+                    if abs(complex(ra, rb) - center) > rad:
+                        continue
+                    rn = ra * ra + rb * rb
+                    if rn % 2 != 0:
+                        continue
+                    uc = complex(ra, rb) / qc
+                    for pc, pd in solve_p_line(qa, qb, rn // 2, p_norm_max):
+                        vc = complex(pc, pd) / qc
+                        d4f = abs(vc.conjugate() - uc.conjugate() * uh + vh) ** 2
+                        if d4f > db2 * db2 * 1.000001 + 1e-9:
+                            continue
+                        trip = (q, GaussInt(ra, rb), GaussInt(pc, pd))
+                        if not _coprime(*trip):
+                            continue
+                        trip = _fold_unit(*trip)
+                        if trip not in seen:
+                            seen.add(trip)
+                            yield trip
 
 
 class TestConvergentDistance:
@@ -86,8 +138,27 @@ class TestCandidateSearch:
 
     def test_candidates_are_coprime_and_folded(self):
         h = parse_planar_point("(1/2; 1/8+1/4i)")
-        for q, r, p in candidate_triples(h, B=2.0, dist_bound=1.0):
+        trips = list(candidate_triples(h, B=2.0, dist_bound=1.0))
+        assert trips
+        for q, r, p in trips:
             assert q.re > 0 and q.im >= 0
+            assert _coprime(q, r, p)
+        assert len(set(trips)) == len(trips)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_all_associates_oracle(self, seed):
+        rng = random.Random(seed)
+        h = random_rational_point(rng, length=4, q_norm_max=10**8)
+
+        def shrink(q_norm):  # <= 0 from |Q|^2 = 16 on, as prop71's radius can be
+            return 1.2 - 0.3 * q_norm**0.5
+
+        cases = [(3, 2.0, None), (5, 1.0, None), (7, 0.5, None), (6, 2.0, shrink)]
+        for B, dist_bound, dist_fn in cases:
+            trips = list(candidate_triples(h, B, dist_bound, dist_fn=dist_fn))
+            want = set(candidate_triples_all_associates(h, B, dist_bound, dist_fn=dist_fn))
+            assert len(set(trips)) == len(trips)
+            assert set(trips) == want
 
     def test_convergents_beat_all_smaller_denominators(self):
         # each convergent is at least as close as every candidate with
@@ -133,6 +204,28 @@ class TestProp71:
         rep = prop71_check(e, max(ns))
         assert rep.violations_stated == []
         assert rep.violations_thm16 == []
+
+    def test_violations_listed_in_triple_order(self, monkeypatch):
+        rng = random.Random(2)
+        e = expand(random_rational_point(rng, length=4, q_norm_max=10**8))
+        searched = []
+
+        def recorded(*args, **kwargs):
+            searched.extend(candidate_triples(*args, **kwargs))
+            return iter(searched)
+
+        monkeypatch.setattr(approx, "candidate_triples", recorded)
+        rep = prop71_check(e, 1, rk=1.0)
+        assert len(rep.violations_stated) > 1
+        order = [[str(g) for g in t] for t in sorted(searched, key=_trip_key)]
+        listed = [v["triple"] for v in rep.violations_stated]
+        assert listed == [t for t in order if t in listed]
+
+        def reversed_search(*args, **kwargs):
+            return reversed(list(candidate_triples(*args, **kwargs)))
+
+        monkeypatch.setattr(approx, "candidate_triples", reversed_search)
+        assert prop71_check(e, 1, rk=1.0).as_dict() == rep.as_dict()
 
     def test_report_fields(self):
         rng = random.Random(11)

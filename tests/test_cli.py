@@ -200,6 +200,8 @@ class TestUsageErrors:
             ["expand", "--point", "(1/(0); 0)"],
             ["expand", "--point", "(1; 0/0i)"],
             ["bestapprox", "--point", "(1/0; 0)"],
+            # a file used as a directory: the output path cannot be opened
+            ["constants", "--out", os.path.join(__file__, "r.json")],
         ],
         ids=[
             "bits-below-64", "negative-depth", "bits-without-depth",
@@ -209,7 +211,7 @@ class TestUsageErrors:
             "khinchin-zero-bigc", "count-negative-m-max",
             "point-zero-denominator", "heis-zero-denominator",
             "point-zero-quotient-denominator", "point-zero-imag-denominator",
-            "bestapprox-zero-denominator",
+            "bestapprox-zero-denominator", "out-not-writable",
         ],
     )
     def test_exit_2_with_one_line(self, args, capsys):

@@ -51,6 +51,7 @@ class TestConstructions:
     @given(integer_points())
     def test_digit_in_group(self, g):
         assert u21_check(digit_matrix(g))
+        assert digit_matrix(g) == mat_mul(matrix_J(), translation_matrix(g))
 
     def test_u21_check_rejects(self):
         m = identity_matrix()
