@@ -9,17 +9,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
-from .domain import DirichletDomain
+from .domain import DirichletDomain, _ranked_candidates, integer_point
 from .errors import CertificationError, InternalError, InvalidDigitString
-from .gaussian import GaussInt, GaussRat
+from .gaussian import GaussInt, _fold_unit
 from .matrices import (
     UMatrix,
     digit_matrix,
     identity_matrix,
     mat_apply_triple,
-    mat_mul,
+    mul_digit_matrix,
     translation_matrix,
 )
 from .siegel import (
@@ -27,9 +28,11 @@ from .siegel import (
     PrecisionContext,
     ProjIntPoint,
     SiegelPoint,
+    exact_triple,
     group_mul,
     koranyi_inversion,
     planar_to_proj,
+    triple_to_planar,
 )
 
 __all__ = [
@@ -48,10 +51,20 @@ _K_D = DirichletDomain()
 def gauss_map_step(h: SiegelPoint) -> tuple[IntegerPoint, SiegelPoint]:
     """One Gauss-map step: digit [iota h] and next iterate [iota h]^-1 * iota h.
 
-    The origin is a fixed point and yields the zero digit.
+    The origin is a fixed point and yields the zero digit.  An exact point
+    steps in integers: for a triple (q, r, p) of h, iota h = (p : -r : q) is
+    (-r conj(p), q conj(p)) / |p|^2 in planar form, and gamma^-1 iota h is
+    the triple T_{gamma^-1} (p, -r, q).
     """
     if h.is_origin():
         return IntegerPoint.origin(), h
+    if h.exact:
+        q, r, p = exact_triple(h)
+        w = -r * p.conj()
+        _, a, b, c = _ranked_candidates(w.re, w.im, -q.re * p.im, p.norm())[0]
+        gamma = integer_point(a, b, c)
+        u, v = gamma.u, gamma.v
+        return gamma, triple_to_planar((p, -r - u * p, q + u.conj() * r + v.conj() * p))
     ih = koranyi_inversion(h)
     gamma = _K_D.nearest(ih)
     h_next = group_mul(gamma.inv().to_siegel(h.ctx), ih)
@@ -104,11 +117,27 @@ class CFExpansion:
         return mat_apply_triple(self._t_gamma0, self.first_column(n))
 
     def convergent(self, n: int) -> ProjIntPoint:
-        """The nth convergent as a reduced projective triple."""
-        return ProjIntPoint.reduced(*self.raw_convergent_triple(n))
+        """The nth convergent as a reduced projective triple.  T_gamma0 Q_n is
+        in U(2,1; Z[i]), so its first column is primitive: only a unit folds."""
+        return ProjIntPoint(*_fold_unit(*self.raw_convergent_triple(n)))
 
     def convergents(self) -> list[ProjIntPoint]:
         return [self.convergent(n) for n in range(self.depth + 1)]
+
+    @cached_property
+    def v_prefix(self) -> list:
+        """v_0 ... v_{k-1} for k = 0..depth+1, multiplied left to right from 1."""
+        with self.point.work():
+            out = [self.point.lift(GaussInt(1))]
+            for h in self.iterates:
+                out.append(out[-1] * h.v)
+        return out
+
+    @cached_property
+    def v_abs(self) -> list[float]:
+        """|v_i| for i = 0..depth as floats, each rounded once."""
+        with self.point.work():
+            return [float(abs(h.v)) for h in self.iterates]
 
     def as_dict(self) -> dict:
         """The expansion record of fixtures and `heiscf expand` reports."""
@@ -168,7 +197,7 @@ def expand(h: SiegelPoint, max_depth: Optional[int] = None) -> CFExpansion:
                     )
         gamma, nxt = gauss_map_step(cur)
         digits.append(gamma)
-        continuants.append(mat_mul(continuants[-1], digit_matrix(gamma)))
+        continuants.append(mul_digit_matrix(continuants[-1], gamma))
         iterates.append(nxt)
         cur = nxt
         terminated = cur.exact and cur.is_origin()
@@ -199,9 +228,7 @@ def reconstruct(gamma0: IntegerPoint, digits: list[IntegerPoint]) -> SiegelPoint
             raise InvalidDigitString(
                 "invalid digit string: intermediate point has v = 0"
             )
-    t = mat_apply_triple(translation_matrix(gamma0), t)
-    q, r, p = (GaussRat.from_int(g) for g in t)  # the quotients reduce themselves
-    return SiegelPoint(r / q, p / q)
+    return triple_to_planar(mat_apply_triple(translation_matrix(gamma0), t))
 
 
 def tail_convergents(
@@ -216,8 +243,8 @@ def tail_convergents(
         raise IndexError(f"need 0 <= i <= n <= {e.depth}, got i={i}, n={n}")
     m = identity_matrix()
     for k in range(i, n):
-        m = mat_mul(m, digit_matrix(e.digits[k]))
-    return mat_apply_triple(m, _E1)
+        m = mul_digit_matrix(m, e.digits[k])
+    return m.column(0)
 
 
 def expansion_to_json(e: CFExpansion) -> str:

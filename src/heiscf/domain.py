@@ -2,8 +2,8 @@
 
 K_D is the set of points whose nearest integer point is the origin; its
 radius is 2^(-1/4).  One candidate search ranks the integer points near
-h for all three number types the package computes with: exact Fractions,
-mpmath big floats and machine floats.
+h for all three number types the package computes with: exact integers
+over a common denominator, mpmath big floats and machine floats.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from mpmath import mp, mpf
 
 from .errors import AmbiguousNearestInteger
 from .gaussian import GaussInt
-from .siegel import IntegerPoint, SiegelPoint
+from .siegel import IntegerPoint, SiegelPoint, exact_triple
 
 __all__ = [
     "RAD_KD",
@@ -34,33 +34,40 @@ def integer_point(a: int, b: int, c: int) -> IntegerPoint:
     return IntegerPoint(GaussInt(a, b), GaussInt((a * a + b * b) // 2, c))
 
 
-def _ranked_candidates(ure, uim, vim) -> list[tuple]:
-    """Integer points (d4, a, b, c) near (u, v), closest first.
+def _ranked_candidates(ure, uim, vim, den=1) -> list[tuple]:
+    """Integer points (key, a, b, c) near u = (ure + uim i)/den, Im v = vim/den,
+    closest first.
 
-    d4 = d(gamma, h)^4 for gamma = (a+bi; (a^2+b^2)/2 + ci); ties break
-    toward the lexicographically smallest (a, b, c).  Any minimizer has
+    key = 4 den^4 d(gamma, h)^4 for gamma = (a+bi; (a^2+b^2)/2 + ci); ties
+    break toward the lexicographically smallest (a, b, c).  Any minimizer has
     d4 <= rad^4 = 1/2, forcing |u - u_gamma|^2 <= sqrt(2); candidates keep
     |u - u_gamma|^2 <= 8/5 and take c from the one or two integers nearest
-    Im(v - conj(u_gamma) u).  The coordinates are Fractions, mpfs (inside
-    their working precision) or floats, floored in their own arithmetic.
+    Im(v - conj(u_gamma) u).  Exact points pass int numerators over a common
+    den and are ranked and floored in integers; mpfs (inside their working
+    precision) and floats pass den = 1 and are floored in their own
+    arithmetic, where the scaling by 4 is exact.
     """
+    exact = isinstance(ure, int)
     floor = mp.floor if isinstance(ure, mpf) else math.floor
     # u_gamma = s(1+i) + t(1-i) with integers s, t, and |u - u_gamma|^2 =
     # 2(|x - s|^2 + |y - t|^2) for x = (Re u + Im u)/2, y = (Re u - Im u)/2:
     # within 8/5, s and t are among the two integers nearest x and y.
-    s0 = int(floor((ure + uim) / 2))
-    t0 = int(floor((ure - uim) / 2))
+    if exact:
+        s0, t0 = (ure + uim) // (2 * den), (ure - uim) // (2 * den)
+    else:
+        s0, t0 = int(floor((ure + uim) / 2)), int(floor((ure - uim) / 2))
+    den_sq = den * den
     ranked = []
     for s in (s0, s0 + 1):
         for t in (t0, t0 + 1):
             a, b = s + t, s - t
-            du_sq = (ure - a) ** 2 + (uim - b) ** 2
-            if 5 * du_sq > 8:
+            du_sq = (ure - a * den) ** 2 + (uim - b * den) ** 2  # den^2 |u - u_gamma|^2
+            if 5 * du_sq > 8 * den_sq:
                 continue
-            delta = vim - (a * uim - b * ure)
-            c0 = int(floor(delta))
-            for c in (c0,) if delta == c0 else (c0, c0 + 1):
-                ranked.append(((du_sq / 2) ** 2 + (delta - c) ** 2, a, b, c))
+            delta = vim - (a * uim - b * ure)  # den Im(v - conj(u_gamma) u)
+            c0 = delta // den if exact else int(floor(delta))
+            for c in (c0,) if delta == c0 * den else (c0, c0 + 1):
+                ranked.append((du_sq**2 + 4 * den_sq * (delta - c * den) ** 2, a, b, c))
     ranked.sort()
     return ranked
 
@@ -84,13 +91,15 @@ class DirichletDomain:
         return self.nearest(h).is_origin()
 
     def nearest(self, h: SiegelPoint) -> IntegerPoint:
-        if h.exact:  # exact Fractions; big floats also certify the runner-up gap
-            ranked = _ranked_candidates(h.u.re(), h.u.im(), h.v.im())
+        if h.exact:  # integers over one denominator; big floats also certify
+            q, r, p = exact_triple(h)
+            ranked = _ranked_candidates(r.re, r.im, p.im, q.re)
         else:
             with h.ctx.work():
                 ranked = _ranked_candidates(h.u.real, h.u.imag, h.v.imag)
                 tol = h.ctx.check_scale * max(mpf(1), abs(h.v))
-                if len(ranked) > 1 and ranked[1][0] - ranked[0][0] < tol:
+                # the keys are 4 d4: the runner-up gap is compared at that scale
+                if len(ranked) > 1 and ranked[1][0] - ranked[0][0] < 4 * tol:
                     raise AmbiguousNearestInteger(
                         "nearest integer ambiguous at working precision"
                     )

@@ -351,6 +351,10 @@ class GaussRat:
     def abs_sq(self) -> Fraction:
         return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
+    def __abs__(self) -> float:
+        """|x| as a float: the root of |x|^2 rounded once, with no Fraction."""
+        return ((self.a * self.a + self.b * self.b) / (self.d * self.d)) ** 0.5
+
     def __complex__(self) -> complex:
         return complex(self.a / self.d, self.b / self.d)
 

@@ -69,14 +69,6 @@ def _abs_gi(g: GaussInt) -> float:
     return math.sqrt(g.norm())
 
 
-def _v_abs(e: CFExpansion, i: int) -> float:
-    h = e.iterates[i]
-    if h.exact:  # a float from the exact |v|^2, or the mpf |v| rounded once
-        return float(h.v.abs_sq()) ** 0.5
-    with e.ctx.work():
-        return float(abs(h.v))
-
-
 def convergent_distance(e: CFExpansion, n: int) -> float:
     """d(nth convergent, h_0), exact up to the final root on the exact backend."""
     h0 = e.iterates[0]
@@ -97,21 +89,18 @@ def approx_quality(e: CFExpansion, n: int, rk: Optional[float] = None) -> Approx
     q_abs = _abs_gi(e.first_column(n)[0])
     d_n = convergent_distance(e, n)
     v_next = complex(e.iterates[n + 1].v)
-    v_next_abs = _v_abs(e, n + 1)
+    v_next_abs = e.v_abs[n + 1]
 
     ratio = None
     if v_next_abs > 0.0:
         ratio = d_n / math.sqrt(v_next_abs / (q_abs * q_abs))
 
-    prod = 1.0
-    for i in range(n):
-        prod *= _v_abs(e, i)
-    relsize = q_abs * prod
+    relsize = q_abs * math.prod(e.v_abs[:n], start=1.0)
 
     succ = None
     if n >= 1:
         qprev_abs = _abs_gi(-e.third_column(n)[0])
-        vn_abs = _v_abs(e, n)
+        vn_abs = e.v_abs[n]
         if vn_abs > 0.0:
             succ = qprev_abs / (vn_abs * q_abs)
 
@@ -290,7 +279,7 @@ def prop71_check(
     qn, rn, pn = e.first_column(n)
     q_abs = _abs_gi(qn)
     base = form_abs(qn, rn, pn)
-    vn_abs = _v_abs(e, n)
+    vn_abs = e.v_abs[n]
     bound_stated = 1.0 / (vn_abs * rk) if vn_abs > 0 else math.inf
 
     qn1 = complex(e.first_column(n + 1)[0])

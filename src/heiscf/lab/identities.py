@@ -17,12 +17,11 @@ from ..cf import CFExpansion
 from ..errors import HeisCFError
 from ..gaussian import GaussInt
 from ..siegel import (
-    ProjIntPoint,
     abs_sq,
     distance,
     distance_pow4,
     linear_form_terms,
-    proj_to_planar,
+    triple_to_planar,
 )
 
 __all__ = [
@@ -61,11 +60,10 @@ def _report(e: CFExpansion, identity: str, n: int, lhs, rhs, terms) -> IdentityR
     and terms (at least 1).  Exact backend: pass iff lhs == rhs.  Big floats:
     pass iff residual <= check_scale * scale."""
     exact = e.ctx is None
-    mag = (lambda x: float(abs_sq(x)) ** 0.5) if exact else abs
-    with e.point.work():
+    with e.point.work():  # abs() is a float for a GaussRat, an mpf for an mpc
         diff = lhs - rhs
-        residual = mag(diff)
-        scale = max([1.0, mag(lhs), mag(rhs)] + [mag(t) for t in terms])
+        residual = abs(diff)
+        scale = max([1.0, abs(lhs), abs(rhs)] + [abs(t) for t in terms])
         passed = not diff if exact else residual <= e.ctx.check_scale * scale
     return IdentityReport(
         identity=identity,
@@ -82,9 +80,8 @@ def verify_prq(e: CFExpansion, n: int) -> IdentityReport:
     """conj(p_n) - conj(r_n) u + conj(q_n) v = (-1)^n prod_{i<=n} v_i at h_0."""
     with e.point.work():
         t1, t2, t3 = linear_form_terms(e.first_column(n), e.iterates[0])
-        rhs = e.point.lift(GaussInt((-1) ** n))
-        for i in range(n + 1):
-            rhs = rhs * e.iterates[i].v
+        prod = e.v_prefix[n + 1]
+        rhs = -prod if n % 2 else prod  # a sign flip: exact on both backends
         return _report(e, "prq", n, t1 - t2 + t3, rhs, (t1, t2, t3))
 
 
@@ -92,9 +89,7 @@ def verify_tildeprq(e: CFExpansion, n: int) -> IdentityReport:
     """Middle-column variant: rhs = (-1)^(n-1) u_n prod_{i<n} v_i."""
     with e.point.work():
         t1, t2, t3 = linear_form_terms(e.second_column(n), e.iterates[0])
-        rhs = e.point.lift(GaussInt((-1) ** (n + 1))) * e.iterates[n].u
-        for i in range(n):
-            rhs = rhs * e.iterates[i].v
+        rhs = e.point.lift(GaussInt((-1) ** (n + 1))) * e.iterates[n].u * e.v_prefix[n]
         return _report(e, "tildeprq", n, t1 - t2 + t3, rhs, (t1, t2, t3))
 
 
@@ -115,9 +110,7 @@ def verify_fracq(e: CFExpansion, n: int) -> IdentityReport:
         t1 = lift(e.first_column(n)[0])
         t2 = lift(e.second_column(n)[0]) * hn.u
         t3 = lift(-e.third_column(n)[0]) * hn.v
-        lhs = t1 + t2 - t3
-        for i in range(n):
-            lhs = lhs * e.iterates[i].v
+        lhs = (t1 + t2 - t3) * e.v_prefix[n]
         return _report(e, "fracq", n, lhs, lift(GaussInt((-1) ** n)), (t1, t2, t3))
 
 
@@ -127,9 +120,10 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
     Form 1: |prod_{i<=n} v_i / q_n|^(1/2).  Form 2 (needs n+1 <= depth):
     |conj(q_n) (q_{n+1} + q~_{n+1} u_{n+1} - q_n v_{n+1})|^(-1/2).
     """
-    q, r, p = e.first_column(n)
-    # the planar route, not the linear form: verify_prq already checks that
-    conv = proj_to_planar(ProjIntPoint.reduced(q, r, p)).to_bigfloat(e.ctx)
+    col = e.first_column(n)
+    # the planar route, not the linear form: verify_prq already checks that;
+    # a column of a U(2,1; Z[i]) matrix needs no reducing
+    conv = triple_to_planar(col).to_bigfloat(e.ctx)
     h0, lift = e.iterates[0], e.point.lift
     with h0.work():
         if h0.exact:
@@ -138,11 +132,8 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
             # compare fourth powers: the linear form underlying the direct
             # distance is what carries the certified precision, not its root
             d4_direct = distance(conv, h0) ** 4
-        prod = lift(GaussInt(1))
-        for i in range(n + 1):
-            prod = prod * e.iterates[i].v
-        qn = lift(q)
-        forms = [abs_sq(prod / qn)]
+        qn = lift(col[0])
+        forms = [abs_sq(e.v_prefix[n + 1] / qn)]
         if n + 1 <= e.depth:
             hn1 = e.iterates[n + 1]
             qn1 = lift(e.first_column(n + 1)[0])

@@ -21,6 +21,7 @@ __all__ = [
     "identity_matrix",
     "translation_matrix",
     "digit_matrix",
+    "mul_digit_matrix",
     "mat_mul",
     "mat_apply",
     "mat_apply_triple",
@@ -100,6 +101,16 @@ def digit_matrix(gamma: IntegerPoint) -> UMatrix:
     """A_gamma = J * T_gamma: the rows of T_gamma reversed, the outer two negated."""
     u, v = gamma.u, gamma.v
     return _mat([[-v, -u.conj(), -_ONE], [u, _ONE, _ZERO], [-_ONE, _ZERO, _ZERO]])
+
+
+def mul_digit_matrix(m: UMatrix, gamma: IntegerPoint) -> UMatrix:
+    """m * A_gamma in closed form: with (u, v) = gamma, the columns c0, c1, c2
+    of m become u c1 - v c0 - c2, c1 - conj(u) c0 and -c0."""
+    u, v = gamma.u, gamma.v
+    uc = u.conj()
+    return UMatrix(
+        tuple((u * c1 - v * c0 - c2, c1 - uc * c0, -c0) for c0, c1, c2 in m.rows)
+    )
 
 
 def mat_mul(m1: UMatrix, m2: UMatrix) -> UMatrix:

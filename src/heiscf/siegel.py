@@ -54,6 +54,8 @@ __all__ = [
     "linear_form_terms",
     "triple_distance_pow4",
     "proj_to_planar",
+    "triple_to_planar",
+    "exact_triple",
     "planar_to_proj",
     "is_integer_point",
 ]
@@ -126,8 +128,9 @@ class SiegelPoint:
     ctx: Optional[PrecisionContext] = None
 
     def __post_init__(self):
-        if self.ctx is None:  # exact: equality; big floats: a tolerance
-            if self.u.abs_sq() != 2 * self.v.re():
+        if self.ctx is None:  # exact: |u|^2 = 2 Re v in integers; big floats: a tolerance
+            u, v = self.u, self.v
+            if (u.a * u.a + u.b * u.b) * v.d != 2 * v.a * u.d * u.d:
                 raise ValueError(
                     f"not on the Siegel surface: |u|^2 != 2 Re v for ({self.u}; {self.v})"
                 )
@@ -373,17 +376,28 @@ class ProjIntPoint:
 
 def proj_to_planar(pt: ProjIntPoint) -> SiegelPoint:
     """(q : r : p) -> (r/q, p/q), exact backend."""
-    q = GaussRat.from_int(pt.q)
-    return SiegelPoint(GaussRat.from_int(pt.r) / q, GaussRat.from_int(pt.p) / q)
+    return triple_to_planar((pt.q, pt.r, pt.p))
+
+
+def triple_to_planar(triple) -> SiegelPoint:
+    """(r/q, p/q) for any nonzero multiple of an integer triple (q, r, p):
+    the GaussRat quotients reduce themselves.  Exact backend."""
+    q, r, p = (GaussRat.from_int(g) for g in triple)
+    return SiegelPoint(r / q, p / q)
+
+
+def exact_triple(h: SiegelPoint) -> tuple[GaussInt, GaussInt, GaussInt]:
+    """The unreduced triple (q, r, p) of an exact point, q = lcm(u.d, v.d)."""
+    q = math.lcm(h.u.d, h.v.d)
+    r, p = (GaussInt(x.a * (q // x.d), x.b * (q // x.d)) for x in (h.u, h.v))
+    return GaussInt(q), r, p
 
 
 def planar_to_proj(h: SiegelPoint) -> ProjIntPoint:
     """Clear the integer denominators of an exact planar point and reduce."""
     if not h.exact:
         raise BackendMismatch("planar_to_proj requires the exact backend")
-    q = math.lcm(h.u.d, h.v.d)
-    r, p = (GaussInt(x.a * (q // x.d), x.b * (q // x.d)) for x in (h.u, h.v))
-    return ProjIntPoint.reduced(GaussInt(q), r, p)
+    return ProjIntPoint.reduced(*exact_triple(h))
 
 
 # ---------------------------------------------------------------------------

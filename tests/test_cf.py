@@ -1,8 +1,13 @@
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import heiscf.cf as cf
 from heiscf.cf import (
     expand,
     expansion_to_json,
@@ -10,20 +15,26 @@ from heiscf.cf import (
     reconstruct,
     tail_convergents,
 )
-from heiscf.domain import DirichletDomain, integer_point
-from heiscf.errors import InvalidDigitString
+from heiscf.domain import DirichletDomain, _ranked_candidates, integer_point
+from heiscf.errors import InternalError, InvalidDigitString
+from heiscf.gaussian import GaussRat
 from heiscf.lab.random_points import (
     random_digit_string,
     random_rational_point,
 )
-from heiscf.matrices import u21_check
+from heiscf.matrices import digit_matrix, identity_matrix, mat_mul, u21_check
 from heiscf.siegel import (
+    HeisPoint,
+    IntegerPoint,
     PrecisionContext,
     SiegelPoint,
     distance,
+    distance_pow4,
+    from_heis,
     group_mul,
     koranyi_inversion,
     parse_planar_point,
+    planar_to_proj,
     proj_to_planar,
 )
 
@@ -202,3 +213,163 @@ class TestJsonFixture:
             "bits",
         }
         assert rec["backend"] == "exact" and rec["bits"] is None
+
+
+# ---------------------------------------------------------------------------
+# The exact Gauss-map step against the planar route it replaces
+
+
+def ranked_candidates_fraction(ure, uim, vim):
+    """The nearest-integer kernel on Fraction coordinates, keyed by d4 itself."""
+    s0 = math.floor((ure + uim) / 2)
+    t0 = math.floor((ure - uim) / 2)
+    ranked = []
+    for s in (s0, s0 + 1):
+        for t in (t0, t0 + 1):
+            a, b = s + t, s - t
+            du_sq = (ure - a) ** 2 + (uim - b) ** 2
+            if 5 * du_sq > 8:
+                continue
+            delta = vim - (a * uim - b * ure)
+            c0 = math.floor(delta)
+            for c in (c0,) if delta == c0 else (c0, c0 + 1):
+                ranked.append(((du_sq / 2) ** 2 + (delta - c) ** 2, a, b, c))
+    ranked.sort()
+    return ranked
+
+
+def nearest_reference(h):
+    _, a, b, c = ranked_candidates_fraction(h.u.re(), h.u.im(), h.v.im())[0]
+    return integer_point(a, b, c)
+
+
+def gauss_map_step_reference(h):
+    """digit [iota h] and [iota h]^-1 iota h through the planar group law."""
+    if h.is_origin():
+        return IntegerPoint.origin(), h
+    ih = koranyi_inversion(h)
+    gamma = nearest_reference(ih)
+    return gamma, group_mul(gamma.inv().to_siegel(), ih)
+
+
+def expand_reference(h, max_depth=None):
+    """Digits, iterates, continuants and termination, with a full mat_mul."""
+    gamma0 = nearest_reference(h)
+    cur = group_mul(gamma0.inv().to_siegel(), h)
+    digits, iterates, continuants = [], [cur], [identity_matrix()]
+    while not cur.is_origin() and (max_depth is None or len(digits) < max_depth):
+        gamma, cur = gauss_map_step_reference(cur)
+        digits.append(gamma)
+        iterates.append(cur)
+        continuants.append(mat_mul(continuants[-1], digit_matrix(gamma)))
+    return gamma0, digits, iterates, continuants, cur.is_origin()
+
+
+fractions = st.builds(Fraction, st.integers(-300, 300), st.integers(1, 40))
+heis_points = st.builds(
+    lambda x, y, t: from_heis(HeisPoint(GaussRat.from_fractions(x, y), t)),
+    fractions,
+    fractions,
+    fractions,
+)
+seeded_points = st.builds(
+    lambda seed, length: random_rational_point(random.Random(seed), length=length),
+    st.integers(0, 2**32),
+    st.integers(1, 8),
+)
+
+
+class TestExactStepDifferential:
+    @given(st.one_of(heis_points, seeded_points))
+    @settings(max_examples=200, deadline=None)
+    def test_step_matches_planar_route(self, h):
+        assert gauss_map_step(h) == gauss_map_step_reference(h)
+
+    @given(st.one_of(heis_points, seeded_points), st.one_of(st.none(), st.integers(0, 4)))
+    @settings(max_examples=80, deadline=None)
+    def test_expansion_matches_planar_route(self, h, max_depth):
+        e = expand(h, max_depth=max_depth)
+        gamma0, digits, iterates, continuants, terminated = expand_reference(h, max_depth)
+        assert e.gamma0 == gamma0
+        assert e.digits == digits
+        assert e.iterates == iterates
+        assert e.continuants == continuants
+        assert e.terminated == terminated
+        assert e.max_depth_hit == (not terminated)
+
+    def test_termination_guard(self, monkeypatch):
+        # a step that never reaches the origin stops at the guard, whose size
+        # comes from the reduced denominator of h
+        h = parse_planar_point("(1/2; 1/8+1/3i)")
+        calls = []
+
+        def stuck(cur):
+            calls.append(cur)
+            return integer_point(0, 0, 1), cur
+
+        monkeypatch.setattr(cf, "gauss_map_step", stuck)
+        with pytest.raises(InternalError):
+            expand(h)
+        assert len(calls) == 4 * planar_to_proj(h).q.norm().bit_length() + 64
+
+
+def planar(ure, uim, vre, vim):
+    return SiegelPoint(
+        GaussRat.from_fractions(Fraction(ure), Fraction(uim)),
+        GaussRat.from_fractions(Fraction(vre), Fraction(vim)),
+    )
+
+
+def tie_points():
+    """Exact points with at least two nearest-integer candidates at equal d4.
+
+    (1; 1/2 + ti), t an integer, is equally far from the four integer points
+    over u = 0, 2, 1+i, 1-i, each with an exact integer delta (one c each);
+    (0; ti) with t = k + 1/2 ties c = k and k + 1.  Left translates keep the
+    ties but can reorder which tied candidate is lexicographically smallest.
+    """
+    base = [planar(1, 0, Fraction(1, 2), t) for t in (-2, 0, 3)]
+    base += [planar(0, 0, 0, Fraction(t, 2)) for t in (-3, 1, 5)]
+    shifts = [integer_point(0, 0, 0), integer_point(1, 1, -2), integer_point(-3, 1, 4),
+              integer_point(2, -4, 1)]
+    return [group_mul(g.to_siegel(), w) for g in shifts for w in base]
+
+
+def lexicographic_nearest(h):
+    """Brute force over a wide window: the least (d4, a, b, c)."""
+    ur, ui = math.floor(h.u.re()), math.floor(h.u.im())
+    best = None
+    for a in range(ur - 3, ur + 4):
+        for b in range(ui - 3, ui + 4):
+            if (a + b) % 2:
+                continue
+            delta = h.v.im() - (a * h.u.im() - b * h.u.re())
+            for c in range(math.floor(delta) - 1, math.floor(delta) + 2):
+                g = integer_point(a, b, c)
+                key = (distance_pow4(g.to_siegel(), h), a, b, c)
+                best = key if best is None or key < best else best
+    return integer_point(*best[1:])
+
+
+class TestBoundaryTies:
+    @pytest.mark.parametrize("w", tie_points(), ids=str)
+    def test_lexicographically_smallest_wins(self, w):
+        ranked = ranked_candidates_fraction(w.u.re(), w.u.im(), w.v.im())
+        assert ranked[0][0] == ranked[1][0]  # a tie, resolved by (a, b, c)
+        want = lexicographic_nearest(w)
+        assert DirichletDomain().nearest(w) == want == nearest_reference(w)
+        # the step ranks iota h = w in integers from h's own triple
+        h = koranyi_inversion(w)
+        assert gauss_map_step(h) == gauss_map_step_reference(h)
+        assert gauss_map_step(h)[0] == want
+
+    @pytest.mark.parametrize("t", [-2, 0, 3])
+    def test_integer_delta_takes_one_c(self, t):
+        w = planar(1, 0, Fraction(1, 2), t)
+        ranked = _ranked_candidates(1, 0, t, 1)
+        assert sorted(x[1:] for x in ranked) == sorted(
+            x[1:] for x in ranked_candidates_fraction(w.u.re(), w.u.im(), w.v.im())
+        )
+        assert len(ranked) == 4  # u = 0, 2, 1+i, 1-i, one c each
+        assert {x[0] for x in ranked} == {1}  # 4 d4 = 4 (1/2)^2
+        assert ranked[0][1:] == (0, 0, t)

@@ -12,6 +12,7 @@ from heiscf.matrices import (
     mat_apply_triple,
     mat_mul,
     matrix_J,
+    mul_digit_matrix,
     translation_matrix,
     u21_check,
     u21_inverse,
@@ -69,6 +70,7 @@ class TestInverse:
     @settings(max_examples=40)
     def test_inverse_of_product(self, g1, g2):
         m = mat_mul(digit_matrix(g1), digit_matrix(g2))
+        assert mul_digit_matrix(digit_matrix(g1), g2) == m  # the closed form
         assert mat_mul(m, u21_inverse(m)) == identity_matrix()
         assert mat_mul(u21_inverse(m), m) == identity_matrix()
 
