@@ -31,7 +31,6 @@ from .siegel import (
     exact_triple,
     group_mul,
     koranyi_inversion,
-    planar_to_proj,
     triple_to_planar,
 )
 
@@ -48,23 +47,34 @@ _E1 = (GaussInt(1, 0), GaussInt(0, 0), GaussInt(0, 0))
 _K_D = DirichletDomain()
 
 
+def _reduce(t):
+    """[x] and the triple T_{[x]^-1} t, for the point x = (r/q, p/q) of an
+    integer triple t = (q, r, p) with any nonzero Gaussian q.
+
+    The candidates are ranked over the integer denominator |q|^2: u is
+    r conj(q) / |q|^2 and Im v is Im(p conj(q)) / |q|^2.
+    """
+    q, r, p = t
+    qc = q.conj()
+    w = r * qc
+    _, a, b, c = _ranked_candidates(w.re, w.im, (p * qc).im, q.norm())[0]
+    gamma = integer_point(a, b, c)
+    u, v = gamma.u, gamma.v
+    return gamma, (q, r - u * q, p - u.conj() * r + v.conj() * q)
+
+
 def gauss_map_step(h: SiegelPoint) -> tuple[IntegerPoint, SiegelPoint]:
     """One Gauss-map step: digit [iota h] and next iterate [iota h]^-1 * iota h.
 
     The origin is a fixed point and yields the zero digit.  An exact point
-    steps in integers: for a triple (q, r, p) of h, iota h = (p : -r : q) is
-    (-r conj(p), q conj(p)) / |p|^2 in planar form, and gamma^-1 iota h is
-    the triple T_{gamma^-1} (p, -r, q).
+    steps in integers: for a triple (q, r, p) of h, iota h is (p : -r : q).
     """
     if h.is_origin():
         return IntegerPoint.origin(), h
     if h.exact:
         q, r, p = exact_triple(h)
-        w = -r * p.conj()
-        _, a, b, c = _ranked_candidates(w.re, w.im, -q.re * p.im, p.norm())[0]
-        gamma = integer_point(a, b, c)
-        u, v = gamma.u, gamma.v
-        return gamma, triple_to_planar((p, -r - u * p, q + u.conj() * r + v.conj() * p))
+        gamma, t = _reduce((p, -r, q))
+        return gamma, triple_to_planar(t)
     ih = koranyi_inversion(h)
     gamma = _K_D.nearest(ih)
     h_next = group_mul(gamma.inv().to_siegel(h.ctx), ih)
@@ -156,62 +166,55 @@ def expand(h: SiegelPoint, max_depth: Optional[int] = None) -> CFExpansion:
     """Expand h into continued-fraction digits.
 
     Exact backend: runs to termination (rational points always terminate)
-    unless max_depth cuts it short; a generous internal guard converts
-    non-termination into an InternalError.  Big-float backend: produces
-    max_depth certified digits or raises CertificationError.
+    unless max_depth cuts it short.  The orbit is carried as one integer
+    triple (q, r, p); each iterate lies in K_D, so |v|^2 = |p|^2/|q|^2 <= 1/2
+    and the next |q|^2 = |p|^2 at least halves.  A step that breaks this
+    contraction raises InternalError.  Big-float backend: produces max_depth
+    certified digits or raises CertificationError.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    guard = None
     if h.exact:
-        if max_depth is None:
-            qnorm = planar_to_proj(h).q.norm()
-            guard = 4 * qnorm.bit_length() + 64
+        gamma0, t = _reduce(exact_triple(h))
+        h0 = triple_to_planar(t)
     elif max_depth is None:
         raise ValueError("max_depth is required on the big-float backend")
+    else:
+        gamma0 = _K_D.nearest(h)
+        h0 = group_mul(gamma0.inv().to_siegel(h.ctx), h)
 
-    gamma0 = _K_D.nearest(h)
-    h0 = group_mul(gamma0.inv().to_siegel(h.ctx), h)
-
-    digits: list[IntegerPoint] = []
-    iterates = [h0]
-    continuants = [identity_matrix()]
-    terminated = h0.is_origin()
-    max_depth_hit = False
-    limit = max_depth if max_depth is not None else guard
-
-    cur = h0
-    while not terminated:
-        if len(digits) >= limit:
-            if max_depth is None:
-                raise InternalError(
-                    "rational expansion exceeded the termination guard"
-                )
-            max_depth_hit = True
+    e = CFExpansion(
+        point=h,
+        gamma0=gamma0,
+        digits=[],
+        iterates=[h0],
+        continuants=[identity_matrix()],
+        terminated=h0.is_origin(),
+        ctx=h.ctx,
+    )
+    while not e.terminated:
+        if e.depth == max_depth:
+            e.max_depth_hit = True
             break
-        if not cur.exact:  # only big floats can lose 1/v to rounding
-            with cur.ctx.work():
+        if h.exact:
+            q, r, p = t
+            gamma, t = _reduce((p, -r, q))
+            if 2 * t[2].norm() > t[0].norm():
+                raise InternalError("exact Gauss-map step failed to contract |q|")
+            nxt = triple_to_planar(t)
+            e.terminated = t[2].is_zero()
+        else:
+            cur = e.iterates[-1]
+            with cur.ctx.work():  # only big floats can lose 1/v to rounding
                 if abs(cur.v) < 4 * cur.ctx.check_scale:
                     raise CertificationError(
                         "orbit too close to the origin to certify inversion"
                     )
-        gamma, nxt = gauss_map_step(cur)
-        digits.append(gamma)
-        continuants.append(mul_digit_matrix(continuants[-1], gamma))
-        iterates.append(nxt)
-        cur = nxt
-        terminated = cur.exact and cur.is_origin()
-
-    return CFExpansion(
-        point=h,
-        gamma0=gamma0,
-        digits=digits,
-        iterates=iterates,
-        continuants=continuants,
-        terminated=terminated,
-        max_depth_hit=max_depth_hit,
-        ctx=h.ctx,
-    )
+            gamma, nxt = gauss_map_step(cur)
+        e.digits.append(gamma)
+        e.continuants.append(mul_digit_matrix(e.continuants[-1], gamma))
+        e.iterates.append(nxt)
+    return e
 
 
 def reconstruct(gamma0: IntegerPoint, digits: list[IntegerPoint]) -> SiegelPoint:

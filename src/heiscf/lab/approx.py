@@ -8,7 +8,7 @@ the best-approximant inequality candidate by candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from ..cf import CFExpansion
@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 RK_KD = rk_constant(RAD_KD, 1e-6)
+# Any candidate beating a convergent at distance < 1 lies within 2 of h.
+DIST_BOUND = 2.0
 
 
 @dataclass
@@ -76,7 +78,7 @@ def convergent_distance(e: CFExpansion, n: int) -> float:
         return float(triple_distance_pow4(e.first_column(n), h0) ** 0.25)
 
 
-def approx_quality(e: CFExpansion, n: int, rk: Optional[float] = None) -> ApproxRecord:
+def approx_quality(e: CFExpansion, n: int) -> ApproxRecord:
     """Fill an ApproxRecord for index n and flag hard-bound violations.
 
     Hard bounds: d_n / |v_{n+1}/q_n^2|^(1/2) and |q_n| |v_0 ... v_{n-1}|
@@ -85,7 +87,6 @@ def approx_quality(e: CFExpansion, n: int, rk: Optional[float] = None) -> Approx
     """
     if n + 1 > e.depth:
         raise IndexError("approx_quality requires n + 1 <= depth")
-    rk = rk if rk is not None else RK_KD
     q_abs = _abs_gi(e.first_column(n)[0])
     d_n = convergent_distance(e, n)
     v_next = complex(e.iterates[n + 1].v)
@@ -116,13 +117,13 @@ def approx_quality(e: CFExpansion, n: int, rk: Optional[float] = None) -> Approx
         relsize_n=relsize,
         succ_n=succ,
     )
-    if ratio is not None and not (1.0 / rk <= ratio <= rk):
+    if ratio is not None and not (1.0 / RK_KD <= ratio <= RK_KD):
         record.violations.append(f"thm14 ratio {ratio} outside [1/R, R]")
-    if not (1.0 / rk <= relsize <= rk):
+    if not (1.0 / RK_KD <= relsize <= RK_KD):
         record.violations.append(f"relsize {relsize} outside [1/R, R]")
-    if succ is not None and not (1.0 / rk**2 <= succ <= rk**2):
+    if succ is not None and not (1.0 / RK_KD**2 <= succ <= RK_KD**2):
         record.violations.append(f"successive ratio {succ} outside [1/R^2, R^2]")
-    if c_n > RAD_KD * rk:
+    if c_n > RAD_KD * RK_KD:
         record.violations.append(f"c_n {c_n} exceeds rad * R")
     return record
 
@@ -131,11 +132,10 @@ def approx_quality(e: CFExpansion, n: int, rk: Optional[float] = None) -> Approx
 # Candidate enumeration near a point
 
 
-def candidate_triples(h: SiegelPoint, B: float, dist_bound: float = 2.0, dist_fn=None):
+def candidate_triples(h: SiegelPoint, B: float, dist_bound: float = DIST_BOUND, dist_fn=None):
     """Lowest-terms triples (Q, R, P), |Q| <= B and Q canonical, near h, each once.
 
-    Near means gauge distance <= dist_bound (any candidate beating a
-    convergent at distance < 1 lies within 2 of h).  A dist_fn(q_norm)
+    Near means gauge distance <= dist_bound.  A dist_fn(q_norm)
     further tightens the search radius per denominator norm; q values
     whose radius comes back <= 0 are skipped outright.  The other three
     associates of Q would only repeat these triples: a unit multiplies
@@ -184,23 +184,22 @@ def candidate_triples(h: SiegelPoint, B: float, dist_bound: float = 2.0, dist_fn
                             yield trip
 
 
-def best_approx_search(
-    h: SiegelPoint, B: float, dist_bound: float = 2.0
-) -> tuple[ProjIntPoint, float]:
+def best_approx_search(h: SiegelPoint, B: float) -> tuple[ProjIntPoint, float]:
     """The lowest-terms rational point with |Q| <= B closest to h.
 
-    Exhaustive over the candidate region; ties break by triple ordering.
+    Exhaustive over the candidates within DIST_BOUND of h; ties break by
+    triple ordering.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     best = None
-    for trip in candidate_triples(h, B, dist_bound):
+    for trip in candidate_triples(h, B):
         d4 = triple_distance_pow4(trip, h)
         key = (d4, _trip_key(trip))
         if best is None or key < best[0]:
             best = (key, trip)
     if best is None:
-        raise ValueError("no candidate in the search region; widen dist_bound")
+        raise ValueError(f"no candidate within distance {DIST_BOUND} of h")
     (d4, _), trip = best
     return ProjIntPoint(*trip), float(d4) ** 0.25
 
@@ -235,27 +234,10 @@ class Prop71Report:
     violations_thm16: list[dict] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q_abs": self.q_abs,
-            "bound_stated": self.bound_stated,
-            "bound_proof": self.bound_proof,
-            "candidates_checked": self.candidates_checked,
-            "thm16_cutoff": self.thm16_cutoff,
-            "dist_bound_used": self.dist_bound_used,
-            "violations_stated": self.violations_stated,
-            "violations_proof": self.violations_proof,
-            "violations_thm16": self.violations_thm16,
-        }
+        return asdict(self)
 
 
-def prop71_check(
-    e: CFExpansion,
-    n: int,
-    a_bound: float = 1.0,
-    dist_bound: float = 2.0,
-    rk: Optional[float] = None,
-) -> Prop71Report:
+def prop71_check(e: CFExpansion, n: int, rk: Optional[float] = None) -> Prop71Report:
     """Evaluate sqrt(x1) + sqrt(x2) >= bound over every enumerated candidate.
 
     x1 scales the linear form |conj(P) - conj(R) u + conj(Q) v| by the
@@ -311,7 +293,7 @@ def prop71_check(
         return cut
 
     dist_fn = _dist_fn if base > 0 and math.isfinite(bound_stated) else None
-    dist_used = min(dist_bound, max(_dist_fn(1), 0.0)) if dist_fn else dist_bound
+    dist_used = min(DIST_BOUND, max(_dist_fn(1), 0.0)) if dist_fn else DIST_BOUND
 
     conv_fold = _fold_unit(qn, rn, pn)
     report = Prop71Report(
@@ -323,7 +305,7 @@ def prop71_check(
         thm16_cutoff=thm16_cutoff,
         dist_bound_used=dist_used,
     )
-    cands = candidate_triples(h0, a_bound * q_abs, dist_bound, dist_fn=dist_fn)
+    cands = candidate_triples(h0, q_abs, dist_fn=dist_fn)
     for trip in sorted(cands, key=_trip_key):
         if trip == conv_fold:
             continue

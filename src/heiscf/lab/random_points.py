@@ -11,11 +11,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
-from ..cf import reconstruct
 from ..domain import integer_point
-from ..siegel import HeisPoint, IntegerPoint, PrecisionContext, SiegelPoint, from_heis
+from ..matrices import mul_digit_matrix, translation_matrix
+from ..siegel import (
+    HeisPoint,
+    IntegerPoint,
+    PrecisionContext,
+    SiegelPoint,
+    from_heis,
+    triple_to_planar,
+)
 
 __all__ = [
     "random_digit",
@@ -50,17 +58,17 @@ def random_rational_point(
 ) -> SiegelPoint:
     """A rational point with a known finite expansion and bounded denominator.
 
-    Built by reconstructing a random digit string, dropping trailing digits
-    until the denominator norm fits the bound.
+    Built from a random digit string: the longest prefix whose convergent
+    T_gamma0 A_gamma1 ... A_gammak (1:0:0) has denominator norms within the
+    bound, or gamma0 itself if none does.
     """
     gamma0, digits = random_digit_string(rng, length)
-    while True:
-        h = reconstruct(gamma0, digits)
+    prefixes = accumulate(digits, mul_digit_matrix, initial=translation_matrix(gamma0))
+    for m in reversed(list(prefixes)):
+        h = triple_to_planar(m.column(0))
         if h.u.den.norm() <= q_norm_max and h.v.den.norm() <= q_norm_max:
-            return h
-        if not digits:
-            return h
-        digits = digits[:-1]
+            break
+    return h
 
 
 def random_bigfloat_point(

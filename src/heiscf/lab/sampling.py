@@ -10,7 +10,7 @@ cross-checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -104,13 +104,7 @@ class KhinchinExperimentReport:
         return [r["fraction"] for r in self.ranges]
 
     def as_dict(self) -> dict:
-        return {
-            "C": self.C,
-            "eps": self.eps,
-            "samples": self.samples,
-            "seed": self.seed,
-            "ranges": self.ranges,
-        }
+        return asdict(self)
 
 
 @lru_cache(maxsize=8)

@@ -30,11 +30,11 @@ from heiscf.siegel import (
     SiegelPoint,
     distance,
     distance_pow4,
+    exact_triple,
     from_heis,
     group_mul,
     koranyi_inversion,
     parse_planar_point,
-    planar_to_proj,
     proj_to_planar,
 )
 
@@ -297,20 +297,28 @@ class TestExactStepDifferential:
         assert e.terminated == terminated
         assert e.max_depth_hit == (not terminated)
 
-    def test_termination_guard(self, monkeypatch):
-        # a step that never reaches the origin stops at the guard, whose size
-        # comes from the reduced denominator of h
+    def test_contraction_check(self, monkeypatch):
+        # a reduction that leaves the triple as it is does not shrink |q|:
+        # the first step swaps q and p, and expand raises there
         h = parse_planar_point("(1/2; 1/8+1/3i)")
         calls = []
 
-        def stuck(cur):
-            calls.append(cur)
-            return integer_point(0, 0, 1), cur
+        def stuck(t):
+            calls.append(t)
+            assert len(calls) <= 2, "expand went on past a step that did not contract"
+            return integer_point(0, 0, 1), t
 
-        monkeypatch.setattr(cf, "gauss_map_step", stuck)
+        monkeypatch.setattr(cf, "_reduce", stuck)
         with pytest.raises(InternalError):
             expand(h)
-        assert len(calls) == 4 * planar_to_proj(h).q.norm().bit_length() + 64
+        q, r, p = exact_triple(h)
+        assert calls == [(q, r, p), (p, -r, q)]  # gamma_0, then step 1
+
+    @given(st.one_of(heis_points, seeded_points))
+    @settings(max_examples=100, deadline=None)
+    def test_depth_bounded_by_denominator_bits(self, h):
+        # |q|^2 at least halves at every step and stays a positive integer
+        assert expand(h).depth <= exact_triple(h)[0].norm().bit_length()
 
 
 def planar(ure, uim, vre, vim):

@@ -68,6 +68,7 @@ class TestKhinchinExperiment:
         a = khinchin_experiment(1.0, 1.0, (1, 3), samples=50, seed=9)
         b = khinchin_experiment(1.0, 1.0, (1, 3), samples=50, seed=9)
         assert a.as_dict() == b.as_dict()
+        assert list(a.as_dict()) == ["C", "eps", "samples", "seed", "ranges"]
         assert [r["k"] for r in a.ranges] == [1, 2, 3]
         for r in a.ranges:
             assert 0.0 <= r["fraction"] <= 1.0
