@@ -205,11 +205,10 @@ def expand(h: SiegelPoint, max_depth: Optional[int] = None) -> CFExpansion:
             e.terminated = t[2].is_zero()
         else:
             cur = e.iterates[-1]
-            with cur.ctx.work():  # only big floats can lose 1/v to rounding
-                if abs(cur.v) < 4 * cur.ctx.check_scale:
-                    raise CertificationError(
-                        "orbit too close to the origin to certify inversion"
-                    )
+            if cur.ctx.below(cur.v, 4):  # only big floats can lose 1/v to rounding
+                raise CertificationError(
+                    "orbit too close to the origin to certify inversion"
+                )
             gamma, nxt = gauss_map_step(cur)
         e.digits.append(gamma)
         e.continuants.append(mul_digit_matrix(e.continuants[-1], gamma))

@@ -2,8 +2,9 @@
 
 K_D is the set of points whose nearest integer point is the origin; its
 radius is 2^(-1/4).  One candidate search ranks the integer points near
-h for all three number types the package computes with: exact integers
-over a common denominator, mpmath big floats and machine floats.
+h for the two kinds of number the package computes with: integers over a
+common denominator and machine floats.  Exact points and mpmath big
+floats, whose coordinates are dyadic rationals, enter it as integers.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from .errors import AmbiguousNearestInteger
 from .gaussian import GaussInt
@@ -42,20 +44,18 @@ def _ranked_candidates(ure, uim, vim, den=1) -> list[tuple]:
     break toward the lexicographically smallest (a, b, c).  Any minimizer has
     d4 <= rad^4 = 1/2, forcing |u - u_gamma|^2 <= sqrt(2); candidates keep
     |u - u_gamma|^2 <= 8/5 and take c from the one or two integers nearest
-    Im(v - conj(u_gamma) u).  Exact points pass int numerators over a common
-    den and are ranked and floored in integers; mpfs (inside their working
-    precision) and floats pass den = 1 and are floored in their own
+    Im(v - conj(u_gamma) u).  Int numerators over a common den are ranked
+    and floored in integers; floats pass den = 1 and are floored in float
     arithmetic, where the scaling by 4 is exact.
     """
     exact = isinstance(ure, int)
-    floor = mp.floor if isinstance(ure, mpf) else math.floor
     # u_gamma = s(1+i) + t(1-i) with integers s, t, and |u - u_gamma|^2 =
     # 2(|x - s|^2 + |y - t|^2) for x = (Re u + Im u)/2, y = (Re u - Im u)/2:
     # within 8/5, s and t are among the two integers nearest x and y.
     if exact:
         s0, t0 = (ure + uim) // (2 * den), (ure - uim) // (2 * den)
     else:
-        s0, t0 = int(floor((ure + uim) / 2)), int(floor((ure - uim) / 2))
+        s0, t0 = math.floor((ure + uim) / 2), math.floor((ure - uim) / 2)
     den_sq = den * den
     ranked = []
     for s in (s0, s0 + 1):
@@ -65,11 +65,22 @@ def _ranked_candidates(ure, uim, vim, den=1) -> list[tuple]:
             if 5 * du_sq > 8 * den_sq:
                 continue
             delta = vim - (a * uim - b * ure)  # den Im(v - conj(u_gamma) u)
-            c0 = delta // den if exact else int(floor(delta))
+            c0 = delta // den if exact else math.floor(delta)
             for c in (c0,) if delta == c0 * den else (c0, c0 + 1):
                 ranked.append((du_sq**2 + 4 * den_sq * (delta - c * den) ** 2, a, b, c))
     ranked.sort()
     return ranked
+
+
+def _dyadic(*xs: tuple) -> tuple[list[int], int]:
+    """Integers n_i and k >= 0 with x_i = n_i / 2^k for finite raw mpfs x_i."""
+    k = max([0] + [-exp for _, man, exp, _ in xs if man])
+    out = []
+    for sign, man, exp, bc in xs:
+        if bc < 0:
+            raise ValueError("coordinate is not a finite number")
+        out.append((-man if sign else man) << (exp + k))
+    return out, k
 
 
 class DirichletDomain:
@@ -78,7 +89,8 @@ class DirichletDomain:
     Ties on the boundary break toward the lexicographically smallest
     (Re u, Im u, Im v) candidate.  On the big-float backend the runner-up
     must trail the best candidate by the certification tolerance
-    check_scale * max(1, |v|), else AmbiguousNearestInteger is raised.
+    check_scale * max(1, |v|), else AmbiguousNearestInteger is raised;
+    ranking and gap are exact, over one power-of-two denominator.
     """
 
     def radius(self) -> float:
@@ -95,11 +107,12 @@ class DirichletDomain:
             q, r, p = exact_triple(h)
             ranked = _ranked_candidates(r.re, r.im, p.im, q.re)
         else:
-            with h.ctx.work():
-                ranked = _ranked_candidates(h.u.real, h.u.imag, h.v.imag)
-                tol = h.ctx.check_scale * max(mpf(1), abs(h.v))
-                # the keys are 4 d4: the runner-up gap is compared at that scale
-                if len(ranked) > 1 and ranked[1][0] - ranked[0][0] < 4 * tol:
+            (ure, uim, vim), k = _dyadic(*h.u._mpc_, h.v._mpc_[1])
+            ranked = _ranked_candidates(ure, uim, vim, 1 << k)
+            # the keys are 4 den^4 d4: the runner-up gap is compared at 4 tol
+            if len(ranked) > 1:
+                gap = from_man_exp(ranked[1][0] - ranked[0][0], -4 * k)
+                if h.ctx.tol_cmp(gap, 4, h.v) < 0:
                     raise AmbiguousNearestInteger(
                         "nearest integer ambiguous at working precision"
                     )

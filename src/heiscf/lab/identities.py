@@ -18,7 +18,7 @@ from ..errors import HeisCFError
 from ..gaussian import GaussInt
 from ..siegel import (
     abs_sq,
-    distance,
+    abs_sq_exact,
     distance_pow4,
     linear_form_terms,
     triple_to_planar,
@@ -55,15 +55,24 @@ class IdentityReport:
         }
 
 
+def _scale(values, exact: bool):
+    """max(1, |x| for x in values); call inside the values' work().
+
+    abs() is a float for a GaussRat and an mpf for an mpc.  It rises with
+    the exact |x|^2, so big floats take one root, of the largest.
+    """
+    return max(1.0, abs(max(values, key=abs if exact else abs_sq_exact)))
+
+
 def _report(e: CFExpansion, identity: str, n: int, lhs, rhs, terms) -> IdentityReport:
     """The residual of lhs = rhs against the largest magnitude among lhs, rhs
     and terms (at least 1).  Exact backend: pass iff lhs == rhs.  Big floats:
     pass iff residual <= check_scale * scale."""
     exact = e.ctx is None
-    with e.point.work():  # abs() is a float for a GaussRat, an mpf for an mpc
+    with e.point.work():
         diff = lhs - rhs
         residual = abs(diff)
-        scale = max([1.0, abs(lhs), abs(rhs)] + [abs(t) for t in terms])
+        scale = _scale((lhs, rhs, *terms), exact)
         passed = not diff if exact else residual <= e.ctx.check_scale * scale
     return IdentityReport(
         identity=identity,
@@ -123,15 +132,10 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
     col = e.first_column(n)
     # the planar route, not the linear form: verify_prq already checks that;
     # a column of a U(2,1; Z[i]) matrix needs no reducing
-    conv = triple_to_planar(col).to_bigfloat(e.ctx)
+    conv = triple_to_planar(col, e.ctx)
     h0, lift = e.iterates[0], e.point.lift
     with h0.work():
-        if h0.exact:
-            d4_direct = distance_pow4(conv, h0)
-        else:
-            # compare fourth powers: the linear form underlying the direct
-            # distance is what carries the certified precision, not its root
-            d4_direct = distance(conv, h0) ** 4
+        d4_direct = distance_pow4(conv, h0)
         qn = lift(col[0])
         forms = [abs_sq(e.v_prefix[n + 1] / qn)]
         if n + 1 <= e.depth:

@@ -6,7 +6,9 @@ exact identities) and arbitrary-precision big floats with an explicit
 precision context (everything else).  Both coordinate types offer
 + - * /, conjugate() and truth as "nonzero", so each operation is written
 once: inside SiegelPoint.work(), with integers brought in by
-SiegelPoint.lift() and magnitudes taken by abs_sq().
+SiegelPoint.lift() and magnitudes taken by abs_sq().  Big-float
+tolerances are decided on exact squares of the dyadic coordinates, with
+no root taken and nothing rounded.
 """
 
 from __future__ import annotations
@@ -19,7 +21,19 @@ from functools import cached_property
 from typing import Optional, Union
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import prec_to_dps
+from mpmath.libmp import (
+    fone,
+    from_int,
+    mpf_abs,
+    mpf_add,
+    mpf_cmp,
+    mpf_div,
+    mpf_mul,
+    mpf_shift,
+    mpf_sub,
+    prec_to_dps,
+    round_nearest,
+)
 
 from .errors import (
     BackendMismatch,
@@ -45,6 +59,7 @@ __all__ = [
     "from_heis",
     "to_heis",
     "abs_sq",
+    "abs_sq_exact",
     "group_mul",
     "group_inv",
     "koranyi_inversion",
@@ -84,16 +99,45 @@ class PrecisionContext:
         with mp.workprec(self.bits):
             return mpf(2) ** (-self.bits / 2)
 
+    def _bound(self, k: int) -> tuple:
+        return mpf_mul(from_int(k), self.check_scale._mpf_)  # exact
+
+    def tol_cmp(self, x: tuple, k: int, v: mpc) -> int:
+        """The sign of x - k * check_scale * max(1, |v|) for a raw mpf x >= 0,
+        decided exactly: beyond |v| = 1 on x^2 against the square of the bound."""
+        bound, v_sq = self._bound(k), abs_sq_exact(v)._mpf_
+        if mpf_cmp(v_sq, fone) <= 0:
+            return mpf_cmp(x, bound)
+        return mpf_cmp(mpf_mul(x, x), mpf_mul(mpf_mul(bound, bound), v_sq))
+
+    def below(self, x: mpc, k: int) -> bool:
+        """|x| < k * check_scale, decided exactly on |x|^2."""
+        bound = self._bound(k)
+        return mpf_cmp(abs_sq_exact(x)._mpf_, mpf_mul(bound, bound)) < 0
+
 
 def _lift(g: GaussInt, ctx: Optional[PrecisionContext]) -> Union[GaussRat, mpc]:
-    return GaussRat.from_int(g) if ctx is None else mpc(g.re, g.im)
+    """g in ctx's backend; an mpc is rounded to the working precision as
+    mpc(g.re, g.im) would round it, without mpmath's argument conversion."""
+    if ctx is None:
+        return GaussRat.from_int(g)
+    prec = mp.prec
+    return mp.make_mpc((from_int(g.re, prec, round_nearest), from_int(g.im, prec, round_nearest)))
+
+
+def _quotient(g: GaussInt, n: int) -> mpc:
+    """g / n with each part rounded once to the working precision."""
+    prec, d = mp.prec, from_int(n)
+    return mp.make_mpc((
+        mpf_div(from_int(g.re), d, prec, round_nearest),
+        mpf_div(from_int(g.im), d, prec, round_nearest),
+    ))
 
 
 def _rat_to_mpc(x: GaussRat, ctx: PrecisionContext) -> mpc:
+    re, im = x.re(), x.im()
     with ctx.work():
-        re = mpf(x.re().numerator) / x.re().denominator
-        im = mpf(x.im().numerator) / x.im().denominator
-        return mpc(re, im)
+        return mpc(mpf(re.numerator) / re.denominator, mpf(im.numerator) / im.denominator)
 
 
 @dataclass(frozen=True)
@@ -120,7 +164,7 @@ class SiegelPoint:
 
     Exact backend: GaussRat coordinates with |u|^2 = 2 Re(v) exactly.
     Big-float backend: mpc coordinates, constraint held to
-    8 * check_scale * max(1, |v|).
+    8 * check_scale * max(1, |v|), both sides exact.
     """
 
     u: Union[GaussRat, mpc]
@@ -135,11 +179,10 @@ class SiegelPoint:
                     f"not on the Siegel surface: |u|^2 != 2 Re v for ({self.u}; {self.v})"
                 )
         else:
-            with self.ctx.work():
-                resid = abs(abs(self.u) ** 2 - 2 * self.v.real)
-                bound = 8 * self.ctx.check_scale * max(mpf(1), abs(self.v))
-                if resid > bound:
-                    raise ValueError("Siegel constraint violated beyond tolerance")
+            two_re_v = mpf_shift(self.v._mpc_[0], 1)
+            resid = mpf_abs(mpf_sub(abs_sq_exact(self.u)._mpf_, two_re_v))
+            if self.ctx.tol_cmp(resid, 8, self.v) > 0:
+                raise ValueError("Siegel constraint violated beyond tolerance")
 
     @property
     def exact(self) -> bool:
@@ -234,8 +277,18 @@ def to_heis(h: SiegelPoint) -> HeisPoint:
 
 
 def abs_sq(x: Union[GaussRat, mpc]) -> Union[Fraction, mpf]:
-    """|x|^2: an exact Fraction for a GaussRat, abs(x) ** 2 for an mpc."""
-    return x.abs_sq() if isinstance(x, GaussRat) else abs(x) ** 2
+    """|x|^2: an exact Fraction for a GaussRat; for an mpc the exact
+    re^2 + im^2 rounded once to the working precision."""
+    if isinstance(x, GaussRat):
+        return x.abs_sq()
+    re, im = x._mpc_
+    return mp.make_mpf(mpf_add(mpf_mul(re, re), mpf_mul(im, im), mp.prec, round_nearest))
+
+
+def abs_sq_exact(x: mpc) -> mpf:
+    """|x|^2 of an mpc, unrounded: an mpf to compare, not to compute with."""
+    re, im = x._mpc_
+    return mp.make_mpf(mpf_add(mpf_mul(re, re), mpf_mul(im, im)))
 
 
 def group_mul(h1: SiegelPoint, h2: SiegelPoint) -> SiegelPoint:
@@ -379,11 +432,20 @@ def proj_to_planar(pt: ProjIntPoint) -> SiegelPoint:
     return triple_to_planar((pt.q, pt.r, pt.p))
 
 
-def triple_to_planar(triple) -> SiegelPoint:
-    """(r/q, p/q) for any nonzero multiple of an integer triple (q, r, p):
-    the GaussRat quotients reduce themselves.  Exact backend."""
-    q, r, p = (GaussRat.from_int(g) for g in triple)
-    return SiegelPoint(r / q, p / q)
+def triple_to_planar(triple, ctx: Optional[PrecisionContext] = None) -> SiegelPoint:
+    """(r/q, p/q) for any nonzero multiple of an integer triple (q, r, p).
+
+    Exact backend (ctx None): the GaussRat quotients reduce themselves.
+    Big floats: each part of r conj(q) / |q|^2 and p conj(q) / |q|^2 is
+    rounded once.
+    """
+    if ctx is None:
+        q, r, p = (GaussRat.from_int(g) for g in triple)
+        return SiegelPoint(r / q, p / q)
+    q, r, p = triple
+    qc, n = q.conj(), q.norm()
+    with ctx.work():
+        return SiegelPoint(_quotient(r * qc, n), _quotient(p * qc, n), ctx)
 
 
 def exact_triple(h: SiegelPoint) -> tuple[GaussInt, GaussInt, GaussInt]:

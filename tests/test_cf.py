@@ -16,7 +16,7 @@ from heiscf.cf import (
     tail_convergents,
 )
 from heiscf.domain import DirichletDomain, _ranked_candidates, integer_point
-from heiscf.errors import InternalError, InvalidDigitString
+from heiscf.errors import CertificationError, InternalError, InvalidDigitString
 from heiscf.gaussian import GaussRat
 from heiscf.lab.random_points import (
     random_digit_string,
@@ -34,6 +34,7 @@ from heiscf.siegel import (
     from_heis,
     group_mul,
     koranyi_inversion,
+    parse_heis_point,
     parse_planar_point,
     proj_to_planar,
 )
@@ -197,6 +198,17 @@ class TestCertifiedExpansion:
             h = reconstruct(g0, digits)
             e_big = expand(h.to_bigfloat(ctx), max_depth=12)
             assert e_big.digits == digits
+
+    def test_near_origin_guard(self):
+        # a rational point terminates after 7 digits; at 64 bits its eighth
+        # iterate keeps only rounding in v (|v| near 1.5e-13 < 4 * 2^-32)
+        h = from_heis(parse_heis_point("1/3+1/7i, 2/11"))
+        exact = expand(h)
+        assert exact.terminated and exact.depth == 7
+        big = from_heis(parse_heis_point("1/3+1/7i, 2/11", PrecisionContext(64)))
+        assert expand(big, max_depth=7).digits == exact.digits
+        with pytest.raises(CertificationError, match="too close to the origin"):
+            expand(big, max_depth=8)
 
 
 class TestJsonFixture:

@@ -98,6 +98,15 @@ class TestExpand:
         )
         assert code == 3
 
+    def test_near_origin_guard_exit_3_with_one_line(self, capsys):
+        code = main(["expand", "--heis", "1/3+1/7i, 2/11", "--bits", "64", "--depth", "200"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "certification failure: orbit too close to the origin to certify inversion\n"
+        )
+
 
 def printed_parts(point: str) -> list[Fraction]:
     """Re u, Im u, Re v, Im v of a printed big-float point "(u; v)"."""

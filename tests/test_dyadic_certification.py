@@ -1,0 +1,407 @@
+"""Big floats certified in exact dyadic arithmetic.
+
+An mpf is a dyadic rational, so the nearest-integer kernel ranks big
+floats as integers over one power-of-two denominator, and every
+tolerance check compares exact squares.  These tests hold that machinery
+to two oracles: the rounded mpf kernel the integer ranking replaced, and
+exact Fractions read off each mpf with mpmath.libmp.to_rational.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_rational
+
+from heiscf.cf import expand
+from heiscf.domain import DirichletDomain, _dyadic, _ranked_candidates, integer_point
+from heiscf.errors import AmbiguousNearestInteger, CertificationError
+from heiscf.gaussian import GaussRat
+from heiscf.lab.identities import _scale
+from heiscf.siegel import PrecisionContext, SiegelPoint, abs_sq, group_mul
+
+K = DirichletDomain()
+BITS = st.sampled_from([64, 128, 512])
+
+
+def rat(x: mpf) -> Fraction:
+    """The exact value of an mpf."""
+    return Fraction(*to_rational(x._mpf_))
+
+
+def to_mpf(x: Fraction, bits: int) -> mpf:
+    """x rounded once to a bits-bit mantissa."""
+    return mp.make_mpf(from_rational(x.numerator, x.denominator, bits, round_nearest))
+
+
+def step(x: mpf, k: int, bits: int) -> mpf:
+    """Nonzero x moved by k units in the last place of a bits-bit mantissa."""
+    sign, man, exp, bc = x._mpf_
+    shift = bits - bc
+    m = (-man if sign else man) << shift
+    return mp.make_mpf(from_man_exp(m + k, exp - shift, bits, round_nearest))
+
+
+def point(ctx, ure, uim, vim, vre=None) -> SiegelPoint:
+    """(ure + uim i; vre + vim i) at ctx; Re v = |u|^2 / 2 rounded if not given."""
+    with ctx.work():
+        u = mpc(ure, uim)
+        return SiegelPoint(u, mpc(abs_sq(u) / 2 if vre is None else vre, vim), ctx)
+
+
+def ulp_moved(x: Fraction, k: int, bits: int) -> Fraction:
+    """Dyadic x moved by k units in the last place of a bits-bit mantissa."""
+    e = abs(x.numerator).bit_length() - x.denominator.bit_length() if x else -bits
+    return x + k * Fraction(2) ** (e - bits + 1)
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+
+
+def ranked_candidates_mpf(ure, uim, vim):
+    """The rounded mpf kernel that ranked big floats before they entered the
+    integer kernel: floored and keyed at the working precision."""
+    s0, t0 = int(mp.floor((ure + uim) / 2)), int(mp.floor((ure - uim) / 2))
+    ranked = []
+    for s in (s0, s0 + 1):
+        for t in (t0, t0 + 1):
+            a, b = s + t, s - t
+            du_sq = (ure - a) ** 2 + (uim - b) ** 2
+            if 5 * du_sq > 8:
+                continue
+            delta = vim - (a * uim - b * ure)
+            c0 = int(mp.floor(delta))
+            for c in (c0,) if delta == c0 else (c0, c0 + 1):
+                ranked.append((du_sq**2 + 4 * (delta - c) ** 2, a, b, c))
+    ranked.sort()
+    return ranked
+
+
+def mpf_kernel(h):
+    """Candidate order and ambiguity as the rounded mpf kernel decides them."""
+    with h.ctx.work():
+        ranked = ranked_candidates_mpf(h.u.real, h.u.imag, h.v.imag)
+        tol = h.ctx.check_scale * max(mpf(1), abs(h.v))
+        ambiguous = len(ranked) > 1 and ranked[1][0] - ranked[0][0] < 4 * tol
+    return [x[1:] for x in ranked], ambiguous
+
+
+def integer_kernel(h):
+    """Candidate order of the integer kernel and whether nearest() refuses."""
+    (ure, uim, vim), k = _dyadic(*h.u._mpc_, h.v._mpc_[1])
+    order = [x[1:] for x in _ranked_candidates(ure, uim, vim, 1 << k)]
+    try:
+        K.nearest(h)
+    except AmbiguousNearestInteger:
+        return order, True
+    return order, False
+
+
+def below_scaled(x: Fraction, k: int, ctx, v_sq: Fraction) -> bool:
+    """x < k check_scale max(1, |v|) for x >= 0, in Fractions."""
+    bound = k * rat(ctx.check_scale)
+    return x < bound or x * x < bound * bound * v_sq
+
+
+def above_scaled(x: Fraction, k: int, ctx, v_sq: Fraction) -> bool:
+    """x > k check_scale max(1, |v|) for x >= 0, in Fractions."""
+    bound = k * rat(ctx.check_scale)
+    return x > bound and x * x > bound * bound * v_sq
+
+
+def rational_ranking(h):
+    """(4 d4, a, b, c, delta) for each candidate, best first, in exact Fractions."""
+    ure, uim, vim = (rat(x) for x in (h.u.real, h.u.imag, h.v.imag))
+    s0, t0 = (ure + uim) // 2, (ure - uim) // 2
+    ranked = []
+    for s in (s0, s0 + 1):
+        for t in (t0, t0 + 1):
+            a, b = s + t, s - t
+            du_sq = (ure - a) ** 2 + (uim - b) ** 2
+            if 5 * du_sq > 8:
+                continue
+            delta = vim - (a * uim - b * ure)
+            c0 = delta // 1
+            for c in (c0,) if delta == c0 else (c0, c0 + 1):
+                ranked.append((du_sq**2 + 4 * (delta - c) ** 2, a, b, c, delta))
+    ranked.sort()
+    return ranked
+
+
+def rational_kernel(h):
+    """Candidate order and ambiguity in exact Fractions."""
+    ranked = rational_ranking(h)
+    v_sq = rat(h.v.real) ** 2 + rat(h.v.imag) ** 2
+    gap = ranked[1][0] - ranked[0][0] if len(ranked) > 1 else None
+    return [x[1:4] for x in ranked], gap is not None and below_scaled(gap, 4, h.ctx, v_sq)
+
+
+def resolved_by_rounding(h) -> bool:
+    """Whether the rounded kernel sees the exact candidate list: no two keys
+    and no delta and integer closer than 2^-(bits-16) relative to their size.
+    Closer than that, rounding can merge keys (which then rank by (a, b, c))
+    or round delta onto an integer (which then takes a single c)."""
+    slack = Fraction(1, 2 ** (h.ctx.bits - 16))
+    ranked = rational_ranking(h)
+    keys = [x[0] for x in ranked]
+    if any(k2 - k1 <= slack * (1 + k2) for k1, k2 in zip(keys, keys[1:])):
+        return False
+    return all(d == d // 1 or slack * (1 + abs(d)) < min(d - d // 1, d // 1 + 1 - d)
+               for d in {x[4] for x in ranked})
+
+
+# ---------------------------------------------------------------------------
+# Points
+
+
+@st.composite
+def generic_points(draw):
+    """Dyadic Re u, Im u, Im v with bits-bit mantissas in a box around K_D."""
+    bits = draw(BITS)
+    den = 2 ** (bits - 3)
+    ure, uim, vim = (Fraction(draw(st.integers(-lim * den, lim * den)), den) for lim in (3, 3, 6))
+    ctx = PrecisionContext(bits)
+    return point(ctx, *(to_mpf(x, bits) for x in (ure, uim, vim)))
+
+
+def tie_coordinates():
+    """(Re u, Im u, Im v) of exact ties between nearest-integer candidates,
+    left-translated so that the lexicographic winner changes."""
+    base = [(Fraction(1), Fraction(0), Fraction(1, 2), Fraction(t)) for t in (-2, 0, 3)]
+    base += [(Fraction(0), Fraction(0), Fraction(0), Fraction(t, 2)) for t in (-3, 1, 5)]
+    shifts = [integer_point(0, 0, 0), integer_point(1, 1, -2), integer_point(-3, 1, 4)]
+    out = []
+    for ure, uim, vre, vim in base:
+        w = SiegelPoint(GaussRat.from_fractions(ure, uim), GaussRat.from_fractions(vre, vim))
+        for g in shifts:
+            x = group_mul(g.to_siegel(), w)
+            out.append((x.u.re(), x.u.im(), x.v.im()))
+    return out
+
+
+@st.composite
+def near_tie_points(draw):
+    """A tie moved a few ulps in each of Re u, Im u and Im v."""
+    bits = draw(BITS)
+    coords = draw(st.sampled_from(tie_coordinates()))
+    moved = [ulp_moved(x, draw(st.integers(-4, 4)), bits) for x in coords]
+    return point(PrecisionContext(bits), *(to_mpf(x, bits) for x in moved))
+
+
+def gap_boundary(ctx, vre, c):
+    """Im v at which the runner-up (0, 0, c + 1) trails (0, 0, c) by exactly
+    4 check_scale max(1, |v|), for u near the origin and the given Re v.
+
+    With delta = Im v the keys are |u|^4 + 4 (delta - c)^2 and
+    |u|^4 + 4 (c + 1 - delta)^2, so delta = c + 1/2 - eps leaves a gap of
+    8 eps whatever u is.  The bound depends on |v| in turn: three
+    fixed-point rounds at four times the precision settle it.
+    """
+    with mp.workprec(4 * ctx.bits):
+        vim = mpf(c) + mpf(1) / 2
+        for _ in range(3):
+            tol = ctx.check_scale * max(mpf(1), mp.sqrt(vre**2 + vim**2))
+            vim = c + mpf(1) / 2 - tol / 2
+        return vim
+
+
+def on_surface(ctx, vre, vim) -> SiegelPoint:
+    """(sqrt(2 Re v); Re v + Im v i), the root rounded once."""
+    with mp.workprec(4 * ctx.bits):
+        ure = to_mpf(rat(mp.sqrt(2 * vre)), ctx.bits)
+    return point(ctx, ure, mpf(0), vim, vre)
+
+
+@st.composite
+def gap_points(draw, within_ulps):
+    """Points whose certification gap lies near 4 tol: a relative 2^-8 to
+    either side, or (within_ulps) one or two ulps of one coordinate from it.
+
+    The gap 8 eps moves with Im v in steps far coarser than the rounding of
+    the bound, so beyond |v| = 1, where the bound is 4 check_scale |v|, the
+    points keep Im v and step Re v, which moves |v| by a fraction of an ulp.
+    """
+    bits = draw(BITS)
+    ctx = PrecisionContext(bits)
+    c = draw(st.integers(-3, 2))
+    vre = to_mpf(Fraction(draw(st.integers(1, 100)), 1000), bits)
+    vim = gap_boundary(ctx, vre, c)
+    if not within_ulps:
+        sign = draw(st.sampled_from([-1, 1]))
+        with mp.workprec(4 * bits):
+            eps = c + mpf(1) / 2 - vim
+            vim = c + mpf(1) / 2 - eps * (1 + sign * mpf(2) ** -8)
+        return on_surface(ctx, vre, to_mpf(rat(vim), bits))
+    k = draw(st.integers(-2, 2))
+    vim = to_mpf(rat(vim), bits)
+    with mp.workprec(4 * bits):
+        v_abs = 2 * (c + mpf(1) / 2 - vim) / ctx.check_scale  # 8 eps = 4 cs |v|
+        if v_abs <= 1:
+            vim = step(vim, k, bits)
+        else:
+            vre = step(to_mpf(rat(mp.sqrt(v_abs**2 - vim**2)), bits), k, bits)
+    return on_surface(ctx, vre, vim)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the rounded one and the exact one
+
+
+class TestIntegerKernelDifferential:
+    @given(st.one_of(generic_points(), near_tie_points(), gap_points(within_ulps=False)))
+    @settings(max_examples=300, deadline=None)
+    def test_same_order_and_decision_as_mpf_kernel(self, h):
+        order, ambiguous = integer_kernel(h)
+        mpf_order, mpf_ambiguous = mpf_kernel(h)
+        assert ambiguous == mpf_ambiguous
+        if resolved_by_rounding(h):
+            assert order == mpf_order
+        elif not ambiguous:
+            assert order[0] == mpf_order[0]
+
+    @given(st.one_of(generic_points(), near_tie_points(), gap_points(within_ulps=True)))
+    @settings(max_examples=300, deadline=None)
+    def test_same_order_and_decision_as_fractions(self, h):
+        assert integer_kernel(h) == rational_kernel(h)
+
+    @given(gap_points(within_ulps=False))
+    @settings(max_examples=60, deadline=None)
+    def test_gap_points_rank_two_c_over_the_origin(self, h):
+        # the gap the strategy sets is the one between the two best candidates
+        order, _ = integer_kernel(h)
+        assert order[0][:2] == order[1][:2] == (0, 0)
+
+    def test_gap_points_reach_both_decisions(self):
+        ctx = PrecisionContext(128)
+        decisions = set()
+        for c in (-3, 0, 2):
+            vim = gap_boundary(ctx, mpf(0), c)
+            for k in (-64, 64):
+                h = point(ctx, mpf(0), mpf(0), step(to_mpf(rat(vim), 128), k, 128))
+                decisions.add(integer_kernel(h)[1])
+                assert resolved_by_rounding(h)
+                assert integer_kernel(h) == mpf_kernel(h) == rational_kernel(h)
+        assert decisions == {True, False}
+
+    def test_dyadic_numerators(self):
+        x, y, z = mpf(3) / 4, mpf(-5), mpf(0)
+        assert _dyadic(x._mpf_, y._mpf_, z._mpf_) == ([3, -20, 0], 2)
+        assert _dyadic(mpf(6)._mpf_) == ([6], 0)
+        with pytest.raises(ValueError):
+            _dyadic(mpf("inf")._mpf_)
+
+
+# ---------------------------------------------------------------------------
+# Magnitudes and tolerances on exact squares
+
+
+@st.composite
+def mpcs(draw, bits):
+    parts = []
+    for _ in "ri":
+        man = draw(st.integers(-(2**bits) + 1, 2**bits - 1))
+        parts.append(mp.make_mpf(from_man_exp(man, draw(st.integers(-bits - 8, 8)), bits)))
+    return mpc(*parts)
+
+
+class TestSquaredMagnitudes:
+    @given(BITS.flatmap(lambda bits: st.tuples(st.just(bits), mpcs(bits))))
+    @settings(max_examples=200, deadline=None)
+    def test_abs_sq_rounds_once(self, bits_x):
+        bits, x = bits_x
+        exact = rat(x.real) ** 2 + rat(x.imag) ** 2
+        with PrecisionContext(bits).work():
+            got = abs_sq(x)
+        assert got._mpf_ == from_rational(exact.numerator, exact.denominator, bits, round_nearest)
+
+    @given(BITS, st.integers(180, 280), st.integers(2**20, 2**21), st.permutations(range(-3, 4)))
+    @settings(max_examples=200, deadline=None)
+    def test_scale_is_the_largest_abs(self, bits, ratio, im_m, ks):
+        # values whose |x| straddles a midpoint between two bits-bit floats:
+        # with Re x / Im x in [0.18, 0.28] an ulp of Re x moves |x|^2 by 1/16
+        # to 1/6 of its ulp, so abs() rounds them apart while |x|^2 rounded
+        # to bits mostly ties
+        with mp.workprec(4 * bits):
+            im = mpf(im_m)
+            a = to_mpf(rat(abs(mpc(im_m * ratio // 1000, im))), bits)
+            mid = (a + step(a, 1, bits)) / 2
+            re = to_mpf(rat(mp.sqrt(mid**2 - im**2)), bits)
+        with PrecisionContext(bits).work():
+            values = [mpc(step(re, k, bits), im) for k in ks]
+            roots = [abs(v) for v in values]
+            got = _scale(values, exact=False)
+        want = max([1.0] + roots)
+        assert type(got) is type(want) and got == want
+        assert len(set(roots)) == 2
+
+    def test_scale_on_the_exact_backend(self):
+        values = [GaussRat.from_fractions(Fraction(3, 5), Fraction(4, 5)),
+                  GaussRat.from_fractions(Fraction(-7, 2), Fraction(0))]
+        assert _scale(values, exact=True) == 3.5
+        assert _scale(values[:1], exact=True) == 1.0
+
+
+def constraint_boundary(ctx, ure, uim, vim, side):
+    """Re v at which | |u|^2 - 2 Re v | = 8 check_scale max(1, |v|), on the
+    given side of |u|^2 / 2 (fixed-point rounds at four times the precision)."""
+    with mp.workprec(4 * ctx.bits):
+        half = (ure**2 + uim**2) / 2
+        vre = half
+        for _ in range(3):
+            vre = half - side * 4 * ctx.check_scale * max(mpf(1), mp.sqrt(vre**2 + vim**2))
+        return vre
+
+
+class TestExactTolerances:
+    @given(BITS, st.integers(-2**20, 2**20), st.integers(-2**20, 2**20),
+           st.integers(-2**22, 2**22), st.sampled_from([-1, 1]), st.integers(-2, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_constraint_check_decides_as_fractions(self, bits, a, b, t, side, k):
+        ctx = PrecisionContext(bits)
+        ure, uim, vim = (mpf(n) / 2**18 for n in (a, b, t))  # |u| < 6, |Im v| < 16
+        vre = step(to_mpf(rat(constraint_boundary(ctx, ure, uim, vim, side)), bits), k, bits)
+        u_sq = rat(ure) ** 2 + rat(uim) ** 2
+        resid = abs(u_sq - 2 * rat(vre))
+        if above_scaled(resid, 8, ctx, rat(vre) ** 2 + rat(vim) ** 2):
+            with pytest.raises(ValueError):
+                point(ctx, ure, uim, vim, vre)
+        else:
+            point(ctx, ure, uim, vim, vre)
+
+    @given(BITS, st.integers(1, 2**16 - 1), st.integers(-2, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_near_origin_guard_decides_as_fractions(self, bits, angle, k):
+        # |v| at 4 check_scale, one ulp of Im v either side, u on the surface
+        ctx = PrecisionContext(bits)
+        with mp.workprec(4 * bits):
+            r = 4 * ctx.check_scale
+            vre = to_mpf(rat(r * mp.cos(mp.pi / 2 * angle / 2**16)), bits)
+            ure = to_mpf(rat(mp.sqrt(2 * vre)), bits)
+            with ctx.work():
+                vre = abs_sq(mpc(ure)) / 2
+            vim = step(to_mpf(rat(mp.sqrt(r**2 - vre**2)), bits), k, bits)
+        h = point(ctx, ure, mpf(0), vim, vre)
+        below = rat(vre) ** 2 + rat(vim) ** 2 < 16 * rat(ctx.check_scale) ** 2
+        assert ctx.below(h.v, 4) == below
+        try:
+            expand(h, max_depth=1)
+            raised = False
+        except CertificationError:
+            raised = True
+        except AmbiguousNearestInteger:  # 1/v that large may not certify
+            raised = False
+        assert raised == below
+
+    def test_tol_cmp_signs(self):
+        ctx = PrecisionContext(64)
+        cs = ctx.check_scale
+        with ctx.work():
+            small, big = mpc(0, mpf(1) / 2), mpc(0, 4)
+            assert ctx.tol_cmp((8 * cs)._mpf_, 8, small) == 0
+            assert ctx.tol_cmp((32 * cs)._mpf_, 8, big) == 0
+            assert ctx.tol_cmp((31 * cs)._mpf_, 8, big) < 0
+            assert ctx.tol_cmp((9 * cs)._mpf_, 8, small) > 0
+
