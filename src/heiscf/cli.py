@@ -51,7 +51,7 @@ def _emit(report: dict, fmt: str, out: Optional[str], csv_rows=None) -> None:
         print(text)
 
 
-def _render_text(report: dict, indent: str = "") -> str:
+def _render_text(report: dict) -> str:
     lines = []
 
     def walk(obj, pad):
@@ -70,7 +70,7 @@ def _render_text(report: dict, indent: str = "") -> str:
                 else:
                     lines.append(f"{pad}- {v}")
 
-    walk(report, indent)
+    walk(report, "")
     return "\n".join(lines)
 
 
@@ -137,43 +137,28 @@ def _random_expansions(args, rng):
     """Seeded expansions for verify/measure: rational or certified big-float."""
     from .lab.random_points import random_bigfloat_point, random_digit_string
 
+    ctx = PrecisionContext(args.bits) if args.bits else None
     for _ in range(args.samples):
-        if args.bits:
-            ctx = PrecisionContext(args.bits)
-            h = random_bigfloat_point(rng, ctx)
-            yield expand(h, max_depth=args.depth)
+        if ctx is not None:
+            yield expand(random_bigfloat_point(rng, ctx), max_depth=args.depth)
         else:
             g0, digits = random_digit_string(rng, min(args.depth, EXACT_DEPTH_MAX))
             yield expand(reconstruct(g0, digits))
 
 
 def cmd_verify(args) -> int:
-    from .lab.identities import (
-        verify_distance_formula,
-        verify_fracq,
-        verify_prq,
-        verify_tildeprq,
-    )
+    from .lab.identities import verify_expansion
 
     rng = random.Random(args.seed)
     checked = 0
     max_residual = 0.0
     failures = []
     for e in _random_expansions(args, rng):
-        top = e.depth if e.terminated else e.depth - 1
-        for n in range(top + 1):
-            reports = [
-                verify_prq(e, n),
-                verify_tildeprq(e, n),
-                verify_distance_formula(e, n),
-            ]
-            if n >= 1:
-                reports.append(verify_fracq(e, n))
-            for r in reports:
-                checked += 1
-                max_residual = max(max_residual, r.residual / max(r.scale, 1.0))
-                if not r.passed:
-                    failures.append(r.as_dict())
+        for r in verify_expansion(e):
+            checked += 1
+            max_residual = max(max_residual, r.residual / r.scale)
+            if not r.passed:
+                failures.append(r.as_dict())
     rep = _sample_report("verify", args)
     rep["identities"] = {
         "checked": checked,

@@ -100,7 +100,7 @@ def approx_quality(e: CFExpansion, n: int) -> ApproxRecord:
 
     succ = None
     if n >= 1:
-        qprev_abs = _abs_gi(-e.third_column(n)[0])
+        qprev_abs = _abs_gi(e.first_column(n - 1)[0])
         vn_abs = e.v_abs[n]
         if vn_abs > 0.0:
             succ = qprev_abs / (vn_abs * q_abs)

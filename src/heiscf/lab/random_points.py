@@ -44,12 +44,9 @@ def random_digit(rng: random.Random) -> IntegerPoint:
             return gamma
 
 
-def random_digit_string(
-    rng: random.Random, length: int, gamma0: Optional[IntegerPoint] = None
-) -> tuple[IntegerPoint, list[IntegerPoint]]:
+def random_digit_string(rng: random.Random, length: int) -> tuple[IntegerPoint, list[IntegerPoint]]:
     """An integer part and a digit string that round-trips exactly."""
-    if gamma0 is None:
-        gamma0 = integer_point(rng.randint(-3, 3) * 2, rng.randint(-3, 3) * 2, rng.randint(-9, 9))
+    gamma0 = integer_point(rng.randint(-3, 3) * 2, rng.randint(-3, 3) * 2, rng.randint(-9, 9))
     return gamma0, [random_digit(rng) for _ in range(length)]
 
 

@@ -134,10 +134,15 @@ def _quotient(g: GaussInt, n: int) -> mpc:
     ))
 
 
+def _to_mpf(x: Fraction) -> mpf:
+    """x at the working precision: the numerator rounded, then the quotient."""
+    return mpf(x.numerator) / x.denominator
+
+
 def _rat_to_mpc(x: GaussRat, ctx: PrecisionContext) -> mpc:
     re, im = x.re(), x.im()
     with ctx.work():
-        return mpc(mpf(re.numerator) / re.denominator, mpf(im.numerator) / im.denominator)
+        return mpc(_to_mpf(re), _to_mpf(im))
 
 
 @dataclass(frozen=True)
@@ -476,9 +481,7 @@ def _component_point(
             GaussRat.from_fractions(ure, uim), GaussRat.from_fractions(vre, vim)
         )
     with ctx.work():
-        u = mpc(mpf(ure.numerator) / ure.denominator, mpf(uim.numerator) / uim.denominator)
-        v = mpc(mpf(vre.numerator) / vre.denominator, mpf(vim.numerator) / vim.denominator)
-        return SiegelPoint(u, v, ctx)
+        return SiegelPoint(mpc(_to_mpf(ure), _to_mpf(uim)), mpc(_to_mpf(vre), _to_mpf(vim)), ctx)
 
 
 def _split_pair(s: str) -> list[str]:
@@ -515,9 +518,7 @@ def parse_heis_point(s: str, ctx: Optional[PrecisionContext] = None) -> HeisPoin
     if ctx is None:
         return HeisPoint(GaussRat.from_fractions(zre, zim), tre)
     with ctx.work():
-        z = mpc(mpf(zre.numerator) / zre.denominator, mpf(zim.numerator) / zim.denominator)
-        t = mpf(tre.numerator) / tre.denominator
-        return HeisPoint(z, t, ctx)
+        return HeisPoint(mpc(_to_mpf(zre), _to_mpf(zim)), _to_mpf(tre), ctx)
 
 
 def parse_proj_point(s: str) -> ProjIntPoint:

@@ -23,12 +23,7 @@ from heiscf.lab.enumerate import (
     enumerate_rationals_qnorm,
     kprime_region,
 )
-from heiscf.lab.identities import (
-    verify_distance_formula,
-    verify_fracq,
-    verify_prq,
-    verify_tildeprq,
-)
+from heiscf.lab.identities import verify_expansion
 from heiscf.lab.khinchin import khinchin_partial_sum
 from heiscf.lab.random_points import (
     random_bigfloat_point,
@@ -45,22 +40,6 @@ RAD_RK_REF = 5656.5
 def _verdict(num: int, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def _identity_reports(e, n):
-    reports = [
-        verify_prq(e, n),
-        verify_tildeprq(e, n),
-        verify_distance_formula(e, n),
-    ]
-    if n >= 1:
-        reports.append(verify_fracq(e, n))
-    return reports
-
-
-def _valid_indices(e):
-    top = e.depth if e.terminated else e.depth - 1
-    return range(top + 1)
 
 
 def test_criterion_1_constants():
@@ -83,11 +62,10 @@ def test_criterion_2_exact_identity_suite():
     for _ in range(1000):
         h = random_rational_point(rng, length=rng.randint(1, 10), q_norm_max=10**12)
         e = expand(h)
-        for n in _valid_indices(e):
-            for r in _identity_reports(e, n):
-                checked += 1
-                if r.residual != 0.0 or not r.passed:
-                    failures.append((r.identity, n))
+        for r in verify_expansion(e):
+            checked += 1
+            if r.residual != 0.0 or not r.passed:
+                failures.append((r.identity, r.n))
     _verdict(
         2,
         not failures,
@@ -104,12 +82,11 @@ def test_criterion_3_certified_identity_suite():
     for _ in range(200):
         h = random_bigfloat_point(rng, ctx)
         e = expand(h, max_depth=20)
-        for n in _valid_indices(e):
-            for r in _identity_reports(e, n):
-                checked += 1
-                # passed means residual <= 2^(-256) * scale at 512 bits
-                if not r.passed:
-                    failures.append(("identity", r.identity, n, r.residual))
+        for r in verify_expansion(e):
+            checked += 1
+            # passed means residual <= 2^(-256) * scale at 512 bits
+            if not r.passed:
+                failures.append(("identity", r.identity, r.n, r.residual))
         for n in range(e.depth):
             rec = approx_quality(e, n)
             checked += 1

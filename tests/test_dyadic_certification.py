@@ -332,7 +332,7 @@ class TestSquaredMagnitudes:
         with PrecisionContext(bits).work():
             values = [mpc(step(re, k, bits), im) for k in ks]
             roots = [abs(v) for v in values]
-            got = _scale(values, exact=False)
+            got = _scale(values)
         want = max([1.0] + roots)
         assert type(got) is type(want) and got == want
         assert len(set(roots)) == 2
@@ -340,8 +340,8 @@ class TestSquaredMagnitudes:
     def test_scale_on_the_exact_backend(self):
         values = [GaussRat.from_fractions(Fraction(3, 5), Fraction(4, 5)),
                   GaussRat.from_fractions(Fraction(-7, 2), Fraction(0))]
-        assert _scale(values, exact=True) == 3.5
-        assert _scale(values[:1], exact=True) == 1.0
+        assert _scale(values) == 3.5
+        assert _scale(values[:1]) == 1.0
 
 
 def constraint_boundary(ctx, ure, uim, vim, side):

@@ -6,6 +6,7 @@ from heiscf.cf import expand, reconstruct
 from heiscf.errors import HeisCFError
 from heiscf.lab.identities import (
     verify_distance_formula,
+    verify_expansion,
     verify_fracq,
     verify_prq,
     verify_tildeprq,
@@ -87,3 +88,28 @@ class TestReportShape:
         d = verify_prq(e, 2).as_dict()
         assert d["identity"] == "prq" and d["n"] == 2 and d["pass"] is True
         assert isinstance(d["lhs"], list) and len(d["lhs"]) == 2
+
+
+class TestVerifyExpansion:
+    @staticmethod
+    def expected(top):
+        order = [("prq", 0), ("tildeprq", 0), ("distance", 0)]
+        for n in range(1, top + 1):
+            order += [("prq", n), ("tildeprq", n), ("distance", n), ("fracq", n)]
+        return order
+
+    def test_order_and_count(self):
+        e = exact_expansion(5, length=6)  # terminated: every index 0..depth
+        reports = verify_expansion(e)
+        assert e.terminated and len(reports) == 4 * e.depth + 3
+        assert [(r.identity, r.n) for r in reports] == self.expected(e.depth)
+        assert [r.as_dict() for r in reports[-4:]] == [
+            fn(e, e.depth).as_dict()
+            for fn in (verify_prq, verify_tildeprq, verify_distance_formula, verify_fracq)
+        ]
+        g0, digits = random_digit_string(random.Random(5), 6)
+        h = reconstruct(g0, digits).to_bigfloat(PrecisionContext(128))
+        e = expand(h, max_depth=4)  # cut short: the last index is left out
+        reports = verify_expansion(e)
+        assert not e.terminated and len(reports) == 4 * e.depth - 1
+        assert [(r.identity, r.n) for r in reports] == self.expected(e.depth - 1)
