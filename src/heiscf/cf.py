@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .domain import DirichletDomain, _ranked_candidates, integer_point
+from .domain import DirichletDomain, reduce_into_kd
 from .errors import CertificationError, InternalError, InvalidDigitString
 from .gaussian import GaussInt, _fold_unit
 from .matrices import (
@@ -47,38 +47,20 @@ _E1 = (GaussInt(1, 0), GaussInt(0, 0), GaussInt(0, 0))
 _K_D = DirichletDomain()
 
 
-def _reduce(t):
-    """[x] and the triple T_{[x]^-1} t, for the point x = (r/q, p/q) of an
-    integer triple t = (q, r, p) with any nonzero Gaussian q.
-
-    The candidates are ranked over the integer denominator |q|^2: u is
-    r conj(q) / |q|^2 and Im v is Im(p conj(q)) / |q|^2.
-    """
-    q, r, p = t
-    qc = q.conj()
-    w = r * qc
-    _, a, b, c = _ranked_candidates(w.re, w.im, (p * qc).im, q.norm())[0]
-    gamma = integer_point(a, b, c)
-    u, v = gamma.u, gamma.v
-    return gamma, (q, r - u * q, p - u.conj() * r + v.conj() * q)
+def _into_kd(h: SiegelPoint) -> tuple[IntegerPoint, SiegelPoint]:
+    """[h] and [h]^-1 h, on either backend."""
+    gamma = _K_D.nearest(h)
+    return gamma, group_mul(gamma.inv().to_siegel(h.ctx), h)
 
 
 def gauss_map_step(h: SiegelPoint) -> tuple[IntegerPoint, SiegelPoint]:
     """One Gauss-map step: digit [iota h] and next iterate [iota h]^-1 * iota h.
 
-    The origin is a fixed point and yields the zero digit.  An exact point
-    steps in integers: for a triple (q, r, p) of h, iota h is (p : -r : q).
+    The origin is a fixed point and yields the zero digit.
     """
     if h.is_origin():
         return IntegerPoint.origin(), h
-    if h.exact:
-        q, r, p = exact_triple(h)
-        gamma, t = _reduce((p, -r, q))
-        return gamma, triple_to_planar(t)
-    ih = koranyi_inversion(h)
-    gamma = _K_D.nearest(ih)
-    h_next = group_mul(gamma.inv().to_siegel(h.ctx), ih)
-    return gamma, h_next
+    return _into_kd(koranyi_inversion(h))
 
 
 @dataclass
@@ -175,13 +157,12 @@ def expand(h: SiegelPoint, max_depth: Optional[int] = None) -> CFExpansion:
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     if h.exact:
-        gamma0, t = _reduce(exact_triple(h))
+        gamma0, t = reduce_into_kd(exact_triple(h))
         h0 = triple_to_planar(t)
     elif max_depth is None:
         raise ValueError("max_depth is required on the big-float backend")
     else:
-        gamma0 = _K_D.nearest(h)
-        h0 = group_mul(gamma0.inv().to_siegel(h.ctx), h)
+        gamma0, h0 = _into_kd(h)
 
     e = CFExpansion(
         point=h,
@@ -198,7 +179,7 @@ def expand(h: SiegelPoint, max_depth: Optional[int] = None) -> CFExpansion:
             break
         if h.exact:
             q, r, p = t
-            gamma, t = _reduce((p, -r, q))
+            gamma, t = reduce_into_kd((p, -r, q))
             if 2 * t[2].norm() > t[0].norm():
                 raise InternalError("exact Gauss-map step failed to contract |q|")
             nxt = triple_to_planar(t)

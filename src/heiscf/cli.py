@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from typing import Optional
@@ -37,9 +38,18 @@ EXIT_CERTIFY = 3
 EXACT_DEPTH_MAX = 10  # longest digit string exact verify/measure draw
 
 
+def _finite(obj):
+    """obj with each non-finite float as None: standard JSON prints it as null."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _emit(report: dict, fmt: str, out: Optional[str], csv_rows=None) -> None:
     if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=False)
+        text = json.dumps(_finite(report), indent=2, allow_nan=False)
     elif fmt == "csv" and csv_rows is not None:
         text = "\n".join(",".join(str(c) for c in row) for row in csv_rows)
     else:
@@ -200,7 +210,7 @@ def cmd_measure(args) -> int:
 
 def cmd_bestapprox(args) -> int:
     from .lab.approx import best_approx_search, prop71_check
-    from .lab.random_points import random_rational_point
+    from .lab.random_points import DIGIT_V_NORM_MIN, random_rational_point
 
     rep = _base_report("bestapprox", args, seed=args.seed)
     violations = []
@@ -211,6 +221,9 @@ def cmd_bestapprox(args) -> int:
         rep["best"] = {"point": str(best), "distance": d, "q_abs_max": B}
     else:
         qmax2 = args.m_max or 200 * 200
+        if qmax2 < DIGIT_V_NORM_MIN:
+            raise ParseError(f"--m-max must be at least {DIGIT_V_NORM_MIN} without --point"
+                             f" or --heis: sampled q_n, n >= 1, have |q_n|^2 >= {DIGIT_V_NORM_MIN}")
         fixtures = []
         rng = random.Random(args.seed)
         while len(fixtures) < args.samples:

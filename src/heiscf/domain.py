@@ -1,10 +1,10 @@
 """The Dirichlet fundamental domain K_D and its nearest-integer map.
 
 K_D is the set of points whose nearest integer point is the origin; its
-radius is 2^(-1/4).  One candidate search ranks the integer points near
-h for the two kinds of number the package computes with: integers over a
-common denominator and machine floats.  Exact points and mpmath big
-floats, whose coordinates are dyadic rationals, enter it as integers.
+radius is 2^(-1/4).  Only this module ranks the integer points near h,
+in one candidate search for integers over a common denominator and for
+machine floats.  Integer triples enter it through reduce_into_kd, big
+floats as dyadic integers, machine floats through nearest_float.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ __all__ = [
     "RAD_KD",
     "DirichletDomain",
     "integer_point",
+    "nearest_float",
+    "reduce_into_kd",
     "rk_constant",
 ]
 
@@ -72,6 +74,25 @@ def _ranked_candidates(ure, uim, vim, den=1) -> list[tuple]:
     return ranked
 
 
+def reduce_into_kd(t):
+    """[x] and the triple T_{[x]^-1} t for the point x = (r/q, p/q) of an
+    integer triple t = (q, r, p), q != 0, ranked over the denominator |q|^2:
+    u = r conj(q) / |q|^2 and Im v = Im(p conj(q)) / |q|^2."""
+    q, r, p = t
+    qc = q.conj()
+    w = r * qc
+    _, a, b, c = _ranked_candidates(w.re, w.im, (p * qc).im, q.norm())[0]
+    gamma = integer_point(a, b, c)
+    u, v = gamma.u, gamma.v
+    return gamma, (q, r - u * q, p - u.conj() * r + v.conj() * q)
+
+
+def nearest_float(u: complex, v: complex) -> tuple[int, int, int]:
+    """Double-precision nearest integer point (a, b, c); fast path for experiments."""
+    _, a, b, c = _ranked_candidates(u.real, u.imag, v.imag)[0]
+    return a, b, c
+
+
 def _dyadic(*xs: tuple) -> tuple[list[int], int]:
     """Integers n_i and k >= 0 with x_i = n_i / 2^k for finite raw mpfs x_i."""
     k = max([0] + [-exp for _, man, exp, _ in xs if man])
@@ -103,19 +124,17 @@ class DirichletDomain:
         return self.nearest(h).is_origin()
 
     def nearest(self, h: SiegelPoint) -> IntegerPoint:
-        if h.exact:  # integers over one denominator; big floats also certify
-            q, r, p = exact_triple(h)
-            ranked = _ranked_candidates(r.re, r.im, p.im, q.re)
-        else:
-            (ure, uim, vim), k = _dyadic(*h.u._mpc_, h.v._mpc_[1])
-            ranked = _ranked_candidates(ure, uim, vim, 1 << k)
-            # the keys are 4 den^4 d4: the runner-up gap is compared at 4 tol
-            if len(ranked) > 1:
-                gap = from_man_exp(ranked[1][0] - ranked[0][0], -4 * k)
-                if h.ctx.tol_cmp(gap, 4, h.v) < 0:
-                    raise AmbiguousNearestInteger(
-                        "nearest integer ambiguous at working precision"
-                    )
+        if h.exact:
+            return reduce_into_kd(exact_triple(h))[0]
+        (ure, uim, vim), k = _dyadic(*h.u._mpc_, h.v._mpc_[1])
+        ranked = _ranked_candidates(ure, uim, vim, 1 << k)
+        # the keys are 4 den^4 d4: the runner-up gap is compared at 4 tol
+        if len(ranked) > 1:
+            gap = from_man_exp(ranked[1][0] - ranked[0][0], -4 * k)
+            if h.ctx.tol_cmp(gap, 4, h.v) < 0:
+                raise AmbiguousNearestInteger(
+                    "nearest integer ambiguous at working precision"
+                )
         _, a, b, c = ranked[0]
         return integer_point(a, b, c)
 

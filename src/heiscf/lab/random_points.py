@@ -26,6 +26,7 @@ from ..siegel import (
 )
 
 __all__ = [
+    "DIGIT_V_NORM_MIN",
     "random_digit",
     "random_digit_string",
     "random_rational_point",
@@ -33,14 +34,17 @@ __all__ = [
 ]
 
 
+DIGIT_V_NORM_MIN = 81  # the least |v|^2 of a digit, so the least |q_n|^2 for n >= 1
+
+
 def random_digit(rng: random.Random) -> IntegerPoint:
-    """A uniform-ish integer point with gauge norm >= 3 (so |v|^2 >= 81)."""
+    """A uniform-ish integer point of gauge norm >= 3: |v|^2 >= DIGIT_V_NORM_MIN."""
     while True:
         a = rng.randint(-4, 4)
         b = rng.choice(range(-4 + (a % 2), 5, 2))
         c = rng.randint(-12, 12)
         gamma = integer_point(a, b, c)
-        if gamma.v.norm() >= 81:
+        if gamma.v.norm() >= DIGIT_V_NORM_MIN:
             return gamma
 
 

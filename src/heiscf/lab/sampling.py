@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..domain import _ranked_candidates
+from ..domain import nearest_float
 from ..siegel import PrecisionContext, SiegelPoint
 from .enumerate import enumerate_rationals_qnorm, kprime_region
 
@@ -31,12 +31,6 @@ __all__ = [
 
 _Z_BOUND = 2.0**-0.25
 _T_BOUND = 2.0**-0.5
-
-
-def nearest_float(u: complex, v: complex) -> tuple[int, int, int]:
-    """Double-precision nearest integer point (a, b, c); fast path for experiments."""
-    _, a, b, c = _ranked_candidates(u.real, u.imag, v.imag)[0]
-    return a, b, c
 
 
 def _draw(rng: random.Random) -> Optional[tuple[complex, complex]]:

@@ -46,7 +46,7 @@ from .gaussian import (
     GaussRat,
     RAT_ZERO,
     format_gauss_int,
-    parse_complex_rational,
+    parse_gauss_rat,
     reduce_triple,
 )
 
@@ -134,15 +134,9 @@ def _quotient(g: GaussInt, n: int) -> mpc:
     ))
 
 
-def _to_mpf(x: Fraction) -> mpf:
-    """x at the working precision: the numerator rounded, then the quotient."""
-    return mpf(x.numerator) / x.denominator
-
-
-def _rat_to_mpc(x: GaussRat, ctx: PrecisionContext) -> mpc:
-    re, im = x.re(), x.im()
-    with ctx.work():
-        return mpc(_to_mpf(re), _to_mpf(im))
+def _rat_quotient(x: GaussRat) -> mpc:
+    """x with each part rounded once to the working precision."""
+    return _quotient(GaussInt(x.a, x.b), x.d)
 
 
 @dataclass(frozen=True)
@@ -217,10 +211,9 @@ class SiegelPoint:
             return self
         if ctx is None:
             raise BackendMismatch("a big-float point has no exact form")
-        if not self.exact:
-            with ctx.work():
-                return SiegelPoint(mpc(self.u), mpc(self.v), ctx)
-        return SiegelPoint(_rat_to_mpc(self.u, ctx), _rat_to_mpc(self.v, ctx), ctx)
+        to_mpc = _rat_quotient if self.exact else mpc
+        with ctx.work():
+            return SiegelPoint(to_mpc(self.u), to_mpc(self.v), ctx)
 
     def __str__(self) -> str:
         if self.exact:
@@ -474,14 +467,11 @@ def planar_to_proj(h: SiegelPoint) -> ProjIntPoint:
 def _component_point(
     parts: list[str], ctx: Optional[PrecisionContext]
 ) -> SiegelPoint:
-    comps = [parse_complex_rational(p) for p in parts]
-    (ure, uim), (vre, vim) = comps
+    u, v = (parse_gauss_rat(p) for p in parts)
     if ctx is None:
-        return SiegelPoint(
-            GaussRat.from_fractions(ure, uim), GaussRat.from_fractions(vre, vim)
-        )
+        return SiegelPoint(u, v)
     with ctx.work():
-        return SiegelPoint(mpc(_to_mpf(ure), _to_mpf(uim)), mpc(_to_mpf(vre), _to_mpf(vim)), ctx)
+        return SiegelPoint(_rat_quotient(u), _rat_quotient(v), ctx)
 
 
 def _split_pair(s: str) -> list[str]:
@@ -510,15 +500,13 @@ def parse_heis_point(s: str, ctx: Optional[PrecisionContext] = None) -> HeisPoin
     body = s.strip()
     if body.startswith("heis"):
         body = body[4:]
-    zs, ts = _split_pair(body)
-    zre, zim = parse_complex_rational(zs)
-    tre, tim = parse_complex_rational(ts)
-    if tim != 0:
+    z, t = (parse_gauss_rat(p) for p in _split_pair(body))
+    if t.b:
         raise ParseError("t component must be real")
     if ctx is None:
-        return HeisPoint(GaussRat.from_fractions(zre, zim), tre)
+        return HeisPoint(z, t.re())
     with ctx.work():
-        return HeisPoint(mpc(_to_mpf(zre), _to_mpf(zim)), _to_mpf(tre), ctx)
+        return HeisPoint(_rat_quotient(z), _rat_quotient(t).real, ctx)
 
 
 def parse_proj_point(s: str) -> ProjIntPoint:

@@ -15,7 +15,12 @@ from heiscf.cf import (
     reconstruct,
     tail_convergents,
 )
-from heiscf.domain import DirichletDomain, _ranked_candidates, integer_point
+from heiscf.domain import (
+    DirichletDomain,
+    _ranked_candidates,
+    integer_point,
+    reduce_into_kd,
+)
 from heiscf.errors import CertificationError, InternalError, InvalidDigitString
 from heiscf.gaussian import GaussRat
 from heiscf.lab.random_points import (
@@ -297,6 +302,18 @@ class TestExactStepDifferential:
     def test_step_matches_planar_route(self, h):
         assert gauss_map_step(h) == gauss_map_step_reference(h)
 
+    @given(st.integers(0, 2**32), st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_step_matches_first_digit_of_expansion(self, seed, length):
+        # points of K_D: gamma_0 is the origin and digit 1 is the step's
+        orbit = expand(random_rational_point(random.Random(seed), length=length))
+        for h in orbit.iterates:
+            if h.is_origin():
+                continue
+            e = expand(h, max_depth=1)
+            assert e.gamma0.is_origin()
+            assert gauss_map_step(h) == (e.digits[0], e.iterates[1])
+
     @given(st.one_of(heis_points, seeded_points), st.one_of(st.none(), st.integers(0, 4)))
     @settings(max_examples=80, deadline=None)
     def test_expansion_matches_planar_route(self, h, max_depth):
@@ -320,7 +337,7 @@ class TestExactStepDifferential:
             assert len(calls) <= 2, "expand went on past a step that did not contract"
             return integer_point(0, 0, 1), t
 
-        monkeypatch.setattr(cf, "_reduce", stuck)
+        monkeypatch.setattr(cf, "reduce_into_kd", stuck)
         with pytest.raises(InternalError):
             expand(h)
         q, r, p = exact_triple(h)
@@ -378,7 +395,8 @@ class TestBoundaryTies:
         assert ranked[0][0] == ranked[1][0]  # a tie, resolved by (a, b, c)
         want = lexicographic_nearest(w)
         assert DirichletDomain().nearest(w) == want == nearest_reference(w)
-        # the step ranks iota h = w in integers from h's own triple
+        assert reduce_into_kd(exact_triple(w))[0] == want
+        # the step reaches w as iota h and ranks it through nearest
         h = koranyi_inversion(w)
         assert gauss_map_step(h) == gauss_map_step_reference(h)
         assert gauss_map_step(h)[0] == want

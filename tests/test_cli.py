@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -20,6 +21,21 @@ def run_cli(args, capsys):
     return code, out
 
 
+def run_module(args, timeout=None):
+    """`python -m heiscf.cli args` in a subprocess."""
+    # the src directory of the imported package, which pytest's
+    # pythonpath setting does not pass on to a subprocess
+    src = os.path.dirname(os.path.dirname(heiscf.__file__))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return subprocess.run(
+        [sys.executable, "-m", "heiscf.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+
+
 def load_schema():
     with resources.files("heiscf").joinpath("schemas/report.schema.json").open() as f:
         return json.load(f)
@@ -28,8 +44,17 @@ def load_schema():
 SCHEMA = load_schema()
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which RFC 8259 lacks."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def check_json(out):
-    rep = json.loads(out)
+    rep = strict_json(out)
     jsonschema.validate(rep, SCHEMA)
     return rep
 
@@ -309,6 +334,34 @@ class TestBestApprox:
         assert code == 0
         assert check_json(out)["best"]["point"] == "[3 : 3+3i : 3+2i]"
 
+    def test_sample_mode_below_digit_floor_exits_2(self):
+        # the fixture loop once drew forever here: a subprocess with a
+        # timeout fails on a regression instead of hanging the suite
+        out = run_module(["bestapprox", "--samples", "1", "--m-max", "80"], timeout=60)
+        assert out.returncode == 2
+        assert "--m-max must be at least 81" in out.stderr
+        assert out.stdout == ""
+
+
+class TestStrictJson:
+    def test_non_finite_prints_null(self, capsys):
+        args = ["khinchin", "--m-max", "10", "--epsilon", "0.25"]
+        code, out = run_cli(args + ["--format", "json"], capsys)
+        assert code == 0
+        assert check_json(out)["sums"]["tail_bound"] is None
+        code, out = run_cli(args, capsys)  # text output keeps inf
+        assert code == 0 and "tail_bound: inf" in out
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((Path(__file__).parent / "data" / "golden").glob("*.out")),
+        ids=lambda p: p.name,
+    )
+    def test_json_goldens_are_standard(self, path):
+        text = path.read_text()
+        if text.lstrip().startswith("{"):  # the csv recordings are not JSON
+            strict_json(text)
+
 
 class TestReproducibility:
     def test_identical_bytes(self, capsys):
@@ -320,14 +373,4 @@ class TestReproducibility:
 
 class TestEntryPoint:
     def test_console_script(self):
-        # the src directory of the imported package, which pytest's
-        # pythonpath setting does not pass on to a subprocess
-        src = os.path.dirname(os.path.dirname(heiscf.__file__))
-        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-        out = subprocess.run(
-            [sys.executable, "-m", "heiscf.cli", "--version"],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-        )
-        assert out.returncode == 0
+        assert run_module(["--version"]).returncode == 0

@@ -1,9 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import heiscf
 from heiscf.domain import DirichletDomain, integer_point, rk_constant
 from heiscf.errors import AmbiguousNearestInteger
 from heiscf.gaussian import GaussInt, GaussRat
@@ -205,3 +207,14 @@ class TestBigfloatNearest:
         h = rational_point(Fraction(0), Fraction(0), Fraction(1, 2))
         g = K.nearest(h)
         assert g == integer_point(0, 0, 0)
+
+
+def test_only_domain_ranks_candidates():
+    # coordinates become digits in one module: every other one goes
+    # through reduce_into_kd, DirichletDomain.nearest or nearest_float
+    pkg = Path(heiscf.__file__).parent
+    naming = sorted(
+        str(f.relative_to(pkg)) for f in pkg.rglob("*.py")
+        if "_ranked_candidates" in f.read_text()
+    )
+    assert naming == ["domain.py"]

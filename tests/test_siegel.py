@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_int, mpf_div, round_nearest
 
 from heiscf.domain import integer_point
 from heiscf.errors import BackendMismatch, InversionAtOrigin, ParseError
@@ -259,6 +260,51 @@ class TestParsing:
     def test_str_round_trip(self):
         h = parse_planar_point("(1+i; 1+4/5i)")
         assert parse_planar_point(str(h)) == h
+
+
+def term(n: int, d: int, imag: bool = False) -> str:
+    """n/d as a literal term; an imaginary one carries its sign and an i."""
+    if not imag:
+        return f"{n}/{d}"
+    return f"{'-' if n < 0 else '+'}{abs(n)}/{d}i"
+
+
+def rounded_once(x: Fraction, bits: int) -> tuple:
+    return mpf_div(from_int(x.numerator), from_int(x.denominator), bits, round_nearest)
+
+
+# numerators wider than 512 bits, so that every tested precision rounds them
+wide_fractions = st.builds(
+    lambda sign, n, d: Fraction(sign * n, d),
+    st.sampled_from([1, -1]),
+    st.integers(2**520, 2**600),
+    st.integers(1, 2**600),
+)
+
+
+class TestLiteralRounding:
+    """A literal enters the big-float backend with each part correctly
+    rounded: one division of its exact numerator by its denominator."""
+
+    @given(wide_fractions, wide_fractions, wide_fractions, st.sampled_from([64, 128, 512]))
+    @settings(max_examples=150, deadline=None)
+    def test_heis_literal(self, x, y, t, bits):
+        s = term(x.numerator, x.denominator) + term(y.numerator, y.denominator, True)
+        h = parse_heis_point(f"{s}, {term(t.numerator, t.denominator)}", PrecisionContext(bits))
+        assert h.z._mpc_ == (rounded_once(x, bits), rounded_once(y, bits))
+        assert h.t._mpf_ == rounded_once(t, bits)
+
+    @given(wide_fractions, wide_fractions, wide_fractions, st.sampled_from([64, 128, 512]))
+    @settings(max_examples=150, deadline=None)
+    def test_planar_literal_of_surface_point(self, x, y, t, bits):
+        v_re = (x * x + y * y) / 2  # on the surface exactly
+        u_s = term(x.numerator, x.denominator) + term(y.numerator, y.denominator, True)
+        v_s = term(v_re.numerator, v_re.denominator) + term(t.numerator, t.denominator, True)
+        ctx = PrecisionContext(bits)
+        h = parse_planar_point(f"({u_s}; {v_s})", ctx)
+        assert h.u._mpc_ == (rounded_once(x, bits), rounded_once(y, bits))
+        assert h.v._mpc_ == (rounded_once(v_re, bits), rounded_once(t, bits))
+        assert parse_planar_point(f"({u_s}; {v_s})").to_bigfloat(ctx) == h
 
 
 class TestBackendMismatch:
