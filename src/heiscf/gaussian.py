@@ -32,12 +32,20 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GaussInt:
-    """A Gaussian integer re + im*i with unbounded integer parts."""
+    """A Gaussian integer re + im*i with unbounded integer parts.
 
-    re: int = 0
-    im: int = 0
+    A slotted frozen value: __init__ stores the parts through the slot
+    descriptors, which skips the frozen __setattr__ on the hot path.
+    """
+
+    re: int
+    im: int
+
+    def __init__(self, re: int = 0, im: int = 0) -> None:
+        _set_re(self, re)
+        _set_im(self, im)
 
     def __add__(self, other: "GaussInt") -> "GaussInt":
         return GaussInt(self.re + other.re, self.im + other.im)
@@ -98,6 +106,9 @@ class GaussInt:
         return format_gauss_int(self)
 
 
+_set_re = GaussInt.__dict__["re"].__set__
+_set_im = GaussInt.__dict__["im"].__set__
+
 ONE = GaussInt(1, 0)
 I = GaussInt(0, 1)
 UNITS = (GaussInt(1, 0), GaussInt(0, 1), GaussInt(-1, 0), GaussInt(0, -1))
@@ -109,14 +120,16 @@ def canonical_associate(g: GaussInt) -> tuple[GaussInt, GaussInt]:
     Canonical means re > 0 and im >= 0 (the quarter-plane containing the
     positive real axis); zero maps to zero.  Exactly one of the four
     associates lands there, which makes lowest-terms outputs reproducible.
+    The signs of (re, im) say which one, so c is a rotation of g.
     """
-    if g.is_zero():
+    a, b = g.re, g.im
+    if a > 0 and b >= 0 or a == b == 0:
         return g, ONE
-    for u in UNITS:
-        c = u * g
-        if c.re > 0 and c.im >= 0:
-            return c, u
-    raise AssertionError("unreachable: no canonical associate")
+    if a >= 0 and b < 0:  # i*g
+        return GaussInt(-b, a), UNITS[1]
+    if a < 0 and b <= 0:  # -g
+        return GaussInt(-a, -b), UNITS[2]
+    return GaussInt(b, -a), UNITS[3]  # -i*g, for a <= 0 < b
 
 
 def gi_gcd(g1: GaussInt, g2: GaussInt) -> GaussInt:
@@ -159,8 +172,10 @@ def _fold_unit(
     q: GaussInt, r: GaussInt, p: GaussInt
 ) -> tuple[GaussInt, GaussInt, GaussInt]:
     """The unit multiple of (q, r, p) whose q is the canonical associate."""
-    _, u = canonical_associate(q)
-    return u * q, u * r, u * p
+    c, u = canonical_associate(q)
+    if u is ONE:
+        return q, r, p
+    return c, u * r, u * p
 
 
 def _coprime(q: GaussInt, r: GaussInt, p: GaussInt) -> bool:
@@ -238,7 +253,7 @@ def _rat(a: int, b: int, d: int) -> "GaussRat":
     return GaussRat(a, b, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GaussRat:
     """A Gaussian rational (a + b*i)/d over a positive integer denominator.
 
@@ -246,12 +261,18 @@ class GaussRat:
     equal fields, and arithmetic reduces with one integer gcd.  The
     constructor takes that form as given; make() and from_fractions() build
     it from anything else.  num and den, the Gaussian lowest terms with den
-    the canonical associate, are derived on demand.
+    the canonical associate, are derived on demand.  Slotted and frozen
+    like GaussInt, with the same descriptor-storing __init__.
     """
 
     a: int
     b: int
-    d: int = 1
+    d: int
+
+    def __init__(self, a: int, b: int, d: int = 1) -> None:
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     @staticmethod
     def make(num: GaussInt, den: GaussInt = ONE) -> "GaussRat":
@@ -289,8 +310,8 @@ class GaussRat:
         num, den = GaussInt(self.a, self.b), GaussInt(self.d, 0)
         g = gi_gcd(num, den)
         num, den = num.exact_div(g), den.exact_div(g)
-        _, u = canonical_associate(den)
-        return u * num, u * den
+        den, u = canonical_associate(den)
+        return u * num, den
 
     def __add__(self, other: "GaussRat") -> "GaussRat":
         return _rat(
@@ -370,6 +391,10 @@ class GaussRat:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
+
+_set_a = GaussRat.__dict__["a"].__set__
+_set_b = GaussRat.__dict__["b"].__set__
+_set_d = GaussRat.__dict__["d"].__set__
 
 RAT_ZERO = GaussRat(0, 0)
 

@@ -11,6 +11,8 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
+from mpmath import mp
+
 from ..cf import CFExpansion
 from ..domain import RAD_KD, rk_constant
 from ..gaussian import GaussInt, _coprime, _fold_unit, _trip_key
@@ -67,15 +69,47 @@ class ApproxRecord:
         }
 
 
-def _abs_gi(g: GaussInt) -> float:
-    return math.sqrt(g.norm())
+def _abs_gi(g: GaussInt) -> tuple[float, int]:
+    """(a, k) with |g| = a * 2**k: k = 0 for |g|^2 < 2**500, else a < 2**251,
+    so that a float holds both a and 1/a^4.  The int division rounds
+    |g|^2 / 4**k once, as float() rounds |g|^2, so the split is exact
+    wherever |g|^2 is a float."""
+    n = g.norm()
+    k = max(0, n.bit_length() - 500) // 2
+    return math.sqrt(n / (1 << 2 * k)), k
 
 
-def convergent_distance(e: CFExpansion, n: int) -> float:
-    """d(nth convergent, h_0), exact up to the final root on the exact backend."""
+def _ldexp(x: float, k: int) -> float:
+    """x * 2**k as a float: inf past the float range, where math.ldexp raises."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _prod_exp(xs) -> tuple[float, int]:
+    """(m, k) with prod(xs) = m * 2**k, rounded at each factor as math.prod
+    rounds, but with no overflow or underflow on the way."""
+    m, k = 1.0, 0
+    for x in xs:
+        m, j = math.frexp(m * x)
+        k += j
+    return m, k
+
+
+def convergent_distance(e: CFExpansion, n: int, k: int = 0) -> float:
+    """d(nth convergent, h_0) * 2**k, as a float.
+
+    Exact backend: (d^4 * 16**k) rounded once, then its float fourth root.
+    Big floats: two mpf square roots at the working precision, then one
+    rounding; scaling by 2**k is exact in both roots.
+    """
     h0 = e.iterates[0]
-    with h0.work():  # an mpf d^4 takes its root in mpf, as in siegel.distance
-        return float(triple_distance_pow4(e.first_column(n), h0) ** 0.25)
+    d4 = triple_distance_pow4(e.first_column(n), h0)
+    if h0.exact:
+        return ((d4.numerator << 4 * k) / d4.denominator) ** 0.25
+    with h0.work():
+        return float(mp.sqrt(mp.sqrt(mp.ldexp(d4, 4 * k))))
 
 
 def approx_quality(e: CFExpansion, n: int) -> ApproxRecord:
@@ -84,11 +118,17 @@ def approx_quality(e: CFExpansion, n: int) -> ApproxRecord:
     Hard bounds: d_n / |v_{n+1}/q_n^2|^(1/2) and |q_n| |v_0 ... v_{n-1}|
     within [1/R, R]; |q_{n-1}| / |v_n q_n| within [1/R^2, R^2];
     d_n |q_n| <= rad * R.
+
+    Each bounded quantity is O(1), but |q_n|, d_n and the product of the
+    |v_i| leave the float range at depth.  They are carried as a float and
+    a binary exponent, the float of |q_n| scaled by 2**-k and d_n by 2**k,
+    so each ratio is the same float as unscaled wherever that is in range.
+    The record's q_abs and d_n are plain floats: inf and 0.0 beyond it.
     """
     if n + 1 > e.depth:
         raise IndexError("approx_quality requires n + 1 <= depth")
-    q_abs = _abs_gi(e.first_column(n)[0])
-    d_n = convergent_distance(e, n)
+    q_abs, k = _abs_gi(e.first_column(n)[0])
+    d_n = convergent_distance(e, n, k)
     v_next = complex(e.iterates[n + 1].v)
     v_next_abs = e.v_abs[n + 1]
 
@@ -96,21 +136,22 @@ def approx_quality(e: CFExpansion, n: int) -> ApproxRecord:
     if v_next_abs > 0.0:
         ratio = d_n / math.sqrt(v_next_abs / (q_abs * q_abs))
 
-    relsize = q_abs * math.prod(e.v_abs[:n], start=1.0)
+    prod, kp = _prod_exp(e.v_abs[:n])
+    relsize = _ldexp(q_abs * prod, k + kp)
 
     succ = None
     if n >= 1:
-        qprev_abs = _abs_gi(e.first_column(n - 1)[0])
+        qprev_abs, kprev = _abs_gi(e.first_column(n - 1)[0])
         vn_abs = e.v_abs[n]
         if vn_abs > 0.0:
-            succ = qprev_abs / (vn_abs * q_abs)
+            succ = _ldexp(qprev_abs / (vn_abs * q_abs), kprev - k)
 
     c_n = d_n * q_abs
 
     record = ApproxRecord(
         n=n,
-        q_abs=q_abs,
-        d_n=d_n,
+        q_abs=_ldexp(q_abs, k),
+        d_n=math.ldexp(d_n, -k),
         v_next=v_next,
         ratio_thm14=ratio,
         c_n=c_n,
@@ -259,7 +300,7 @@ def prop71_check(e: CFExpansion, n: int, rk: Optional[float] = None) -> Prop71Re
         return abs(complex(P.conj()) - complex(R.conj()) * uh + complex(Q.conj()) * vh)
 
     qn, rn, pn = e.first_column(n)
-    q_abs = _abs_gi(qn)
+    q_abs = math.sqrt(qn.norm())  # a float: the search below visits every |Q| <= |q_n|
     base = form_abs(qn, rn, pn)
     vn_abs = e.v_abs[n]
     bound_stated = 1.0 / (vn_abs * rk) if vn_abs > 0 else math.inf

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from mpmath import mp, mpf
 
 from heiscf.cf import expand, reconstruct
 from heiscf.gaussian import GaussInt, _coprime, _fold_unit, _trip_key
@@ -17,12 +18,18 @@ from heiscf.lab.approx import (
     prop71_check,
 )
 from heiscf.lab.enumerate import solve_p_line
-from heiscf.lab.random_points import random_digit_string, random_rational_point
+from heiscf.lab.random_points import (
+    random_bigfloat_point,
+    random_digit_string,
+    random_rational_point,
+)
 from heiscf.siegel import (
+    PrecisionContext,
     ProjIntPoint,
     distance,
     parse_planar_point,
     proj_to_planar,
+    triple_distance_pow4,
 )
 
 
@@ -93,6 +100,39 @@ class TestConvergentDistance:
             assert math.isclose(d, direct, rel_tol=1e-9)
 
 
+    @pytest.mark.parametrize("bits", [64, 128, 512])
+    def test_bigfloat_root_equals_power(self, bits):
+        # two mpf square roots give the float that d^4 ** 0.25 gave
+        rng = random.Random(bits)
+        ctx = PrecisionContext(bits)
+        for _ in range(20):
+            e = expand(random_bigfloat_point(rng, ctx), max_depth=20)
+            h0 = e.iterates[0]
+            for n in range(e.depth):
+                with h0.work():
+                    want = float(triple_distance_pow4(e.first_column(n), h0) ** 0.25)
+                assert convergent_distance(e, n) == want
+
+    def test_scaled_by_power_of_two(self):
+        e = expand(random_bigfloat_point(random.Random(4), PrecisionContext(512)), max_depth=20)
+        for n in range(e.depth):
+            d = convergent_distance(e, n)
+            for k in (1, 37, 600):  # exact: two square roots scale by 2**k
+                assert convergent_distance(e, n, k) == math.ldexp(d, k)
+        ex = exact_expansion(5)
+        for n in range(ex.depth):
+            d = convergent_distance(ex, n)
+            assert math.isclose(convergent_distance(ex, n, 37), math.ldexp(d, 37), rel_tol=1e-15)
+
+
+def _c_n_reference(e, n) -> float:
+    """d_n |q_n| from the exact d_n^4, rooted in 200-bit mpmath."""
+    d4 = triple_distance_pow4(e.first_column(n), e.iterates[0])
+    with mp.workprec(200):
+        return float((mpf(d4.numerator) / d4.denominator) ** 0.25
+                     * mp.sqrt(e.first_column(n)[0].norm()))
+
+
 class TestApproxQuality:
     @pytest.mark.parametrize("seed", range(6))
     def test_hard_bounds_hold(self, seed):
@@ -120,6 +160,38 @@ class TestApproxQuality:
         e = exact_expansion(2)
         with pytest.raises(IndexError):
             approx_quality(e, e.depth)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_beyond_float_range(self, seed):
+        # 90 digits take |q_n| past 2**300, where d_n^4 leaves the float
+        # range: the ratios stay exact, and so does c_n
+        e = exact_expansion(seed, length=90)
+        assert e.first_column(e.depth - 1)[0].norm().bit_length() > 600
+        for n in range(e.depth):
+            rec = approx_quality(e, n)
+            assert rec.passed, (n, rec.violations)
+            assert math.isclose(rec.c_n, _c_n_reference(e, n), rel_tol=1e-12)
+
+    def test_unscaled_in_float_range(self):
+        # wherever |q_n| and d_n are floats the record is today's formulas,
+        # bit for bit, though the exponent split starts at |q_n|^2 = 2**500
+        e = expand(random_bigfloat_point(random.Random(7), PrecisionContext(1024)), max_depth=270)
+        split = 0
+        for n in range(e.depth - 1):
+            norm = e.first_column(n)[0].norm()
+            if norm.bit_length() > 1000:
+                break
+            split += norm.bit_length() > 500
+            rec = approx_quality(e, n)
+            q_abs = math.sqrt(norm)
+            d_n = convergent_distance(e, n)
+            assert (rec.q_abs, rec.d_n, rec.c_n) == (q_abs, d_n, d_n * q_abs)
+            assert rec.ratio_thm14 == d_n / math.sqrt(e.v_abs[n + 1] / (q_abs * q_abs))
+            assert rec.relsize_n == q_abs * math.prod(e.v_abs[:n], start=1.0)
+            if n >= 1:
+                qprev = math.sqrt(e.first_column(n - 1)[0].norm())
+                assert rec.succ_n == qprev / (e.v_abs[n] * q_abs)
+        assert split > 10
 
 
 class TestCandidateSearch:

@@ -298,6 +298,17 @@ class TestMeasure:
         assert m["max_c_n"] <= 1.3
         assert 0.25 <= m["relsize_min"] <= m["relsize_max"] <= 4.0
 
+    @pytest.mark.parametrize("bits, depth", [(2048, 280), (4096, 300), (64, 800)])
+    def test_any_height(self, bits, depth, capsys):
+        # |q_n|^2 passes 2**1024 at depth 274 (2048 bits) and 290 (4096
+        # bits), where |q_n| is no float; at 64 bits, depth 800 takes it
+        # past 2**2500 and the digits past 2**64 are no longer certain
+        args = ["measure", "--bits", str(bits), "--depth", str(depth), "--samples", "1"]
+        code, out = run_cli(args + ["--format", "json"], capsys)
+        rep = check_json(out)
+        assert rep["measurements"]["indices_measured"] == depth
+        assert code == 0 or (code == 1 and rep["violations"])
+
 
 class TestCount:
     def test_small(self, capsys):

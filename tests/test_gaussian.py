@@ -1,14 +1,19 @@
 import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heiscf.errors import ParseError, PointAtInfinity
 from heiscf.gaussian import (
+    ONE,
+    RAT_ZERO,
+    UNITS,
     GaussInt,
     GaussRat,
+    _fold_unit,
     canonical_associate,
     format_gauss_int,
     gi_gcd,
@@ -76,6 +81,83 @@ class TestCanonicalAssociate:
         others = [w * g for w in (GaussInt(0, 1), GaussInt(-1, 0), GaussInt(0, -1))
                   for w in [w * u]]
         assert all(not (o.re > 0 and o.im >= 0) for o in others)
+
+
+def _canonical_by_search(g: GaussInt) -> tuple[GaussInt, GaussInt]:
+    """canonical_associate as first written: try the four units in order."""
+    if g.is_zero():
+        return g, ONE
+    for u in UNITS:
+        c = u * g
+        if c.re > 0 and c.im >= 0:
+            return c, u
+    raise AssertionError("no canonical associate")
+
+
+axis_gauss_ints = st.one_of(
+    st.builds(GaussInt, st.integers(-(10**12), 10**12), st.just(0)),
+    st.builds(GaussInt, st.just(0), st.integers(-(10**12), 10**12)),
+)
+
+
+class TestClosedForms:
+    """The sign-picked rotations against the four-unit search."""
+
+    @given(st.one_of(gauss_ints, axis_gauss_ints, st.just(GaussInt(0, 0)), st.builds(
+        GaussInt, st.integers(-(10**12), 10**12), st.integers(-(10**12), 10**12))))
+    @example(GaussInt(0, 0))
+    @example(GaussInt(5, 0))
+    @example(GaussInt(-5, 0))
+    @example(GaussInt(0, 5))
+    @example(GaussInt(0, -5))
+    @settings(max_examples=300)
+    def test_canonical_associate_equals_search(self, g):
+        c, u = canonical_associate(g)
+        want_c, want_u = _canonical_by_search(g)
+        assert c == want_c
+        assert u == want_u
+
+    @given(st.one_of(nonzero_gauss_ints, axis_gauss_ints.filter(lambda g: not g.is_zero())),
+           gauss_ints, gauss_ints)
+    @settings(max_examples=200)
+    def test_fold_unit_equals_unit_products(self, q, r, p):
+        u = _canonical_by_search(q)[1]
+        assert _fold_unit(q, r, p) == (u * q, u * r, u * p)
+
+
+class TestValueTypes:
+    """GaussInt and GaussRat are slotted frozen values."""
+
+    def test_fields_are_frozen(self):
+        for x, field in ((GaussInt(1, 2), "re"), (GaussInt(1, 2), "im"), (ONE, "re"),
+                         (UNITS[1], "im"), (GaussRat(1, 2, 3), "a"), (GaussRat(1, 2, 3), "d"),
+                         (RAT_ZERO, "b")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(x, field, 7)
+        assert ONE == GaussInt(1, 0) and RAT_ZERO == GaussRat(0, 0, 1)
+
+    def test_no_instance_dict(self):
+        for x in (GaussInt(1, 2), GaussRat(1, 2, 3)):
+            assert not hasattr(x, "__dict__")
+            with pytest.raises((AttributeError, TypeError)):
+                x.extra = 1
+
+    def test_repr(self):
+        assert repr(GaussInt(1, 0)) == "GaussInt(re=1, im=0)"
+        assert repr(GaussInt()) == "GaussInt(re=0, im=0)"
+        assert repr(GaussRat(1, 2, 3)) == "GaussRat(a=1, b=2, d=3)"
+        assert repr(GaussRat(1, 2)) == "GaussRat(a=1, b=2, d=1)"
+
+    @given(st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30), st.integers(1, 10**6))
+    def test_equal_values_hash_equal(self, a, b, d):
+        g1, g2 = GaussInt(a, b), GaussInt(a, b)
+        assert g1 == g2 and g1 is not g2 and hash(g1) == hash(g2)
+        assert len({g1, g2}) == 1 and g2 in {g1}
+        assert GaussInt(a, b + 1) not in {g1}
+        r1, r2 = GaussRat(a, b, d), GaussRat(a, b, d)
+        assert r1 == r2 and hash(r1) == hash(r2)
+        assert len({r1, r2}) == 1 and r2 in {r1}
+        assert GaussRat(a, b, d + 1) not in {r1}
 
 
 class TestGcd:
