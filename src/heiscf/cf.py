@@ -8,21 +8,14 @@ the tail convergents used by the relative-size machinery.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from .domain import DirichletDomain, reduce_into_kd
 from .errors import CertificationError, InternalError, InvalidDigitString
 from .gaussian import GaussInt, _fold_unit
-from .matrices import (
-    UMatrix,
-    digit_matrix,
-    identity_matrix,
-    mat_apply_triple,
-    mul_digit_matrix,
-    translation_matrix,
-)
+from .matrices import UMatrix, identity_matrix, mul_digit_matrix, translate
 from .siegel import (
     IntegerPoint,
     PrecisionContext,
@@ -73,13 +66,15 @@ class CFExpansion:
     iterates: list[SiegelPoint]  # h_0 .. h_n
     continuants: list[UMatrix]  # Q_0 .. Q_n
     terminated: bool
-    max_depth_hit: bool = False
-    ctx: Optional[PrecisionContext] = None
-    _t_gamma0: UMatrix = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self._t_gamma0 is None:
-            self._t_gamma0 = translation_matrix(self.gamma0)
+    @property
+    def ctx(self) -> Optional[PrecisionContext]:
+        return self.point.ctx
+
+    @property
+    def max_depth_hit(self) -> bool:
+        """expand stops only at termination or at max_depth."""
+        return not self.terminated
 
     @property
     def depth(self) -> int:
@@ -103,15 +98,11 @@ class CFExpansion:
         self._check_index(n)
         return self.continuants[n].column(2)
 
-    def raw_convergent_triple(self, n: int) -> tuple[GaussInt, GaussInt, GaussInt]:
-        """T_gamma0 . Q_n . (1:0:0) without reduction; q entry matches first_column."""
-        self._check_index(n)
-        return mat_apply_triple(self._t_gamma0, self.first_column(n))
-
     def convergent(self, n: int) -> ProjIntPoint:
-        """The nth convergent as a reduced projective triple.  T_gamma0 Q_n is
-        in U(2,1; Z[i]), so its first column is primitive: only a unit folds."""
-        return ProjIntPoint(*_fold_unit(*self.raw_convergent_triple(n)))
+        """The nth convergent T_gamma0 Q_n (1:0:0) as a reduced projective
+        triple.  T_gamma0 Q_n is in U(2,1; Z[i]), so its first column is
+        primitive: only a unit folds."""
+        return ProjIntPoint(*_fold_unit(*translate(self.gamma0, self.first_column(n))))
 
     def convergents(self) -> list[ProjIntPoint]:
         return [self.convergent(n) for n in range(self.depth + 1)]
@@ -171,12 +162,8 @@ def expand(h: SiegelPoint, max_depth: Optional[int] = None) -> CFExpansion:
         iterates=[h0],
         continuants=[identity_matrix()],
         terminated=h0.is_origin(),
-        ctx=h.ctx,
     )
-    while not e.terminated:
-        if e.depth == max_depth:
-            e.max_depth_hit = True
-            break
+    while not e.terminated and e.depth != max_depth:
         if h.exact:
             q, r, p = t
             gamma, t = reduce_into_kd((p, -r, q))
@@ -197,21 +184,26 @@ def expand(h: SiegelPoint, max_depth: Optional[int] = None) -> CFExpansion:
     return e
 
 
-def reconstruct(gamma0: IntegerPoint, digits: list[IntegerPoint]) -> SiegelPoint:
-    """Exact rational point gamma0 * iota(gamma_1 * iota(... gamma_n)).
-
-    Computed as the convergent T_gamma0 A_gamma1 ... A_gamman (1:0:0),
-    applied right to left; a zero q entry on the way is the v = 0 at which
-    an inversion of the nested form is undefined.
+def _apply_digits(digits: list[IntegerPoint]) -> tuple[GaussInt, GaussInt, GaussInt]:
+    """A_gamma1 ... A_gamman (1:0:0), applied right to left as
+    t <- J T_gamma t with J (q, r, p) = (-p, r, -q).  A zero q entry on the
+    way is the v = 0 at which an inversion of the nested form is undefined.
     """
     t = _E1
     for gamma in reversed(digits):
-        t = mat_apply_triple(digit_matrix(gamma), t)
+        q, r, p = translate(gamma, t)
+        t = (-p, r, -q)
         if t[0].is_zero():
             raise InvalidDigitString(
                 "invalid digit string: intermediate point has v = 0"
             )
-    return triple_to_planar(mat_apply_triple(translation_matrix(gamma0), t))
+    return t
+
+
+def reconstruct(gamma0: IntegerPoint, digits: list[IntegerPoint]) -> SiegelPoint:
+    """Exact rational point gamma0 * iota(gamma_1 * iota(... gamma_n)),
+    the convergent T_gamma0 A_gamma1 ... A_gamman (1:0:0)."""
+    return triple_to_planar(translate(gamma0, _apply_digits(digits)))
 
 
 def tail_convergents(
@@ -224,10 +216,7 @@ def tail_convergents(
     """
     if not 0 <= i <= n <= e.depth:
         raise IndexError(f"need 0 <= i <= n <= {e.depth}, got i={i}, n={n}")
-    m = identity_matrix()
-    for k in range(i, n):
-        m = mul_digit_matrix(m, e.digits[k])
-    return m.column(0)
+    return _apply_digits(e.digits[i:n])
 
 
 def expansion_to_json(e: CFExpansion) -> str:

@@ -216,7 +216,10 @@ def cmd_bestapprox(args) -> int:
     violations = []
     if args.point is not None or args.heis is not None:
         h = _parse_point_arg(args)
-        B = float(args.m_max or 100) ** 0.5
+        try:
+            B = float(args.m_max or 100) ** 0.5
+        except OverflowError:
+            raise ParseError("--m-max is too large: it must convert to a float") from None
         best, d = best_approx_search(h, B)
         rep["best"] = {"point": str(best), "distance": d, "q_abs_max": B}
     else:

@@ -2,21 +2,19 @@
 
 K_D is the set of points whose nearest integer point is the origin; its
 radius is 2^(-1/4).  Only this module ranks the integer points near h,
-in one candidate search for integers over a common denominator and for
-machine floats.  Integer triples enter it through reduce_into_kd, big
-floats as dyadic integers, machine floats through nearest_float.
+in one exact candidate search over integers with a common denominator.
+Integer triples enter it through reduce_into_kd; big floats and machine
+floats (nearest_float) enter as dyadic integers over one power of two.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_float, from_man_exp
 
 from .errors import AmbiguousNearestInteger
 from .gaussian import GaussInt
+from .matrices import translate
 from .siegel import IntegerPoint, SiegelPoint, exact_triple
 
 __all__ = [
@@ -38,7 +36,7 @@ def integer_point(a: int, b: int, c: int) -> IntegerPoint:
     return IntegerPoint(GaussInt(a, b), GaussInt((a * a + b * b) // 2, c))
 
 
-def _ranked_candidates(ure, uim, vim, den=1) -> list[tuple]:
+def _ranked_candidates(ure, uim, vim, den) -> list[tuple]:
     """Integer points (key, a, b, c) near u = (ure + uim i)/den, Im v = vim/den,
     closest first.
 
@@ -46,18 +44,12 @@ def _ranked_candidates(ure, uim, vim, den=1) -> list[tuple]:
     break toward the lexicographically smallest (a, b, c).  Any minimizer has
     d4 <= rad^4 = 1/2, forcing |u - u_gamma|^2 <= sqrt(2); candidates keep
     |u - u_gamma|^2 <= 8/5 and take c from the one or two integers nearest
-    Im(v - conj(u_gamma) u).  Int numerators over a common den are ranked
-    and floored in integers; floats pass den = 1 and are floored in float
-    arithmetic, where the scaling by 4 is exact.
+    Im(v - conj(u_gamma) u).
     """
-    exact = isinstance(ure, int)
     # u_gamma = s(1+i) + t(1-i) with integers s, t, and |u - u_gamma|^2 =
     # 2(|x - s|^2 + |y - t|^2) for x = (Re u + Im u)/2, y = (Re u - Im u)/2:
     # within 8/5, s and t are among the two integers nearest x and y.
-    if exact:
-        s0, t0 = (ure + uim) // (2 * den), (ure - uim) // (2 * den)
-    else:
-        s0, t0 = math.floor((ure + uim) / 2), math.floor((ure - uim) / 2)
+    s0, t0 = (ure + uim) // (2 * den), (ure - uim) // (2 * den)
     den_sq = den * den
     ranked = []
     for s in (s0, s0 + 1):
@@ -67,7 +59,7 @@ def _ranked_candidates(ure, uim, vim, den=1) -> list[tuple]:
             if 5 * du_sq > 8 * den_sq:
                 continue
             delta = vim - (a * uim - b * ure)  # den Im(v - conj(u_gamma) u)
-            c0 = delta // den if exact else math.floor(delta)
+            c0 = delta // den
             for c in (c0,) if delta == c0 * den else (c0, c0 + 1):
                 ranked.append((du_sq**2 + 4 * den_sq * (delta - c * den) ** 2, a, b, c))
     ranked.sort()
@@ -83,13 +75,14 @@ def reduce_into_kd(t):
     w = r * qc
     _, a, b, c = _ranked_candidates(w.re, w.im, (p * qc).im, q.norm())[0]
     gamma = integer_point(a, b, c)
-    u, v = gamma.u, gamma.v
-    return gamma, (q, r - u * q, p - u.conj() * r + v.conj() * q)
+    return gamma, translate(gamma.inv(), t)
 
 
 def nearest_float(u: complex, v: complex) -> tuple[int, int, int]:
-    """Double-precision nearest integer point (a, b, c); fast path for experiments."""
-    _, a, b, c = _ranked_candidates(u.real, u.imag, v.imag)[0]
+    """The nearest integer point (a, b, c) of machine-float coordinates,
+    ranked exactly as the rational point with the same u and Im v."""
+    (ure, uim, vim), k = _dyadic(from_float(u.real), from_float(u.imag), from_float(v.imag))
+    _, a, b, c = _ranked_candidates(ure, uim, vim, 1 << k)[0]
     return a, b, c
 
 
@@ -113,15 +106,6 @@ class DirichletDomain:
     check_scale * max(1, |v|), else AmbiguousNearestInteger is raised;
     ranking and gap are exact, over one power-of-two denominator.
     """
-
-    def radius(self) -> float:
-        return RAD_KD
-
-    def radius_pow4(self) -> Fraction:
-        return Fraction(1, 2)
-
-    def contains(self, h: SiegelPoint) -> bool:
-        return self.nearest(h).is_origin()
 
     def nearest(self, h: SiegelPoint) -> IntegerPoint:
         if h.exact:

@@ -1,92 +1,16 @@
 """Experimental side of the package: identity checks, enumeration,
 approximation quality, convergence sums, and seeded sampling."""
 
-from .approx import (
-    RAD_KD,
-    RK_KD,
-    ApproxRecord,
-    Prop71Report,
-    approx_quality,
-    best_approx_search,
-    candidate_triples,
-    convergent_distance,
-    decompose_triple,
-    prop71_check,
-)
-from .enumerate import (
-    RationalEnumeration,
-    Region,
-    enumerate_rationals_naive,
-    enumerate_rationals_qnorm,
-    kprime_region,
-    qnorm_representations,
-    solve_p_line,
-)
-from .identities import (
-    IdentityReport,
-    verify_distance_formula,
-    verify_expansion,
-    verify_fracq,
-    verify_prq,
-    verify_tildeprq,
-)
-from .khinchin import (
-    KhinchinSum,
-    divisor_g_r2,
-    khinchin_partial_sum,
-    khinchin_terms,
-)
-from .random_points import (
-    random_bigfloat_point,
-    random_digit,
-    random_digit_string,
-    random_rational_point,
-)
-from .sampling import (
-    KhinchinExperimentReport,
-    acceptance_stats,
-    khinchin_experiment,
-    nearest_float,
-    sample_K,
-    sample_K_floats,
-)
+from . import approx, enumerate, identities, khinchin, random_points, sampling
+from .approx import *  # noqa: F403
+from .enumerate import *  # noqa: F403
+from .identities import *  # noqa: F403
+from .khinchin import *  # noqa: F403
+from .random_points import *  # noqa: F403
+from .sampling import *  # noqa: F403
 
 __all__ = [
-    "RAD_KD",
-    "RK_KD",
-    "ApproxRecord",
-    "Prop71Report",
-    "approx_quality",
-    "best_approx_search",
-    "candidate_triples",
-    "convergent_distance",
-    "decompose_triple",
-    "prop71_check",
-    "RationalEnumeration",
-    "Region",
-    "enumerate_rationals_naive",
-    "enumerate_rationals_qnorm",
-    "kprime_region",
-    "qnorm_representations",
-    "solve_p_line",
-    "IdentityReport",
-    "verify_distance_formula",
-    "verify_expansion",
-    "verify_fracq",
-    "verify_prq",
-    "verify_tildeprq",
-    "KhinchinSum",
-    "divisor_g_r2",
-    "khinchin_partial_sum",
-    "khinchin_terms",
-    "random_bigfloat_point",
-    "random_digit",
-    "random_digit_string",
-    "random_rational_point",
-    "KhinchinExperimentReport",
-    "acceptance_stats",
-    "khinchin_experiment",
-    "nearest_float",
-    "sample_K",
-    "sample_K_floats",
+    name
+    for module in (approx, enumerate, identities, khinchin, random_points, sampling)
+    for name in module.__all__
 ]

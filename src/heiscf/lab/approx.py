@@ -28,6 +28,7 @@ __all__ = [
     "approx_quality",
     "best_approx_search",
     "candidate_triples",
+    "convergent_distance",
     "decompose_triple",
     "prop71_check",
 ]
@@ -173,10 +174,10 @@ def approx_quality(e: CFExpansion, n: int) -> ApproxRecord:
 # Candidate enumeration near a point
 
 
-def candidate_triples(h: SiegelPoint, B: float, dist_bound: float = DIST_BOUND, dist_fn=None):
+def candidate_triples(h: SiegelPoint, B: float, dist_fn=None):
     """Lowest-terms triples (Q, R, P), |Q| <= B and Q canonical, near h, each once.
 
-    Near means gauge distance <= dist_bound.  A dist_fn(q_norm)
+    Near means gauge distance <= DIST_BOUND.  A dist_fn(q_norm)
     further tightens the search radius per denominator norm; q values
     whose radius comes back <= 0 are skipped outright.  The other three
     associates of Q would only repeat these triples: a unit multiplies
@@ -189,9 +190,9 @@ def candidate_triples(h: SiegelPoint, B: float, dist_bound: float = DIST_BOUND, 
             qn = qa * qa + qb * qb
             if qn > qmax2:
                 continue
-            dist_q = dist_bound
+            dist_q = DIST_BOUND
             if dist_fn is not None:
-                dist_q = min(dist_bound, dist_fn(qn))
+                dist_q = min(DIST_BOUND, dist_fn(qn))
                 if dist_q <= 0.0:
                     continue
             db2 = dist_q * dist_q
@@ -215,7 +216,7 @@ def candidate_triples(h: SiegelPoint, B: float, dist_bound: float = DIST_BOUND, 
                     uc = complex(ra, rb) / qc
                     for pc, pd in solve_p_line(qa, qb, rn // 2, p_norm_max):
                         # float prefilter: keep only candidates plausibly
-                        # within dist_bound of h (exact check happens later)
+                        # within dist_q of h (exact check happens later)
                         vc = complex(pc, pd) / qc
                         d4f = abs(vc.conjugate() - uc.conjugate() * uh + vh) ** 2
                         if d4f > db2 * db2 * 1.000001 + 1e-9:
@@ -278,7 +279,7 @@ class Prop71Report:
         return asdict(self)
 
 
-def prop71_check(e: CFExpansion, n: int, rk: Optional[float] = None) -> Prop71Report:
+def prop71_check(e: CFExpansion, n: int) -> Prop71Report:
     """Evaluate sqrt(x1) + sqrt(x2) >= bound over every enumerated candidate.
 
     x1 scales the linear form |conj(P) - conj(R) u + conj(Q) v| by the
@@ -292,7 +293,6 @@ def prop71_check(e: CFExpansion, n: int, rk: Optional[float] = None) -> Prop71Re
     """
     if n + 1 > e.depth:
         raise IndexError("prop71_check requires n + 1 <= depth")
-    rk = rk if rk is not None else RK_KD
     h0 = e.iterates[0]
     uh, vh = complex(h0.u), complex(h0.v)
 
@@ -303,7 +303,7 @@ def prop71_check(e: CFExpansion, n: int, rk: Optional[float] = None) -> Prop71Re
     q_abs = math.sqrt(qn.norm())  # a float: the search below visits every |Q| <= |q_n|
     base = form_abs(qn, rn, pn)
     vn_abs = e.v_abs[n]
-    bound_stated = 1.0 / (vn_abs * rk) if vn_abs > 0 else math.inf
+    bound_stated = 1.0 / (vn_abs * RK_KD) if vn_abs > 0 else math.inf
 
     qn1 = complex(e.first_column(n + 1)[0])
     fqn1 = complex(e.second_column(n + 1)[0])
@@ -312,7 +312,7 @@ def prop71_check(e: CFExpansion, n: int, rk: Optional[float] = None) -> Prop71Re
     bound_proof = math.sqrt(abs(proof_num) / q_abs)
 
     d_n4 = triple_distance_pow4((qn, rn, pn), h0)
-    thm16_cutoff = q_abs / (2.0 * RAD_KD**2 * rk**2)
+    thm16_cutoff = q_abs / (2.0 * RAD_KD**2 * RK_KD**2)
 
     # violation of sqrt(x1) + sqrt(x2) >= bound requires, at distance d and
     # denominator Q:  sqrt|Q| (d / sqrt(base) + 1 / sqrt|q_n|) < bound,

@@ -11,19 +11,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import accumulate
 from typing import Optional
 
+from ..cf import reconstruct
 from ..domain import integer_point
-from ..matrices import mul_digit_matrix, translation_matrix
-from ..siegel import (
-    HeisPoint,
-    IntegerPoint,
-    PrecisionContext,
-    SiegelPoint,
-    from_heis,
-    triple_to_planar,
-)
+from ..siegel import HeisPoint, IntegerPoint, PrecisionContext, SiegelPoint, from_heis
 
 __all__ = [
     "DIGIT_V_NORM_MIN",
@@ -59,14 +51,13 @@ def random_rational_point(
 ) -> SiegelPoint:
     """A rational point with a known finite expansion and bounded denominator.
 
-    Built from a random digit string: the longest prefix whose convergent
-    T_gamma0 A_gamma1 ... A_gammak (1:0:0) has denominator norms within the
-    bound, or gamma0 itself if none does.
+    Built from a random digit string: the reconstruction of its longest
+    prefix whose denominator norms are within the bound, or gamma0 itself
+    if none is.
     """
     gamma0, digits = random_digit_string(rng, length)
-    prefixes = accumulate(digits, mul_digit_matrix, initial=translation_matrix(gamma0))
-    for m in reversed(list(prefixes)):
-        h = triple_to_planar(m.column(0))
+    for k in range(length, -1, -1):
+        h = reconstruct(gamma0, digits[:k])
         if h.u.den.norm() <= q_norm_max and h.v.den.norm() <= q_norm_max:
             break
     return h

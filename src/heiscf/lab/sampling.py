@@ -21,7 +21,6 @@ from ..siegel import PrecisionContext, SiegelPoint
 from .enumerate import enumerate_rationals_qnorm, kprime_region
 
 __all__ = [
-    "nearest_float",
     "sample_K",
     "sample_K_floats",
     "acceptance_stats",

@@ -2,9 +2,10 @@
 
 Matrices in U(2,1; Z[i]) act on the projective Siegel model.  The
 inversion matrix J realizes the Koranyi inversion, lower-triangular
-translation matrices realize left multiplication, and products of digit
-matrices accumulate the continuants whose columns are the convergents.
-All entries stay exact Gaussian integers.
+translation matrices realize left multiplication (translate applies one
+to a triple in closed form), and products of digit matrices accumulate
+the continuants whose columns are the convergents.  All entries stay
+exact Gaussian integers.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "matrix_J",
     "identity_matrix",
     "translation_matrix",
+    "translate",
     "digit_matrix",
     "mul_digit_matrix",
     "mat_mul",
@@ -95,6 +97,13 @@ def translation_matrix(gamma: IntegerPoint) -> UMatrix:
     return _mat(
         [[_ONE, _ZERO, _ZERO], [u, _ONE, _ZERO], [v, u.conj(), _ONE]]
     )
+
+
+def translate(gamma: IntegerPoint, t: tuple) -> tuple[GaussInt, GaussInt, GaussInt]:
+    """T_gamma t = (q, u q + r, v q + conj(u) r + p) for a triple t = (q, r, p)."""
+    q, r, p = t
+    u = gamma.u
+    return (q, u * q + r, gamma.v * q + u.conj() * r + p)
 
 
 def digit_matrix(gamma: IntegerPoint) -> UMatrix:

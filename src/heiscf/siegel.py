@@ -73,6 +73,9 @@ __all__ = [
     "exact_triple",
     "planar_to_proj",
     "is_integer_point",
+    "parse_planar_point",
+    "parse_heis_point",
+    "parse_proj_point",
 ]
 
 

@@ -39,7 +39,7 @@ def exact_expansion(seed, length=7):
     return expand(reconstruct(g0, digits))
 
 
-def candidate_triples_all_associates(h, B, dist_bound=2.0, dist_fn=None):
+def candidate_triples_all_associates(h, B, dist_fn=None):
     """Oracle: the search over every nonzero Q, unit multiples folded.
 
     Visits all four associates of each denominator and keeps the first
@@ -53,9 +53,9 @@ def candidate_triples_all_associates(h, B, dist_bound=2.0, dist_fn=None):
             qn = qa * qa + qb * qb
             if qn == 0 or qn > qmax2:
                 continue
-            dist_q = dist_bound
+            dist_q = 2.0
             if dist_fn is not None:
-                dist_q = min(dist_bound, dist_fn(qn))
+                dist_q = min(2.0, dist_fn(qn))
                 if dist_q <= 0.0:
                     continue
             db2 = dist_q * dist_q
@@ -210,7 +210,7 @@ class TestCandidateSearch:
 
     def test_candidates_are_coprime_and_folded(self):
         h = parse_planar_point("(1/2; 1/8+1/4i)")
-        trips = list(candidate_triples(h, B=2.0, dist_bound=1.0))
+        trips = list(candidate_triples(h, B=2.0, dist_fn=lambda _: 1.0))
         assert trips
         for q, r, p in trips:
             assert q.re > 0 and q.im >= 0
@@ -225,10 +225,10 @@ class TestCandidateSearch:
         def shrink(q_norm):  # <= 0 from |Q|^2 = 16 on, as prop71's radius can be
             return 1.2 - 0.3 * q_norm**0.5
 
-        cases = [(3, 2.0, None), (5, 1.0, None), (7, 0.5, None), (6, 2.0, shrink)]
-        for B, dist_bound, dist_fn in cases:
-            trips = list(candidate_triples(h, B, dist_bound, dist_fn=dist_fn))
-            want = set(candidate_triples_all_associates(h, B, dist_bound, dist_fn=dist_fn))
+        cases = [(3, None), (5, lambda _: 1.0), (7, lambda _: 0.5), (6, shrink)]
+        for B, dist_fn in cases:
+            trips = list(candidate_triples(h, B, dist_fn=dist_fn))
+            want = set(candidate_triples_all_associates(h, B, dist_fn=dist_fn))
             assert len(set(trips)) == len(trips)
             assert set(trips) == want
 
@@ -240,7 +240,7 @@ class TestCandidateSearch:
         n = 1
         qn, rn, pn = e.first_column(n)
         d_n = convergent_distance(e, n)
-        for trip in candidate_triples(h, B=math.sqrt(qn.norm()) * 0.5, dist_bound=1.5):
+        for trip in candidate_triples(h, B=math.sqrt(qn.norm()) * 0.5, dist_fn=lambda _: 1.5):
             d = distance(proj_to_planar(ProjIntPoint.reduced(*trip)), h)
             assert d >= d_n - 1e-9 or trip[0].norm() >= qn.norm()
 
@@ -287,7 +287,8 @@ class TestProp71:
             return iter(searched)
 
         monkeypatch.setattr(approx, "candidate_triples", recorded)
-        rep = prop71_check(e, 1, rk=1.0)
+        monkeypatch.setattr(approx, "RK_KD", 1.0)
+        rep = prop71_check(e, 1)
         assert len(rep.violations_stated) > 1
         order = [[str(g) for g in t] for t in sorted(searched, key=_trip_key)]
         listed = [v["triple"] for v in rep.violations_stated]
@@ -297,7 +298,7 @@ class TestProp71:
             return reversed(list(candidate_triples(*args, **kwargs)))
 
         monkeypatch.setattr(approx, "candidate_triples", reversed_search)
-        assert prop71_check(e, 1, rk=1.0).as_dict() == rep.as_dict()
+        assert prop71_check(e, 1).as_dict() == rep.as_dict()
 
     def test_report_fields(self):
         rng = random.Random(11)

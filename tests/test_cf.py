@@ -19,6 +19,7 @@ from heiscf.domain import (
     DirichletDomain,
     _ranked_candidates,
     integer_point,
+    nearest_float,
     reduce_into_kd,
 )
 from heiscf.errors import CertificationError, InternalError, InvalidDigitString
@@ -60,7 +61,7 @@ class TestGaussMapStep:
         ih = koranyi_inversion(h)
         assert K.nearest(ih) == gamma
         assert group_mul(gamma.inv().to_siegel(), ih) == nxt
-        assert K.contains(nxt)
+        assert K.nearest(nxt).is_origin()
 
 
 class TestExpandFixture:
@@ -185,7 +186,7 @@ class TestOrbitConsistency:
         h = random_rational_point(rng, length=5)
         e = expand(h)
         for it in e.iterates:
-            assert K.contains(it)
+            assert K.nearest(it).is_origin()
 
 
 class TestCertifiedExpansion:
@@ -396,6 +397,7 @@ class TestBoundaryTies:
         want = lexicographic_nearest(w)
         assert DirichletDomain().nearest(w) == want == nearest_reference(w)
         assert reduce_into_kd(exact_triple(w))[0] == want
+        assert nearest_float(complex(w.u), complex(w.v)) == (want.u.re, want.u.im, want.v.im)
         # the step reaches w as iota h and ranks it through nearest
         h = koranyi_inversion(w)
         assert gauss_map_step(h) == gauss_map_step_reference(h)
@@ -411,3 +413,34 @@ class TestBoundaryTies:
         assert len(ranked) == 4  # u = 0, 2, 1+i, 1-i, one c each
         assert {x[0] for x in ranked} == {1}  # 4 d4 = 4 (1/2)^2
         assert ranked[0][1:] == (0, 0, t)
+
+
+def float_point(ure, uim, vim):
+    """The exact point whose u and Im v are the given floats, read exactly."""
+    x, y = Fraction(ure), Fraction(uim)
+    return planar(x, y, (x * x + y * y) / 2, Fraction(vim))
+
+
+def ulps(x, k):
+    """x moved |k| floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+coordinates = st.floats(-1e6, 1e6, allow_nan=False)
+shifted_ties = st.builds(
+    lambda w, ks: tuple(ulps(float(x), k) for x, k in zip((w.u.re(), w.u.im(), w.v.im()), ks)),
+    st.sampled_from(tie_points()),
+    st.tuples(*[st.integers(-3, 3)] * 3),
+)
+
+
+class TestNearestFloatDifferential:
+    @given(st.one_of(st.tuples(coordinates, coordinates, coordinates), shifted_ties))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_point(self, x):
+        ure, uim, vim = x
+        g = DirichletDomain().nearest(float_point(ure, uim, vim))
+        # nearest_float reads only Re u, Im u and Im v
+        assert nearest_float(complex(ure, uim), complex(0.0, vim)) == (g.u.re, g.u.im, g.v.im)

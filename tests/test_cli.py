@@ -234,6 +234,8 @@ class TestUsageErrors:
             ["expand", "--point", "(1/(0); 0)"],
             ["expand", "--point", "(1; 0/0i)"],
             ["bestapprox", "--point", "(1/0; 0)"],
+            # beyond the float range: the search bound sqrt(m_max) has no float
+            ["bestapprox", "--point", "(1+i; 1+4/5i)", "--m-max", "1" + "0" * 400],
             # a file used as a directory: the output path cannot be opened
             ["constants", "--out", os.path.join(__file__, "r.json")],
         ],
@@ -245,7 +247,7 @@ class TestUsageErrors:
             "khinchin-zero-bigc", "count-negative-m-max",
             "point-zero-denominator", "heis-zero-denominator",
             "point-zero-quotient-denominator", "point-zero-imag-denominator",
-            "bestapprox-zero-denominator", "out-not-writable",
+            "bestapprox-zero-denominator", "bestapprox-huge-m-max", "out-not-writable",
         ],
     )
     def test_exit_2_with_one_line(self, args, capsys):

@@ -1,12 +1,13 @@
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import heiscf
-from heiscf.domain import DirichletDomain, integer_point, rk_constant
+from heiscf.domain import RAD_KD, DirichletDomain, integer_point, rk_constant
 from heiscf.errors import AmbiguousNearestInteger
 from heiscf.gaussian import GaussInt, GaussRat
 from heiscf.siegel import (
@@ -55,8 +56,8 @@ def brute_force_nearest(h):
 
 class TestRadius:
     def test_value(self):
-        assert K.radius() == 2.0**-0.25
-        assert K.radius_pow4() == Fraction(1, 2)
+        assert RAD_KD == 2.0**-0.25
+        assert RAD_KD**4 == pytest.approx(0.5, rel=1e-15)
 
     def test_sampled_sup(self):
         # the sup of the gauge norm over K_D is attained near the boundary;
@@ -136,7 +137,7 @@ class TestNearestExamples:
         assert K.nearest(gamma.to_siegel()) == gamma
 
     def test_contains_origin(self):
-        assert K.contains(SiegelPoint.origin())
+        assert K.nearest(SiegelPoint.origin()).is_origin()
 
 
 class TestNearestProperties:
@@ -164,7 +165,7 @@ class TestNearestProperties:
             h = random_rational(rng)
             g = K.nearest(h)
             w = group_mul(g.inv().to_siegel(), h)
-            assert K.contains(w)
+            assert K.nearest(w).is_origin()
             for _ in range(5):
                 other = integer_point(
                     2 * rng.randint(-2, 2), 2 * rng.randint(-2, 2), rng.randint(-4, 4)
@@ -218,3 +219,14 @@ def test_only_domain_ranks_candidates():
         if "_ranked_candidates" in f.read_text()
     )
     assert naming == ["domain.py"]
+
+
+def test_only_matrices_builds_translation_matrices():
+    # T_gamma acts on a triple through matrices.translate; the matrices
+    # themselves are built in matrices.py alone
+    pkg = Path(heiscf.__file__).parent
+    calling = sorted(
+        str(f.relative_to(pkg)) for f in pkg.rglob("*.py")
+        if re.search(r"\b(translation_matrix|digit_matrix)\(", f.read_text())
+    )
+    assert calling == ["matrices.py"]

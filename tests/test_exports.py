@@ -1,0 +1,51 @@
+"""Every exported name resolves, and the module that defines it exports it.
+
+A name is defined where a module binds it at top level by `def`, `class`
+or assignment; a module that re-exports it imports it from there.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import heiscf
+
+MODULES = ["heiscf"] + [
+    m.name for m in pkgutil.walk_packages(heiscf.__path__, "heiscf.")
+]
+
+
+def _top_level_names(module_name):
+    tree = ast.parse(Path(importlib.import_module(module_name).__file__).read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+DEFINED_IN = {}
+for _name in MODULES:
+    for _defined in _top_level_names(_name) - {"__all__"}:
+        DEFINED_IN.setdefault(_defined, []).append(_name)
+
+EXPORTS = [
+    (m, name)
+    for m in MODULES
+    for name in getattr(importlib.import_module(m), "__all__", [])
+]
+
+
+@pytest.mark.parametrize("module, name", EXPORTS, ids=[f"{m}.{n}" for m, n in EXPORTS])
+def test_export_is_listed_where_defined(module, name):
+    assert hasattr(importlib.import_module(module), name)
+    homes = DEFINED_IN.get(name, [])
+    assert len(homes) == 1, f"{name} is defined in {homes}"
+    assert name in importlib.import_module(homes[0]).__all__

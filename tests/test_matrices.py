@@ -13,6 +13,7 @@ from heiscf.matrices import (
     mat_mul,
     matrix_J,
     mul_digit_matrix,
+    translate,
     translation_matrix,
     u21_check,
     u21_inverse,
@@ -35,6 +36,9 @@ def integer_points():
         return IntegerPoint(GaussInt(a, b), GaussInt((a * a + b * b) // 2, c))
 
     return st.builds(build, st.integers(-5, 5), st.integers(-5, 5), st.integers(-9, 9))
+
+
+gauss_ints = st.builds(GaussInt, st.integers(-50, 50), st.integers(-50, 50))
 
 
 class TestConstructions:
@@ -94,6 +98,12 @@ class TestAction:
         h = x.to_siegel()
         moved = mat_apply(translation_matrix(g), h)
         assert moved == group_mul(g.to_siegel(), h)
+
+    @given(integer_points(), st.lists(gauss_ints, min_size=3, max_size=3))
+    @settings(max_examples=60)
+    def test_translate_is_the_matrix_action(self, g, t):
+        """The closed form equals T_g applied to any triple."""
+        assert translate(g, t) == mat_apply_triple(translation_matrix(g), t)
 
     @given(integer_points(), integer_points(), integer_points())
     @settings(max_examples=30)

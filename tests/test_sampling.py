@@ -1,11 +1,10 @@
 import random
 
 
-from heiscf.domain import DirichletDomain
+from heiscf.domain import DirichletDomain, nearest_float
 from heiscf.lab.sampling import (
     acceptance_stats,
     khinchin_experiment,
-    nearest_float,
     sample_K,
     sample_K_floats,
 )
