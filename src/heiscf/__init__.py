@@ -1,89 +1,16 @@
 """Continued fractions and diophantine approximation on the Heisenberg group."""
 
-from .gaussian import (
-    GaussInt,
-    GaussRat,
-    canonical_associate,
-    gi_gcd,
-    parse_gauss_int,
-    r2_count,
-    reduce_triple,
-)
-from .siegel import (
-    HeisPoint,
-    IntegerPoint,
-    PrecisionContext,
-    ProjIntPoint,
-    SiegelPoint,
-    distance,
-    from_heis,
-    gauge_norm,
-    group_inv,
-    group_mul,
-    is_integer_point,
-    koranyi_inversion,
-    parse_heis_point,
-    parse_planar_point,
-    parse_proj_point,
-    planar_to_proj,
-    proj_to_planar,
-    to_heis,
-)
-from .matrices import (
-    UMatrix,
-    digit_matrix,
-    mat_apply,
-    mat_mul,
-    matrix_J,
-    translation_matrix,
-    u21_check,
-    u21_inverse,
-)
-from .domain import DirichletDomain, integer_point, rk_constant
-from .cf import CFExpansion, expand, gauss_map_step, reconstruct, tail_convergents
+from . import cf, domain, gaussian, matrices, siegel
+from .gaussian import *  # noqa: F403
+from .siegel import *  # noqa: F403
+from .matrices import *  # noqa: F403
+from .domain import *  # noqa: F403
+from .cf import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussInt",
-    "GaussRat",
-    "canonical_associate",
-    "gi_gcd",
-    "parse_gauss_int",
-    "r2_count",
-    "reduce_triple",
-    "HeisPoint",
-    "IntegerPoint",
-    "PrecisionContext",
-    "ProjIntPoint",
-    "SiegelPoint",
-    "distance",
-    "from_heis",
-    "gauge_norm",
-    "group_inv",
-    "group_mul",
-    "is_integer_point",
-    "koranyi_inversion",
-    "parse_heis_point",
-    "parse_planar_point",
-    "parse_proj_point",
-    "planar_to_proj",
-    "proj_to_planar",
-    "to_heis",
-    "UMatrix",
-    "digit_matrix",
-    "mat_apply",
-    "mat_mul",
-    "matrix_J",
-    "translation_matrix",
-    "u21_check",
-    "u21_inverse",
-    "DirichletDomain",
-    "integer_point",
-    "rk_constant",
-    "CFExpansion",
-    "expand",
-    "gauss_map_step",
-    "reconstruct",
-    "tail_convergents",
+    name
+    for module in (gaussian, siegel, matrices, domain, cf)
+    for name in module.__all__
 ]

@@ -50,7 +50,7 @@ def _finite(obj):
 def _emit(report: dict, fmt: str, out: Optional[str], csv_rows=None) -> None:
     if fmt == "json":
         text = json.dumps(_finite(report), indent=2, allow_nan=False)
-    elif fmt == "csv" and csv_rows is not None:
+    elif fmt == "csv":  # only count and khinchin accept it (_check_usage)
         text = "\n".join(",".join(str(c) for c in row) for row in csv_rows)
     else:
         text = _render_text(report)
@@ -96,8 +96,8 @@ def _base_report(command: str, args, seed=None) -> dict:
     return rep
 
 
-def _check_numbers(args) -> None:
-    """Usage errors in numeric flags, reported before any work starts."""
+def _check_usage(args) -> None:
+    """Usage errors in flags, reported before any work starts."""
     bits = getattr(args, "bits", None)
     depth = getattr(args, "depth", None)
     if bits is not None and bits < 64:
@@ -114,6 +114,13 @@ def _check_numbers(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and not value > 0:
             raise ParseError(f"--{flag} must be positive")
+    given = [f for f in ("point", "heis") if getattr(args, f, None) is not None]
+    if len(given) == 2:
+        raise ParseError("give only one of --point and --heis")
+    if args.command == "bestapprox" and bits is not None and not given:
+        raise ParseError("bestapprox --bits needs --point or --heis: sampled fixtures are exact")
+    if args.format == "csv" and args.command not in ("count", "khinchin"):
+        raise ParseError(f"{args.command} has no CSV output: use --format json or text")
 
 
 def _parse_point_arg(args):
@@ -378,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_numbers(args)
+        _check_usage(args)
         return args.func(args)
     except (ParseError, OSError) as e:  # OSError: an --out path that cannot be written
         print(f"error: {e}", file=sys.stderr)

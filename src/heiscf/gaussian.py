@@ -307,11 +307,10 @@ class GaussRat:
         return self._lowest_terms()[1]
 
     def _lowest_terms(self) -> tuple[GaussInt, GaussInt]:
-        num, den = GaussInt(self.a, self.b), GaussInt(self.d, 0)
-        g = gi_gcd(num, den)
-        num, den = num.exact_div(g), den.exact_div(g)
-        den, u = canonical_associate(den)
-        return u * num, den
+        den, num, _ = reduce_triple(
+            GaussInt(self.d), GaussInt(self.a, self.b), GaussInt()
+        )
+        return num, den
 
     def __add__(self, other: "GaussRat") -> "GaussRat":
         return _rat(
@@ -481,22 +480,6 @@ def _parse_complex_terms(s: str) -> tuple[Fraction, Fraction]:
     return re_part, im_part
 
 
-def parse_complex_rational(s: str) -> tuple[Fraction, Fraction]:
-    """Parse a complex rational: term sums (`1+4/5i`) or `num/den` with
-    parenthesized Gaussian-integer parts (`(1+i)/(2-i)`)."""
-    s = s.strip().replace(" ", "")
-    if "(" in s:  # only the quotient form has parentheses
-        left, slash, right = s.partition("/")
-        if not slash:
-            raise ParseError(f"bad complex literal {s!r}")
-        den = parse_gauss_int(_unparenthesize(right))
-        if den.is_zero():
-            raise ParseError(f"zero denominator in {s!r}")
-        r = GaussRat.make(parse_gauss_int(_unparenthesize(left)), den)
-        return r.re(), r.im()
-    return _parse_complex_terms(s)
-
-
 def _unparenthesize(part: str) -> str:
     """part without one enclosing pair of parentheses, which it may omit."""
     if part.startswith("(") and part.endswith(")"):
@@ -507,5 +490,15 @@ def _unparenthesize(part: str) -> str:
 
 
 def parse_gauss_rat(s: str) -> GaussRat:
-    re_part, im_part = parse_complex_rational(s)
-    return GaussRat.from_fractions(re_part, im_part)
+    """Parse a complex rational: term sums (`1+4/5i`) or `num/den` with
+    parenthesized Gaussian-integer parts (`(1+i)/(2-i)`)."""
+    s = s.strip().replace(" ", "")
+    if "(" in s:  # only the quotient form has parentheses
+        left, slash, right = s.partition("/")
+        if not slash:
+            raise ParseError(f"bad complex literal {s!r}")
+        den = parse_gauss_int(_unparenthesize(right))
+        if den.is_zero():
+            raise ParseError(f"zero denominator in {s!r}")
+        return GaussRat.make(parse_gauss_int(_unparenthesize(left)), den)
+    return GaussRat.from_fractions(*_parse_complex_terms(s))

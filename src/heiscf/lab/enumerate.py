@@ -83,45 +83,32 @@ def solve_p_line(
 ) -> list[tuple[int, int]]:
     """Integer solutions (c, d) of a c + b d = s with c^2 + d^2 <= p_norm_max.
 
-    Solutions, when they exist, form a line c = c0 - (b/g) t, d = d0 + (a/g) t;
-    only the segment meeting the disk is walked.
+    With g = gcd(a, b), solutions exist when g | s and form the line
+    c = c0 - (b/g) t, d = d0 + (a/g) t; only the segment meeting the disk is
+    walked, in increasing t.
     """
     g = math.gcd(a, b)
     if g == 0:
         raise ValueError("q must be nonzero")
     if s % g != 0:
         return []
-    # particular solution via extended gcd (sign-normalized: a x + b y = g > 0)
-    x, y = _ext_gcd(a, b)
-    if a * x + b * y < 0:
-        x, y = -x, -y
-    c0 = x * (s // g)
-    d0 = y * (s // g)
-    db, da = -(b // g), a // g  # step per unit t
-    # walk t over the window where c^2 + d^2 can stay within the disk
-    step_sq = db * db + da * da
-    # project the current point onto the line direction to center the window
-    t_center = -(c0 * db + d0 * da) / step_sq
+    a, b, s = a // g, b // g, s // g
+    if b == 0:  # a = +-1
+        c0, d0 = s * a, 0
+    else:  # a c0 = s mod b
+        c0 = s * pow(a, -1, abs(b)) % abs(b)
+        d0 = (s - a * c0) // b
+    # walk t over a window centered on the line's point nearest the origin
+    step_sq = a * a + b * b
+    t_center = (b * c0 - a * d0) // step_sq
     t_half = math.isqrt(4 * p_norm_max // step_sq) + 2
     out = []
-    for t in range(math.floor(t_center) - t_half, math.floor(t_center) + t_half + 1):
-        c = c0 + db * t
-        d = d0 + da * t
+    for t in range(t_center - t_half, t_center + t_half + 1):
+        c = c0 - b * t
+        d = d0 + a * t
         if c * c + d * d <= p_norm_max:
             out.append((c, d))
     return out
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_x, old_y
 
 
 def enumerate_rationals_qnorm(
@@ -135,8 +122,8 @@ def enumerate_rationals_qnorm(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    r_norm_max = _floor_frac(m * region.u_sq)
-    p_norm_max = _floor_frac(m * region.v_sq)
+    r_norm_max = math.floor(m * region.u_sq)
+    p_norm_max = math.floor(m * region.v_sq)
     points = []
     for q in qnorm_representations(m):
         a, b = q.re, q.im
@@ -163,8 +150,8 @@ def enumerate_rationals_naive(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    r_norm_max = _floor_frac(m * region.u_sq)
-    p_norm_max = _floor_frac(m * region.v_sq)
+    r_norm_max = math.floor(m * region.u_sq)
+    p_norm_max = math.floor(m * region.v_sq)
     rs = [g for g in _gauss_ints_in_disk(r_norm_max)]
     ps = [g for g in _gauss_ints_in_disk(p_norm_max)]
     r_norm = np.array([g.norm() for g in rs], dtype=np.int64)
@@ -195,6 +182,3 @@ def _gauss_ints_in_disk(norm_max: int):
         for b in range(-bmax, bmax + 1):
             yield GaussInt(a, b)
 
-
-def _floor_frac(x: Fraction) -> int:
-    return int(math.floor(x))

@@ -51,13 +51,6 @@ class UMatrix:
     def column(self, j: int) -> tuple[GaussInt, GaussInt, GaussInt]:
         return (self.rows[0][j], self.rows[1][j], self.rows[2][j])
 
-    def dagger(self) -> "UMatrix":
-        return UMatrix(
-            tuple(
-                tuple(self.rows[j][i].conj() for j in range(3)) for i in range(3)
-            )
-        )
-
     def __str__(self) -> str:
         return (
             "["
@@ -155,26 +148,33 @@ def mat_apply(m: UMatrix, h):
         return ProjIntPoint.reduced(q, r, p)
     if isinstance(h, SiegelPoint):
         with h.work():
-            col = (h.lift(_ONE), h.u, h.v)
-            out = []
-            for i in range(3):
-                acc = h.lift(_ZERO)
-                for k in range(3):
-                    acc = acc + h.lift(m.rows[i][k]) * col[k]
-                out.append(acc)
+            out = [h.lift(a) + h.lift(b) * h.u + h.lift(c) * h.v for a, b, c in m.rows]
             if not out[0]:
                 raise PointAtInfinity("matrix image at infinity")
             return SiegelPoint(out[1] / out[0], out[2] / out[0], h.ctx)
     raise TypeError(f"cannot apply matrix to {type(h).__name__}")
 
 
+def _adjoint(m: UMatrix) -> UMatrix:
+    """J m^dag J in closed form: entry (i, j) is (-1)^(i+j) conj(m[2-j][2-i])."""
+    return _mat(
+        [
+            [
+                GaussInt(e.re, -e.im) if (i + j) % 2 == 0 else GaussInt(-e.re, e.im)
+                for j, e in enumerate(reversed(m.column(2 - i)))
+            ]
+            for i in range(3)
+        ]
+    )
+
+
 def u21_check(m: UMatrix) -> bool:
     """Membership in U(2,1; Z[i]): J m^dag J m = identity."""
-    return mat_mul(mat_mul(mat_mul(J, m.dagger()), J), m) == IDENTITY
+    return mat_mul(_adjoint(m), m) == IDENTITY
 
 
 def u21_inverse(m: UMatrix) -> UMatrix:
     """Inverse via m^(-1) = J m^dag J; requires membership."""
     if not u21_check(m):
         raise NotInU21("matrix is not in U(2,1; Z[i])")
-    return mat_mul(mat_mul(J, m.dagger()), J)
+    return _adjoint(m)

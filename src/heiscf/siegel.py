@@ -46,6 +46,7 @@ from .gaussian import (
     GaussRat,
     RAT_ZERO,
     format_gauss_int,
+    parse_gauss_int,
     parse_gauss_rat,
     reduce_triple,
 )
@@ -513,9 +514,7 @@ def parse_heis_point(s: str, ctx: Optional[PrecisionContext] = None) -> HeisPoin
 
 
 def parse_proj_point(s: str) -> ProjIntPoint:
-    """Parse `[q : r : p]` projective form."""
-    from .gaussian import parse_gauss_int
-
+    """Parse `[q : r : p]` projective form; the triple must lie on the surface."""
     body = s.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
@@ -523,4 +522,7 @@ def parse_proj_point(s: str) -> ProjIntPoint:
     if len(parts) != 3:
         raise ParseError(f"expected three components in {s!r}")
     q, r, p = (parse_gauss_int(p.strip()) for p in parts)
-    return ProjIntPoint.reduced(q, r, p)
+    try:
+        return ProjIntPoint.reduced(q, r, p)
+    except ValueError as e:
+        raise ParseError(str(e)) from e

@@ -238,6 +238,16 @@ class TestUsageErrors:
             ["bestapprox", "--point", "(1+i; 1+4/5i)", "--m-max", "1" + "0" * 400],
             # a file used as a directory: the output path cannot be opened
             ["constants", "--out", os.path.join(__file__, "r.json")],
+            ["expand", "--point", "(1+i; 1+4/5i)", "--heis", "1/3+1/7i, 2/11"],
+            ["bestapprox", "--point", "(1+i; 1+4/5i)", "--heis", "1/3+1/7i, 2/11"],
+            # sampled fixtures are exact: a precision would never run
+            ["bestapprox", "--bits", "128", "--samples", "1"],
+            # only count and khinchin build CSV rows
+            ["expand", "--point", "(1+i; 1+4/5i)", "--format", "csv"],
+            ["verify", "--samples", "1", "--format", "csv"],
+            ["measure", "--samples", "1", "--format", "csv"],
+            ["bestapprox", "--samples", "1", "--format", "csv"],
+            ["constants", "--format", "csv"],
         ],
         ids=[
             "bits-below-64", "negative-depth", "bits-without-depth",
@@ -248,6 +258,9 @@ class TestUsageErrors:
             "point-zero-denominator", "heis-zero-denominator",
             "point-zero-quotient-denominator", "point-zero-imag-denominator",
             "bestapprox-zero-denominator", "bestapprox-huge-m-max", "out-not-writable",
+            "expand-point-and-heis", "bestapprox-point-and-heis",
+            "bestapprox-bits-without-point", "expand-csv", "verify-csv", "measure-csv",
+            "bestapprox-csv", "constants-csv",
         ],
     )
     def test_exit_2_with_one_line(self, args, capsys):

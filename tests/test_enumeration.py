@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heiscf.gaussian import GaussInt, gi_gcd
 from heiscf.lab.enumerate import (
@@ -28,19 +30,43 @@ class TestQnormRepresentations:
             assert q.norm() == m
 
 
+def disk_scan(a, b, s, bound):
+    """Every (c, d) with a c + b d = s and c^2 + d^2 <= bound, by brute force."""
+    lim = math.isqrt(bound)
+    return {
+        (c, d)
+        for c in range(-lim, lim + 1)
+        for d in range(-lim, lim + 1)
+        if a * c + b * d == s and c * c + d * d <= bound
+    }
+
+
 class TestSolvePLine:
     @pytest.mark.parametrize(
-        "a,b,s,bound", [(1, 1, 1, 4), (2, 0, 3, 25), (-1, -1, 1, 4), (3, -2, 5, 100)]
+        "a,b,s,bound",
+        [(1, 1, 1, 4), (2, 0, 3, 25), (2, 0, 4, 25), (0, -3, 6, 9), (-1, -1, 1, 4),
+         (3, -2, 5, 100)],
     )
     def test_solutions_valid_and_complete(self, a, b, s, bound):
-        got = set(solve_p_line(a, b, s, bound))
-        want = set()
-        lim = math.isqrt(bound)
-        for c in range(-lim, lim + 1):
-            for d in range(-lim, lim + 1):
-                if a * c + b * d == s and c * c + d * d <= bound:
-                    want.add((c, d))
-        assert got == want
+        assert set(solve_p_line(a, b, s, bound)) == disk_scan(a, b, s, bound)
+
+    @given(
+        st.integers(-12, 12), st.integers(-12, 12), st.integers(-150, 150),
+        st.integers(0, 300),
+    )
+    @settings(max_examples=300)
+    def test_matches_disk_scan(self, a, b, s, bound):
+        assume(a or b)
+        got = solve_p_line(a, b, s, bound)
+        assert len(got) == len(set(got))
+        assert set(got) == disk_scan(a, b, s, bound)
+
+    def test_large_coefficients(self):
+        """The walk window is found in integers, so it holds at any size."""
+        a, b = 10**30 + 7, -(3 * 10**29 + 11)
+        c, d = 5 * 10**30 + 1, 2 * 10**30 - 3
+        got = solve_p_line(a, b, a * c + b * d, c * c + d * d)
+        assert (c, d) in got and len(got) == len(set(got))
 
     def test_no_solution_wrong_residue(self):
         assert solve_p_line(2, 2, 3, 100) == []

@@ -49,3 +49,10 @@ def test_export_is_listed_where_defined(module, name):
     homes = DEFINED_IN.get(name, [])
     assert len(homes) == 1, f"{name} is defined in {homes}"
     assert name in importlib.import_module(homes[0]).__all__
+
+
+def test_package_exports_its_modules_lists_in_order():
+    from heiscf import cf, domain, gaussian, matrices, siegel
+
+    modules = (gaussian, siegel, matrices, domain, cf)
+    assert heiscf.__all__ == [name for m in modules for name in m.__all__]

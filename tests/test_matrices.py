@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from heiscf.errors import NotInU21, PointAtInfinity
 from heiscf.gaussian import GaussInt
 from heiscf.matrices import (
+    UMatrix,
     digit_matrix,
     identity_matrix,
     mat_apply,
@@ -88,6 +89,49 @@ class TestInverse:
         )
         with pytest.raises(NotInU21):
             u21_inverse(bad)
+
+
+def dagger(m):
+    """The conjugate transpose m^dag."""
+    return UMatrix(tuple(tuple(m.entry(j, i).conj() for j in range(3)) for i in range(3)))
+
+
+def j_dagger_j(m):
+    """J m^dag J as two general products."""
+    return mat_mul(mat_mul(matrix_J(), dagger(m)), matrix_J())
+
+
+def perturbed(m, i, j, e):
+    """m with e added to entry (i, j)."""
+    rows = [list(row) for row in m.rows]
+    rows[i][j] = rows[i][j] + e
+    return UMatrix(tuple(tuple(row) for row in rows))
+
+
+small_gauss_ints = st.builds(GaussInt, st.integers(-1, 1), st.integers(-1, 1))
+members = st.builds(
+    lambda g1, g2: mat_mul(digit_matrix(g1), translation_matrix(g2)),
+    integer_points(), integer_points(),
+)
+# arbitrary small matrices, members of U(2,1) and members with one entry moved
+matrices = st.one_of(
+    st.lists(st.lists(small_gauss_ints, min_size=3, max_size=3), min_size=3, max_size=3)
+    .map(lambda rows: UMatrix(tuple(tuple(row) for row in rows))),
+    members,
+    st.builds(perturbed, members, st.integers(0, 2), st.integers(0, 2), small_gauss_ints),
+)
+
+
+class TestAdjoint:
+    @given(matrices)
+    @settings(max_examples=200)
+    def test_u21_check_matches_products(self, m):
+        assert u21_check(m) == (mat_mul(j_dagger_j(m), m) == identity_matrix())
+
+    @given(members)
+    @settings(max_examples=40)
+    def test_inverse_is_j_dagger_j(self, m):
+        assert u21_inverse(m) == j_dagger_j(m)
 
 
 class TestAction:

@@ -257,6 +257,12 @@ class TestParsing:
         p = parse_proj_point("[5 : 5+5i : 5+4i]")
         assert p.q == GaussInt(1, 0) or p.q.norm() <= 25  # reduced form
 
+    @pytest.mark.parametrize("text", ["[1 : 1 : 0]", "[1 : 0 : 1]", "[2 : 1+i : 1]"])
+    def test_proj_off_surface(self, text):
+        """A triple off |r|^2 = 2 Re(conj(q) p) is a parse error, as in planar form."""
+        with pytest.raises(ParseError):
+            parse_proj_point(text)
+
     def test_str_round_trip(self):
         h = parse_planar_point("(1+i; 1+4/5i)")
         assert parse_planar_point(str(h)) == h
