@@ -15,7 +15,7 @@ from typing import Optional
 from .domain import DirichletDomain, reduce_into_kd
 from .errors import CertificationError, InternalError, InvalidDigitString
 from .gaussian import GaussInt, _fold_unit
-from .matrices import UMatrix, identity_matrix, mul_digit_matrix, translate
+from .matrices import IDENTITY, UMatrix, mul_digit_matrix, translate
 from .siegel import (
     IntegerPoint,
     PrecisionContext,
@@ -94,10 +94,6 @@ class CFExpansion:
         self._check_index(n)
         return self.continuants[n].column(1)
 
-    def third_column(self, n: int) -> tuple[GaussInt, GaussInt, GaussInt]:
-        self._check_index(n)
-        return self.continuants[n].column(2)
-
     def convergent(self, n: int) -> ProjIntPoint:
         """The nth convergent T_gamma0 Q_n (1:0:0) as a reduced projective
         triple.  T_gamma0 Q_n is in U(2,1; Z[i]), so its first column is
@@ -160,7 +156,7 @@ def expand(h: SiegelPoint, max_depth: Optional[int] = None) -> CFExpansion:
         gamma0=gamma0,
         digits=[],
         iterates=[h0],
-        continuants=[identity_matrix()],
+        continuants=[IDENTITY],
         terminated=h0.is_origin(),
     )
     while not e.terminated and e.depth != max_depth:

@@ -128,7 +128,7 @@ def _parse_point_arg(args):
     if args.point is not None:
         return parse_planar_point(args.point, ctx)
     if args.heis is not None:
-        return from_heis(parse_heis_point(args.heis, ctx))
+        return from_heis(*parse_heis_point(args.heis, ctx), ctx)
     raise ParseError("one of --point or --heis is required")
 
 

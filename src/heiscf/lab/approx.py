@@ -56,19 +56,6 @@ class ApproxRecord:
     def passed(self) -> bool:
         return not self.violations
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q_abs": self.q_abs,
-            "d_n": self.d_n,
-            "v_next": [self.v_next.real, self.v_next.imag],
-            "ratio_thm14": self.ratio_thm14,
-            "c_n": self.c_n,
-            "relsize_n": self.relsize_n,
-            "succ_n": self.succ_n,
-            "violations": list(self.violations),
-        }
-
 
 def _abs_gi(g: GaussInt) -> tuple[float, int]:
     """(a, k) with |g| = a * 2**k: k = 0 for |g|^2 < 2**500, else a < 2**251,
@@ -254,10 +241,7 @@ def decompose_triple(e: CFExpansion, n: int, target) -> tuple[GaussInt, GaussInt
     """Coordinates (a, b, c) of target in the Q_{n+1} column basis."""
     if n + 1 > e.depth:
         raise IndexError("decompose_triple requires n + 1 <= depth")
-    if isinstance(target, ProjIntPoint):
-        target = (target.q, target.r, target.p)
-    minv = u21_inverse(e.continuants[n + 1])
-    return mat_apply_triple(minv, target)
+    return mat_apply_triple(u21_inverse(e.continuants[n + 1]), target)
 
 
 @dataclass

@@ -107,6 +107,17 @@ def verify_tildeprq(e: CFExpansion, n: int) -> IdentityReport:
         return _report(e, "tildeprq", n, lhs, rhs, (lhs - rhs,), (lhs, rhs, t1, t2, t3))
 
 
+def _fracq_terms(e: CFExpansion, k: int) -> tuple:
+    """q_k, q~_k u_k and q_{k-1} v_k in the point's backend, the terms of
+    q_k + q~_k u_k - q_{k-1} v_k; call inside e.point.work()."""
+    lift, hk = e.point.lift, e.iterates[k]
+    return (
+        lift(e.first_column(k)[0]),
+        lift(e.second_column(k)[0]) * hk.u,
+        lift(e.first_column(k - 1)[0]) * hk.v,
+    )
+
+
 def verify_fracq(e: CFExpansion, n: int) -> IdentityReport:
     """(q_n + q~_n u_n - q_{n-1} v_n) * prod_{i<n} v_i = (-1)^n.
 
@@ -118,12 +129,9 @@ def verify_fracq(e: CFExpansion, n: int) -> IdentityReport:
         raise ValueError("identity requires n >= 1")
     if not e.v_prefix[n]:  # exact, and mpmath never rounds a nonzero product to 0
         raise HeisCFError(f"identity undefined (v_i = 0 for some i < {n})")
-    lift, hn = e.point.lift, e.iterates[n]
     with e.point.work():
-        t1 = lift(e.first_column(n)[0])
-        t2 = lift(e.second_column(n)[0]) * hn.u
-        t3 = lift(e.first_column(n - 1)[0]) * hn.v
-        lhs, rhs = (t1 + t2 - t3) * e.v_prefix[n], lift(GaussInt((-1) ** n))
+        t1, t2, t3 = _fracq_terms(e, n)
+        lhs, rhs = (t1 + t2 - t3) * e.v_prefix[n], e.point.lift(GaussInt((-1) ** n))
         return _report(e, "fracq", n, lhs, rhs, (lhs - rhs,), (lhs, rhs, t1, t2, t3))
 
 
@@ -144,10 +152,8 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
         qn = lift(col[0])
         forms = [abs_sq(e.v_prefix[n + 1] / qn)]
         if n + 1 <= e.depth:
-            hn1 = e.iterates[n + 1]
-            qn1 = lift(e.first_column(n + 1)[0])
-            fqn1 = lift(e.second_column(n + 1)[0])
-            denom = qn.conjugate() * (qn1 + fqn1 * hn1.u - qn * hn1.v)
+            t1, t2, t3 = _fracq_terms(e, n + 1)
+            denom = qn.conjugate() * (t1 + t2 - t3)
             if denom:
                 forms.append(abs_sq(lift(GaussInt(1)) / denom))
         return _report(

@@ -15,6 +15,7 @@ from ..gaussian import r2_count
 
 __all__ = [
     "KhinchinSum",
+    "phi",
     "divisor_g_r2",
     "khinchin_terms",
     "khinchin_partial_sum",
@@ -32,8 +33,9 @@ def divisor_g_r2(m: int) -> int:
     return total
 
 
-def _phi4(m: int, C: float, eps: float) -> float:
-    return (C * m ** (-(1.0 + eps) / 2.0)) ** 4
+def phi(m, C: float, eps: float) -> float:
+    """The approximation function phi(m) = C m^(-(1+eps)/2), in floats."""
+    return C * m ** (-(1.0 + eps) / 2.0)
 
 
 def khinchin_terms(m: int, C: float, eps: float) -> float:
@@ -46,7 +48,7 @@ def khinchin_terms(m: int, C: float, eps: float) -> float:
         raise ValueError("m must be >= 1")
     if C <= 0 or eps <= 0:
         raise ValueError("C and eps must be positive")
-    phi4 = _phi4(m, C, eps)
+    phi4 = phi(m, C, eps) ** 4
     term = phi4 * m * divisor_g_r2(m)
     root = math.isqrt(m)
     if root * root == m:

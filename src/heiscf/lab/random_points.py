@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..cf import reconstruct
 from ..domain import integer_point
-from ..siegel import HeisPoint, IntegerPoint, PrecisionContext, SiegelPoint, from_heis
+from ..siegel import IntegerPoint, PrecisionContext, SiegelPoint, from_heis
 
 __all__ = [
     "DIGIT_V_NORM_MIN",
@@ -85,5 +85,4 @@ def random_bigfloat_point(
 
     with ctx.work():
         z = mpc(mpf(z_re) / scale, mpf(z_im) / scale)
-        h = HeisPoint(z, mpf(t) / scale, ctx)
-        return from_heis(h)
+        return from_heis(z, mpf(t) / scale, ctx)

@@ -19,6 +19,7 @@ import numpy as np
 from ..domain import nearest_float
 from ..siegel import PrecisionContext, SiegelPoint
 from .enumerate import enumerate_rationals_qnorm, kprime_region
+from .khinchin import phi
 
 __all__ = [
     "sample_K",
@@ -108,7 +109,7 @@ def _range_point_arrays(k_lo: int, k_hi: int, C: float, eps: float):
     largest relevant phi) in lowest terms.  Cached: the tables depend only
     on the parameters, not the seed.
     """
-    delta = min(1.0, C * (2.0**k_lo) ** (-(1.0 + eps) / 2.0))
+    delta = min(1.0, phi(2.0**k_lo, C, eps))
     region = kprime_region(delta)
     out = []
     for k in range(k_lo, k_hi + 1):
@@ -117,12 +118,12 @@ def _range_point_arrays(k_lo: int, k_hi: int, C: float, eps: float):
             enum = enumerate_rationals_qnorm(m, region, lowest_terms=True)
             if not enum.points:
                 continue
-            phi = C * m ** (-(1.0 + eps) / 2.0)
+            phi4 = phi(m, C, eps) ** 4
             for q, r, p in enum.points:
                 qc = complex(q)
                 us.append(complex(r) / qc)
                 vs.append(complex(p) / qc)
-                thr4.append(phi**4)
+                thr4.append(phi4)
         out.append(
             (
                 k,

@@ -18,8 +18,8 @@ from .siegel import IntegerPoint, ProjIntPoint, SiegelPoint
 
 __all__ = [
     "UMatrix",
-    "matrix_J",
-    "identity_matrix",
+    "IDENTITY",
+    "J",
     "translation_matrix",
     "translate",
     "digit_matrix",
@@ -44,9 +44,6 @@ class UMatrix:
         tuple[GaussInt, GaussInt, GaussInt],
         tuple[GaussInt, GaussInt, GaussInt],
     ]
-
-    def entry(self, i: int, j: int) -> GaussInt:
-        return self.rows[i][j]
 
     def column(self, j: int) -> tuple[GaussInt, GaussInt, GaussInt]:
         return (self.rows[0][j], self.rows[1][j], self.rows[2][j])
@@ -73,15 +70,6 @@ IDENTITY = _mat(
 J = _mat(
     [[_ZERO, _ZERO, -_ONE], [_ZERO, _ONE, _ZERO], [-_ONE, _ZERO, _ZERO]]
 )
-
-
-def identity_matrix() -> UMatrix:
-    return IDENTITY
-
-
-def matrix_J() -> UMatrix:
-    """The inversion matrix; applying it equals the Koranyi inversion."""
-    return J
 
 
 def translation_matrix(gamma: IntegerPoint) -> UMatrix:
@@ -132,10 +120,8 @@ def mat_apply_triple(
     m: UMatrix, triple: tuple[GaussInt, GaussInt, GaussInt]
 ) -> tuple[GaussInt, GaussInt, GaussInt]:
     """Apply m to a raw integer triple (no reduction)."""
-    return tuple(
-        m.rows[i][0] * triple[0] + m.rows[i][1] * triple[1] + m.rows[i][2] * triple[2]
-        for i in range(3)
-    )
+    q, r, p = triple
+    return tuple(a * q + b * r + c * p for a, b, c in m.rows)
 
 
 def mat_apply(m: UMatrix, h):
@@ -144,8 +130,7 @@ def mat_apply(m: UMatrix, h):
     ProjIntPoint -> ProjIntPoint (reduced); SiegelPoint -> SiegelPoint.
     """
     if isinstance(h, ProjIntPoint):
-        q, r, p = mat_apply_triple(m, (h.q, h.r, h.p))
-        return ProjIntPoint.reduced(q, r, p)
+        return ProjIntPoint.reduced(*mat_apply_triple(m, h))
     if isinstance(h, SiegelPoint):
         with h.work():
             out = [h.lift(a) + h.lift(b) * h.u + h.lift(c) * h.v for a, b, c in m.rows]

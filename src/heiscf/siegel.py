@@ -53,7 +53,6 @@ from .gaussian import (
 
 __all__ = [
     "PrecisionContext",
-    "HeisPoint",
     "SiegelPoint",
     "IntegerPoint",
     "ProjIntPoint",
@@ -69,11 +68,9 @@ __all__ = [
     "distance_pow4",
     "linear_form_terms",
     "triple_distance_pow4",
-    "proj_to_planar",
     "triple_to_planar",
     "exact_triple",
     "planar_to_proj",
-    "is_integer_point",
     "parse_planar_point",
     "parse_heis_point",
     "parse_proj_point",
@@ -144,24 +141,6 @@ def _rat_quotient(x: GaussRat) -> mpc:
 
 
 @dataclass(frozen=True)
-class HeisPoint:
-    """A point (z, t) of the Heisenberg group C x R."""
-
-    z: Union[GaussRat, mpc]
-    t: Union[Fraction, mpf]
-    ctx: Optional[PrecisionContext] = None
-
-    @property
-    def exact(self) -> bool:
-        return self.ctx is None
-
-    def __str__(self) -> str:
-        if self.exact:
-            return f"heis({self.z}; {self.t})"
-        return f"heis({_fmt_mpc(self.z, self.ctx)}; {_fmt_mpf(self.t, self.ctx)})"
-
-
-@dataclass(frozen=True)
 class SiegelPoint:
     """A point (u, v) of the Siegel model.
 
@@ -225,10 +204,6 @@ class SiegelPoint:
         return f"({_fmt_mpc(self.u, self.ctx)}; {_fmt_mpc(self.v, self.ctx)})"
 
 
-def _fmt_mpf(x: mpf, ctx: PrecisionContext) -> str:
-    return mp.nstr(x, prec_to_dps(ctx.bits))
-
-
 def _fmt_mpc(x: mpc, ctx: PrecisionContext) -> str:
     digits = prec_to_dps(ctx.bits)  # only the digits the bits carry
     re_s = mp.nstr(x.real, digits)
@@ -253,25 +228,21 @@ def _check_same_backend(h1: SiegelPoint, h2: SiegelPoint) -> None:
 _ONE_PLUS_I = GaussRat.from_int(GaussInt(1, 1))
 
 
-def from_heis(h: HeisPoint) -> SiegelPoint:
-    """(z, t) -> (z(1+i), |z|^2 + t i); satisfies the constraint by construction."""
-    if h.exact:
-        u = h.z * _ONE_PLUS_I
-        v = GaussRat.from_fractions(h.z.abs_sq(), h.t)
-        return SiegelPoint(u, v)
-    ctx = h.ctx
+def from_heis(z, t, ctx: Optional[PrecisionContext] = None) -> SiegelPoint:
+    """The Heisenberg point (z, t) as (z(1+i), |z|^2 + t i), on the surface by
+    construction: exact for a GaussRat z and Fraction t (ctx None), else at ctx."""
+    if ctx is None:
+        return SiegelPoint(z * _ONE_PLUS_I, GaussRat.from_fractions(z.abs_sq(), t))
     with ctx.work():
-        u = h.z * mpc(1, 1)
-        v = mpc(abs(h.z) ** 2, h.t)
-        return SiegelPoint(u, v, ctx)
+        return SiegelPoint(z * mpc(1, 1), mpc(abs(z) ** 2, t), ctx)
 
 
-def to_heis(h: SiegelPoint) -> HeisPoint:
-    """Inverse of from_heis: z = u/(1+i), t = Im(v)."""
+def to_heis(h: SiegelPoint) -> tuple:
+    """Inverse of from_heis: (z, t) = (u/(1+i), Im v)."""
     if h.exact:
-        return HeisPoint(h.u / _ONE_PLUS_I, h.v.im())
+        return h.u / _ONE_PLUS_I, h.v.im()
     with h.ctx.work():
-        return HeisPoint(h.u / mpc(1, 1), h.v.imag, h.ctx)
+        return h.u / mpc(1, 1), h.v.imag
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +323,8 @@ def triple_distance_pow4(triple, h: SiegelPoint) -> Union[Fraction, mpf]:
     holds for every nonzero multiple of a triple: none needs reducing."""
     with h.work():
         t1, t2, t3 = linear_form_terms(triple, h)
-        return abs_sq(t1 - t2 + t3) / triple[0].norm()
+        q, _, _ = triple
+        return abs_sq(t1 - t2 + t3) / q.norm()
 
 
 def distance(h1: SiegelPoint, h2: SiegelPoint) -> Union[float, mpf]:
@@ -399,14 +371,10 @@ class IntegerPoint:
         return f"({format_gauss_int(self.u)}; {format_gauss_int(self.v)})"
 
 
-def is_integer_point(u: GaussInt, v: GaussInt) -> bool:
-    """True iff (u, v) lies in S(Z), i.e. 2 Re(v) = |u|^2 exactly."""
-    return 2 * v.re == u.norm()
-
-
 @dataclass(frozen=True)
 class ProjIntPoint:
-    """Integer projective triple (q : r : p) in lowest terms, canonical q."""
+    """Integer projective triple (q : r : p) in lowest terms, canonical q;
+    it iterates as (q, r, p), so it passes wherever a triple does."""
 
     q: GaussInt
     r: GaussInt
@@ -422,16 +390,14 @@ class ProjIntPoint:
     def reduced(q: GaussInt, r: GaussInt, p: GaussInt) -> "ProjIntPoint":
         return ProjIntPoint(*reduce_triple(q, r, p))
 
+    def __iter__(self):
+        return iter((self.q, self.r, self.p))
+
     def __str__(self) -> str:
         return (
             f"[{format_gauss_int(self.q)} : {format_gauss_int(self.r)}"
             f" : {format_gauss_int(self.p)}]"
         )
-
-
-def proj_to_planar(pt: ProjIntPoint) -> SiegelPoint:
-    """(q : r : p) -> (r/q, p/q), exact backend."""
-    return triple_to_planar((pt.q, pt.r, pt.p))
 
 
 def triple_to_planar(triple, ctx: Optional[PrecisionContext] = None) -> SiegelPoint:
@@ -499,8 +465,8 @@ def parse_planar_point(
         raise ParseError(str(e)) from e
 
 
-def parse_heis_point(s: str, ctx: Optional[PrecisionContext] = None) -> HeisPoint:
-    """Parse `heis(z; t)` or bare `z, t` form."""
+def parse_heis_point(s: str, ctx: Optional[PrecisionContext] = None) -> tuple:
+    """Parse `heis(z; t)` or bare `z, t` form into (z, t) for from_heis."""
     body = s.strip()
     if body.startswith("heis"):
         body = body[4:]
@@ -508,9 +474,9 @@ def parse_heis_point(s: str, ctx: Optional[PrecisionContext] = None) -> HeisPoin
     if t.b:
         raise ParseError("t component must be real")
     if ctx is None:
-        return HeisPoint(z, t.re())
+        return z, t.re()
     with ctx.work():
-        return HeisPoint(_rat_quotient(z), _rat_quotient(t).real, ctx)
+        return _rat_quotient(z), _rat_quotient(t).real
 
 
 def parse_proj_point(s: str) -> ProjIntPoint:

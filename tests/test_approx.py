@@ -28,8 +28,8 @@ from heiscf.siegel import (
     ProjIntPoint,
     distance,
     parse_planar_point,
-    proj_to_planar,
     triple_distance_pow4,
+    triple_to_planar,
 )
 
 
@@ -96,7 +96,7 @@ class TestConvergentDistance:
             d = convergent_distance(e, n)
             # measured from h_0 via the continuant columns; translating by
             # gamma_0 preserves distances, so the reduced convergent agrees
-            direct = distance(proj_to_planar(e.convergent(n)), e.point)
+            direct = distance(triple_to_planar(e.convergent(n)), e.point)
             assert math.isclose(d, direct, rel_tol=1e-9)
 
 
@@ -198,7 +198,7 @@ class TestCandidateSearch:
     def test_spec_point_best(self):
         h = parse_planar_point("(1+i; 1+4/5i)")
         best, d = best_approx_search(h, B=3.0)
-        assert d <= distance(proj_to_planar(best), h) + 1e-12
+        assert d <= distance(triple_to_planar(best), h) + 1e-12
         # the point itself has |q| = 5 > B, so the best is strictly farther
         assert d > 0
 
@@ -206,7 +206,7 @@ class TestCandidateSearch:
         h = parse_planar_point("(1+i; 1+4/5i)")
         best, d = best_approx_search(h, B=5.0)
         assert d == 0.0
-        assert proj_to_planar(best) == h
+        assert triple_to_planar(best) == h
 
     def test_candidates_are_coprime_and_folded(self):
         h = parse_planar_point("(1/2; 1/8+1/4i)")
@@ -241,7 +241,7 @@ class TestCandidateSearch:
         qn, rn, pn = e.first_column(n)
         d_n = convergent_distance(e, n)
         for trip in candidate_triples(h, B=math.sqrt(qn.norm()) * 0.5, dist_fn=lambda _: 1.5):
-            d = distance(proj_to_planar(ProjIntPoint.reduced(*trip)), h)
+            d = distance(triple_to_planar(ProjIntPoint.reduced(*trip)), h)
             assert d >= d_n - 1e-9 or trip[0].norm() >= qn.norm()
 
 

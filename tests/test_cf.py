@@ -28,9 +28,8 @@ from heiscf.lab.random_points import (
     random_digit_string,
     random_rational_point,
 )
-from heiscf.matrices import digit_matrix, identity_matrix, mat_mul, u21_check
+from heiscf.matrices import IDENTITY, digit_matrix, mat_mul, u21_check
 from heiscf.siegel import (
-    HeisPoint,
     IntegerPoint,
     PrecisionContext,
     SiegelPoint,
@@ -42,7 +41,7 @@ from heiscf.siegel import (
     koranyi_inversion,
     parse_heis_point,
     parse_planar_point,
-    proj_to_planar,
+    triple_to_planar,
 )
 
 K = DirichletDomain()
@@ -81,7 +80,7 @@ class TestExpandFixture:
 
     def test_final_convergent_equals_point(self):
         e = expand(parse_planar_point("(1+i; 1+4/5i)"))
-        assert proj_to_planar(e.convergent(e.depth)) == e.point
+        assert triple_to_planar(e.convergent(e.depth)) == e.point
 
     def test_max_depth(self):
         rng = random.Random(0)
@@ -104,7 +103,7 @@ class TestContinuants:
         e = expand(h)
         for n in range(1, e.depth + 1):
             q, r, p = e.first_column(n - 1)
-            mq, mr, mp = e.third_column(n)
+            mq, mr, mp = e.continuants[n].column(2)
             assert (-mq, -mr, -mp) == (q, r, p)
 
     def test_convergents_approach_point(self):
@@ -113,7 +112,7 @@ class TestContinuants:
         e = expand(h)
         h0 = e.iterates[0]
         dists = [
-            distance(proj_to_planar(e.convergent(n)), e.point)
+            distance(triple_to_planar(e.convergent(n)), e.point)
             for n in range(e.depth + 1)
         ]
         # strictly decreasing to exactly zero at the end
@@ -208,10 +207,11 @@ class TestCertifiedExpansion:
     def test_near_origin_guard(self):
         # a rational point terminates after 7 digits; at 64 bits its eighth
         # iterate keeps only rounding in v (|v| near 1.5e-13 < 4 * 2^-32)
-        h = from_heis(parse_heis_point("1/3+1/7i, 2/11"))
+        h = from_heis(*parse_heis_point("1/3+1/7i, 2/11"))
         exact = expand(h)
         assert exact.terminated and exact.depth == 7
-        big = from_heis(parse_heis_point("1/3+1/7i, 2/11", PrecisionContext(64)))
+        ctx = PrecisionContext(64)
+        big = from_heis(*parse_heis_point("1/3+1/7i, 2/11", ctx), ctx)
         assert expand(big, max_depth=7).digits == exact.digits
         with pytest.raises(CertificationError, match="too close to the origin"):
             expand(big, max_depth=8)
@@ -274,7 +274,7 @@ def expand_reference(h, max_depth=None):
     """Digits, iterates, continuants and termination, with a full mat_mul."""
     gamma0 = nearest_reference(h)
     cur = group_mul(gamma0.inv().to_siegel(), h)
-    digits, iterates, continuants = [], [cur], [identity_matrix()]
+    digits, iterates, continuants = [], [cur], [IDENTITY]
     while not cur.is_origin() and (max_depth is None or len(digits) < max_depth):
         gamma, cur = gauss_map_step_reference(cur)
         digits.append(gamma)
@@ -285,7 +285,7 @@ def expand_reference(h, max_depth=None):
 
 fractions = st.builds(Fraction, st.integers(-300, 300), st.integers(1, 40))
 heis_points = st.builds(
-    lambda x, y, t: from_heis(HeisPoint(GaussRat.from_fractions(x, y), t)),
+    lambda x, y, t: from_heis(GaussRat.from_fractions(x, y), t),
     fractions,
     fractions,
     fractions,

@@ -11,7 +11,6 @@ from heiscf.domain import RAD_KD, DirichletDomain, integer_point, rk_constant
 from heiscf.errors import AmbiguousNearestInteger
 from heiscf.gaussian import GaussInt, GaussRat
 from heiscf.siegel import (
-    HeisPoint,
     PrecisionContext,
     SiegelPoint,
     distance_pow4,
@@ -24,7 +23,7 @@ K = DirichletDomain()
 
 def rational_point(zr, zi, t):
     z = GaussRat.from_fractions(Fraction(zr), Fraction(zi))
-    return from_heis(HeisPoint(z, Fraction(t)))
+    return from_heis(z, Fraction(t))
 
 
 def random_rational(rng, span=3, den=64):
@@ -122,11 +121,7 @@ class TestNearestExamples:
         assert g.u.is_zero() and g.v.is_zero()
 
     def test_translate(self):
-        h = from_heis(
-            HeisPoint(
-                GaussRat.from_fractions(Fraction(0), Fraction(0)), Fraction(-1, 5)
-            )
-        )
+        h = from_heis(GaussRat.from_fractions(Fraction(0), Fraction(0)), Fraction(-1, 5))
         gamma = integer_point(1, 1, 1)
         moved = group_mul(gamma.to_siegel(), h)
         g = K.nearest(moved)

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from heiscf.errors import NotInU21, PointAtInfinity
 from heiscf.gaussian import GaussInt
 from heiscf.matrices import (
+    IDENTITY,
+    J,
     UMatrix,
     digit_matrix,
-    identity_matrix,
     mat_apply,
     mat_apply_triple,
     mat_mul,
-    matrix_J,
     mul_digit_matrix,
     translate,
     translation_matrix,
@@ -24,7 +24,7 @@ from heiscf.siegel import (
     ProjIntPoint,
     SiegelPoint,
     group_mul,
-    proj_to_planar,
+    triple_to_planar,
 )
 
 
@@ -44,11 +44,10 @@ gauss_ints = st.builds(GaussInt, st.integers(-50, 50), st.integers(-50, 50))
 
 class TestConstructions:
     def test_J_in_group(self):
-        assert u21_check(matrix_J())
+        assert u21_check(J)
 
     def test_J_squared_identity(self):
-        j = matrix_J()
-        assert mat_mul(j, j) == identity_matrix()
+        assert mat_mul(J, J) == IDENTITY
 
     @given(integer_points())
     def test_translation_in_group(self, g):
@@ -57,13 +56,13 @@ class TestConstructions:
     @given(integer_points())
     def test_digit_in_group(self, g):
         assert u21_check(digit_matrix(g))
-        assert digit_matrix(g) == mat_mul(matrix_J(), translation_matrix(g))
+        assert digit_matrix(g) == mat_mul(J, translation_matrix(g))
 
     def test_u21_check_rejects(self):
-        m = identity_matrix()
+        m = IDENTITY
         bad = type(m)(
             tuple(
-                tuple(GaussInt(2, 0) if i == j == 0 else m.entry(i, j) for j in range(3))
+                tuple(GaussInt(2, 0) if i == j == 0 else m.rows[i][j] for j in range(3))
                 for i in range(3)
             )
         )
@@ -76,14 +75,14 @@ class TestInverse:
     def test_inverse_of_product(self, g1, g2):
         m = mat_mul(digit_matrix(g1), digit_matrix(g2))
         assert mul_digit_matrix(digit_matrix(g1), g2) == m  # the closed form
-        assert mat_mul(m, u21_inverse(m)) == identity_matrix()
-        assert mat_mul(u21_inverse(m), m) == identity_matrix()
+        assert mat_mul(m, u21_inverse(m)) == IDENTITY
+        assert mat_mul(u21_inverse(m), m) == IDENTITY
 
     def test_inverse_requires_membership(self):
-        m = identity_matrix()
+        m = IDENTITY
         bad = type(m)(
             tuple(
-                tuple(GaussInt(2, 0) if i == j == 0 else m.entry(i, j) for j in range(3))
+                tuple(GaussInt(2, 0) if i == j == 0 else m.rows[i][j] for j in range(3))
                 for i in range(3)
             )
         )
@@ -93,12 +92,12 @@ class TestInverse:
 
 def dagger(m):
     """The conjugate transpose m^dag."""
-    return UMatrix(tuple(tuple(m.entry(j, i).conj() for j in range(3)) for i in range(3)))
+    return UMatrix(tuple(tuple(m.rows[j][i].conj() for j in range(3)) for i in range(3)))
 
 
 def j_dagger_j(m):
     """J m^dag J as two general products."""
-    return mat_mul(mat_mul(matrix_J(), dagger(m)), matrix_J())
+    return mat_mul(mat_mul(J, dagger(m)), J)
 
 
 def perturbed(m, i, j, e):
@@ -126,7 +125,7 @@ class TestAdjoint:
     @given(matrices)
     @settings(max_examples=200)
     def test_u21_check_matches_products(self, m):
-        assert u21_check(m) == (mat_mul(j_dagger_j(m), m) == identity_matrix())
+        assert u21_check(m) == (mat_mul(j_dagger_j(m), m) == IDENTITY)
 
     @given(members)
     @settings(max_examples=40)
@@ -161,7 +160,7 @@ class TestAction:
     def test_point_at_infinity(self):
         # J sends the origin (1:0:0 column q-part lands on 0)
         with pytest.raises(PointAtInfinity):
-            mat_apply(matrix_J(), SiegelPoint.origin())
+            mat_apply(J, SiegelPoint.origin())
 
     @given(integer_points())
     @settings(max_examples=40)
@@ -176,7 +175,7 @@ class TestAction:
             with pytest.raises(PointAtInfinity):
                 mat_apply(m, ProjIntPoint.reduced(*trip))
             return
-        pt = proj_to_planar(mat_apply(m, ProjIntPoint.reduced(*trip)))
+        pt = triple_to_planar(mat_apply(m, ProjIntPoint.reduced(*trip)))
         # raw action agrees with reduced action projectively
         from heiscf.gaussian import GaussRat
 

@@ -20,14 +20,14 @@ class TestNearestFloat:
         from fractions import Fraction
 
         from heiscf.gaussian import GaussRat
-        from heiscf.siegel import HeisPoint, from_heis
+        from heiscf.siegel import from_heis
 
         rng = random.Random(0)
         for _ in range(300):
             zr = Fraction(rng.randint(-96, 96), 64)
             zi = Fraction(rng.randint(-96, 96), 64)
             t = Fraction(rng.randint(-96, 96), 64)
-            h = from_heis(HeisPoint(GaussRat.from_fractions(zr, zi), t))
+            h = from_heis(GaussRat.from_fractions(zr, zi), t)
             a, b, c = nearest_float(
                 complex(float(h.u.re()), float(h.u.im())),
                 complex(float(h.v.re()), float(h.v.im())),

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from mpmath import mpf
 from mpmath.libmp import from_int, mpf_div, round_nearest
 
+from heiscf.cf import expand
 from heiscf.domain import integer_point
 from heiscf.errors import BackendMismatch, InversionAtOrigin, ParseError
 from heiscf.gaussian import GaussInt, GaussRat
-from heiscf.matrices import digit_matrix, mat_apply
+from heiscf.lab.approx import decompose_triple
+from heiscf.lab.enumerate import enumerate_rationals_qnorm, kprime_region
+from heiscf.lab.random_points import random_rational_point
+from heiscf.matrices import J, digit_matrix, mat_apply, mat_apply_triple
 from heiscf.siegel import (
-    HeisPoint,
     IntegerPoint,
     PrecisionContext,
     ProjIntPoint,
@@ -25,22 +28,22 @@ from heiscf.siegel import (
     gauge_norm,
     group_inv,
     group_mul,
-    is_integer_point,
     koranyi_inversion,
+    linear_form_terms,
     parse_heis_point,
     parse_planar_point,
     parse_proj_point,
     planar_to_proj,
-    proj_to_planar,
     to_heis,
     triple_distance_pow4,
+    triple_to_planar,
 )
 
 
 def rational_point(zr, zi, t):
     """Exact model point from Heisenberg coordinates."""
     z = GaussRat.from_fractions(Fraction(zr), Fraction(zi))
-    return from_heis(HeisPoint(z, Fraction(t)))
+    return from_heis(z, Fraction(t))
 
 
 heis_coords = st.tuples(
@@ -70,8 +73,7 @@ class TestModelConstraint:
     @given(heis_coords)
     def test_heis_round_trip(self, c):
         h = rational_point(*c)
-        z, t = to_heis(h).z, to_heis(h).t
-        assert from_heis(HeisPoint(z, t)) == h
+        assert from_heis(*to_heis(h)) == h
 
 
 class TestGroupLaw:
@@ -167,9 +169,11 @@ class TestIntegerPoints:
             IntegerPoint(GaussInt(1, 0), GaussInt(1, 3))  # 1 + 0 odd
 
     def test_is_integer_point(self):
-        assert is_integer_point(GaussInt(1, 1), GaussInt(1, 1))
-        assert is_integer_point(GaussInt(0, 0), GaussInt(0, 5))
-        assert not is_integer_point(GaussInt(1, 1), GaussInt(2, 0))
+        """IntegerPoint accepts (u, v) iff 2 Re(v) = |u|^2."""
+        IntegerPoint(GaussInt(1, 1), GaussInt(1, 1))
+        IntegerPoint(GaussInt(0, 0), GaussInt(0, 5))
+        with pytest.raises(ValueError):
+            IntegerPoint(GaussInt(1, 1), GaussInt(2, 0))
 
     def test_group_ops(self):
         g = IntegerPoint(GaussInt(1, 1), GaussInt(1, 2))
@@ -182,13 +186,13 @@ class TestProjective:
     def test_round_trip(self):
         h = rational_point(Fraction(1, 2), Fraction(1, 3), Fraction(2, 7))
         trip = planar_to_proj(h)
-        assert proj_to_planar(trip) == h
+        assert triple_to_planar(trip) == h
 
     @given(heis_coords)
     @settings(max_examples=60)
     def test_round_trip_property(self, c):
         h = rational_point(*c)
-        assert proj_to_planar(planar_to_proj(h)) == h
+        assert triple_to_planar(planar_to_proj(h)) == h
 
     def test_constraint(self):
         with pytest.raises(ValueError):
@@ -207,10 +211,38 @@ class TestProjective:
         h = rational_point(*c)
         assert math.gcd(h.u.d, h.v.d) > 1
         pt = planar_to_proj(h)
-        assert proj_to_planar(pt) == h
+        assert triple_to_planar(pt) == h
         # lowest terms with canonical q: reducing any multiple gives it back
         lam = GaussInt(2, 1)
         assert ProjIntPoint.reduced(lam * pt.q, lam * pt.r, lam * pt.p) == pt
+
+
+class TestProjIntPointIsItsTriple:
+    """A ProjIntPoint gives what its plain (q, r, p) tuple gives, wherever
+    a triple is taken: census points and convergents of seeded expansions."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_results_as_tuple(self, seed):
+        e = expand(random_rational_point(random.Random(seed), length=5))
+        region = kprime_region(0.0)
+        census = [t for m in (2, 4, 5) for t in enumerate_rationals_qnorm(m, region).points]
+        points = [ProjIntPoint(*t) for t in census] + e.convergents()
+        ctx = PrecisionContext(128)
+        h, big = e.iterates[0], e.iterates[0].to_bigfloat(ctx)
+        assert points
+        for pt in points:
+            tup = (pt.q, pt.r, pt.p)
+            assert tuple(pt) == tup
+            assert triple_to_planar(pt) == triple_to_planar(tup)
+            assert triple_to_planar(pt, ctx) == triple_to_planar(tup, ctx)
+            for x in (h, big):
+                assert triple_distance_pow4(pt, x) == triple_distance_pow4(tup, x)
+                with x.work():
+                    assert linear_form_terms(pt, x) == linear_form_terms(tup, x)
+            for m in (J, e.continuants[-1]):
+                assert mat_apply_triple(m, pt) == mat_apply_triple(m, tup)
+            for n in range(e.depth):
+                assert decompose_triple(e, n, pt) == decompose_triple(e, n, tup)
 
 
 class TestTripleDistance:
@@ -225,7 +257,7 @@ class TestTripleDistance:
     def test_any_multiple_matches_planar_route(self, c1, c2, lam):
         pt = planar_to_proj(rational_point(*c1))
         h = rational_point(*c2)
-        want = distance_pow4(proj_to_planar(pt), h)
+        want = distance_pow4(triple_to_planar(pt), h)
         lam = GaussInt(*lam)
         trip = (lam * pt.q, lam * pt.r, lam * pt.p)
         assert triple_distance_pow4(trip, h) == want
@@ -249,9 +281,15 @@ class TestParsing:
             parse_planar_point("nonsense")
 
     def test_heis_forms(self):
-        a = parse_heis_point("heis(1/2; 1/3)")
-        b = parse_heis_point("1/2, 1/3")
-        assert a.z == b.z and a.t == b.t
+        assert parse_heis_point("heis(1/2; 1/3)") == parse_heis_point("1/2, 1/3")
+
+    @given(heis_coords)
+    def test_heis_literal_is_its_planar_point(self, c):
+        """Exact: from_heis of a parsed heis literal is the parsed planar
+        literal of the same point."""
+        h = rational_point(*c)
+        z, t = to_heis(h)
+        assert from_heis(*parse_heis_point(f"{z}, {t}")) == parse_planar_point(str(h)) == h
 
     def test_proj(self):
         p = parse_proj_point("[5 : 5+5i : 5+4i]")
@@ -296,9 +334,9 @@ class TestLiteralRounding:
     @settings(max_examples=150, deadline=None)
     def test_heis_literal(self, x, y, t, bits):
         s = term(x.numerator, x.denominator) + term(y.numerator, y.denominator, True)
-        h = parse_heis_point(f"{s}, {term(t.numerator, t.denominator)}", PrecisionContext(bits))
-        assert h.z._mpc_ == (rounded_once(x, bits), rounded_once(y, bits))
-        assert h.t._mpf_ == rounded_once(t, bits)
+        z, tm = parse_heis_point(f"{s}, {term(t.numerator, t.denominator)}", PrecisionContext(bits))
+        assert z._mpc_ == (rounded_once(x, bits), rounded_once(y, bits))
+        assert tm._mpf_ == rounded_once(t, bits)
 
     @given(wide_fractions, wide_fractions, wide_fractions, st.sampled_from([64, 128, 512]))
     @settings(max_examples=150, deadline=None)
