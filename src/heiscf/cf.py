@@ -138,8 +138,10 @@ def expand(h: SiegelPoint, max_depth: Optional[int] = None) -> CFExpansion:
     unless max_depth cuts it short.  The orbit is carried as one integer
     triple (q, r, p); each iterate lies in K_D, so |v|^2 = |p|^2/|q|^2 <= 1/2
     and the next |q|^2 = |p|^2 at least halves.  A step that breaks this
-    contraction raises InternalError.  Big-float backend: produces max_depth
-    certified digits or raises CertificationError.
+    contraction raises InternalError.  Big-float backend: max_depth digits,
+    each certified only by the runner-up gap at working precision (else
+    AmbiguousNearestInteger); the input's own error grows with |q_k| and is
+    not bounded, so digits past |q_k|^2 ~ 2^bits can be wrong.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be >= 0")

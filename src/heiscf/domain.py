@@ -104,7 +104,9 @@ class DirichletDomain:
     (Re u, Im u, Im v) candidate.  On the big-float backend the runner-up
     must trail the best candidate by the certification tolerance
     check_scale * max(1, |v|), else AmbiguousNearestInteger is raised;
-    ranking and gap are exact, over one power-of-two denominator.
+    ranking and gap are exact, over one power-of-two denominator.  This
+    certifies the digit of h as given, at working precision, not of the
+    point h approximates: an error already in h is not accounted for.
     """
 
     def nearest(self, h: SiegelPoint) -> IntegerPoint:

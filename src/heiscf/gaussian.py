@@ -13,7 +13,7 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, PointAtInfinity
 
 __all__ = [
     "GaussInt",
@@ -157,8 +157,6 @@ def reduce_triple(
     The result represents the same projective point with q in canonical
     associate form.  q must be nonzero.
     """
-    from .errors import PointAtInfinity
-
     if q.is_zero():
         raise PointAtInfinity("point at infinity: q = 0")
     g = canonical_associate(q)[0]

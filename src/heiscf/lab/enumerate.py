@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from ..gaussian import GaussInt, _coprime, _fold_unit, _trip_key
 
 __all__ = [
@@ -144,33 +142,31 @@ def enumerate_rationals_qnorm(
 def enumerate_rationals_naive(
     m: int, region: Region, lowest_terms: bool = True
 ) -> RationalEnumeration:
-    """Naive oracle: full loop over (r, p) pairs with the constraint checked.
+    """Naive oracle: every (q, p) pair joined to the r with |r|^2 = 2 Re(conj(q) p).
 
-    Vectorized with numpy but logically a triple loop.
+    The r disk is grouped by norm once; no line is solved, so this stays
+    independent of solve_p_line.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     r_norm_max = math.floor(m * region.u_sq)
     p_norm_max = math.floor(m * region.v_sq)
-    rs = [g for g in _gauss_ints_in_disk(r_norm_max)]
-    ps = [g for g in _gauss_ints_in_disk(p_norm_max)]
-    r_norm = np.array([g.norm() for g in rs], dtype=np.int64)
-    pc = np.array([g.re for g in ps], dtype=np.int64)
-    pd = np.array([g.im for g in ps], dtype=np.int64)
+    rs_by_norm: dict[int, list[GaussInt]] = {}
+    for r in _gauss_ints_in_disk(r_norm_max):
+        rs_by_norm.setdefault(r.norm(), []).append(r)
+    ps = list(_gauss_ints_in_disk(p_norm_max))
     seen = set()
     points = []
     for q in qnorm_representations(m):
         a, b = q.re, q.im
-        # |r|^2 == 2 Re(conj(q) p) == 2 (a c + b d)
-        rhs = 2 * (a * pc + b * pd)
-        match = r_norm[:, None] == rhs[None, :]
-        for ri, pi in zip(*np.nonzero(match)):
-            trip = _fold_unit(q, rs[ri], ps[pi])
-            if lowest_terms and not _coprime(*trip):
-                continue
-            if trip not in seen:
-                seen.add(trip)
-                points.append(trip)
+        for p in ps:
+            for r in rs_by_norm.get(2 * (a * p.re + b * p.im), ()):
+                trip = _fold_unit(q, r, p)
+                if lowest_terms and not _coprime(*trip):
+                    continue
+                if trip not in seen:
+                    seen.add(trip)
+                    points.append(trip)
     points.sort(key=_trip_key)
     return RationalEnumeration(m, region, lowest_terms, points)
 

@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 from typing import Optional
 
+from mpmath import mpc, mpf
+
 from ..cf import reconstruct
 from ..domain import integer_point
 from ..siegel import IntegerPoint, PrecisionContext, SiegelPoint, from_heis
@@ -81,8 +83,6 @@ def random_bigfloat_point(
 
     z_re, z_im = dyadic(2.0**-0.25), dyadic(2.0**-0.25)
     t = dyadic(2.0**-0.5)
-    from mpmath import mpc, mpf
-
     with ctx.work():
         z = mpc(mpf(z_re) / scale, mpf(z_im) / scale)
         return from_heis(z, mpf(t) / scale, ctx)

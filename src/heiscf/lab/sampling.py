@@ -10,11 +10,12 @@ cross-checks.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
+from mpmath import mpc
 
 from ..domain import nearest_float
 from ..siegel import PrecisionContext, SiegelPoint
@@ -59,8 +60,6 @@ def sample_K(
     """Uniform sample of K_D w.r.t. the inherited measure, as a big-float point."""
     ctx = ctx or PrecisionContext(64)
     u, v = sample_K_floats(rng)
-    from mpmath import mpc
-
     with ctx.work():
         um = mpc(u.real, u.imag)
         vm = mpc(abs(um) ** 2 / 2, v.imag)
@@ -103,7 +102,7 @@ class KhinchinExperimentReport:
 
 @lru_cache(maxsize=8)
 def _range_point_arrays(k_lo: int, k_hi: int, C: float, eps: float):
-    """Per-dyadic-range arrays of rational planar coordinates and thresholds.
+    """Per dyadic range k, the float points (u_s, v_s, phi(m)^4) sorted by Re u_s.
 
     Rational points are enumerated over the K' box (K thickened by the
     largest relevant phi) in lowest terms.  Cached: the tables depend only
@@ -113,25 +112,15 @@ def _range_point_arrays(k_lo: int, k_hi: int, C: float, eps: float):
     region = kprime_region(delta)
     out = []
     for k in range(k_lo, k_hi + 1):
-        us, vs, thr4 = [], [], []
+        points = []
         for m in range(2**k, 2 ** (k + 1)):
             enum = enumerate_rationals_qnorm(m, region, lowest_terms=True)
-            if not enum.points:
-                continue
             phi4 = phi(m, C, eps) ** 4
             for q, r, p in enum.points:
                 qc = complex(q)
-                us.append(complex(r) / qc)
-                vs.append(complex(p) / qc)
-                thr4.append(phi4)
-        out.append(
-            (
-                k,
-                np.array(us, dtype=np.complex128),
-                np.array(vs, dtype=np.complex128),
-                np.array(thr4, dtype=np.float64),
-            )
-        )
+                points.append((complex(r) / qc, complex(p) / qc, phi4))
+        points.sort(key=lambda point: point[0].real)
+        out.append((k, points))
     return tuple(out)
 
 
@@ -147,29 +136,38 @@ def khinchin_experiment(
     A sample counts for range k if some lowest-terms rational point with
     |q|^2 in [2^k, 2^(k+1)) lies within C |q|^(-1-eps) of it.  Sampling is
     reproducible: each sample uses a sub-seed derived from the master seed.
+
+    Only points with |Re u_s - Re u| <= sqrt(2) max phi + 1e-6 are tested.
+    No hit is lost: on the model |u - u_s|^2 = 2 Re w <= 2 |w| = 2 d^2, with
+    w = conj(v_s) - conj(u_s) u + v, and float rounding adds < 1e-12 to 2 d^2.
     """
     k_lo, k_hi = k_range
     tables = _range_point_arrays(k_lo, k_hi, C, eps)
+    windows = [
+        (k, points, [p[0].real for p in points], 2**0.5 * max(p[2] for p in points) ** 0.25)
+        for k, points in tables
+        if points
+    ]
     master = random.Random(seed)
     sub_seeds = [master.getrandbits(64) for _ in range(samples)]
-    hits = {k: 0 for k, *_ in tables}
+    hits = {k: 0 for k, _ in tables}
     for s in sub_seeds:
         u, v = sample_K_floats(random.Random(s))
-        for k, us, vs, thr4 in tables:
-            if len(us) == 0:
-                continue
-            w = np.conj(vs) - np.conj(us) * u + v
-            d4 = np.abs(w) ** 2
-            if bool(np.any(d4 <= thr4)):
-                hits[k] += 1
+        for k, points, re_us, half in windows:
+            lo = bisect_left(re_us, u.real - half - 1e-6)
+            hi = bisect_right(re_us, u.real + half + 1e-6)
+            for us, vs, t4 in points[lo:hi]:
+                if abs(vs.conjugate() - us.conjugate() * u + v) ** 2 <= t4:
+                    hits[k] += 1
+                    break
     report = KhinchinExperimentReport(C=C, eps=eps, samples=samples, seed=seed)
-    for k, us, vs, _ in tables:
+    for k, points in tables:
         report.ranges.append(
             {
                 "k": k,
                 "m_lo": 2**k,
                 "m_hi": 2 ** (k + 1) - 1,
-                "points": int(len(us)),
+                "points": len(points),
                 "hits": hits[k],
                 "fraction": hits[k] / samples if samples else 0.0,
             }

@@ -13,6 +13,7 @@ from mpmath import mp, mpf
 
 import heiscf
 from heiscf.cli import main
+from heiscf.lab.sampling import khinchin_experiment
 
 
 def run_cli(args, capsys):
@@ -21,19 +22,29 @@ def run_cli(args, capsys):
     return code, out
 
 
-def run_module(args, timeout=None):
-    """`python -m heiscf.cli args` in a subprocess."""
+# run in a subprocess first, so that `import numpy` fails there
+NO_NUMPY = "import sys; sys.modules['numpy'] = None; "
+NO_NUMPY_CLI = NO_NUMPY + "from heiscf.cli import main; sys.exit(main())"
+
+
+def run_python(argv, timeout=None):
+    """`python argv` in a subprocess that imports heiscf from this tree."""
     # the src directory of the imported package, which pytest's
     # pythonpath setting does not pass on to a subprocess
     src = os.path.dirname(os.path.dirname(heiscf.__file__))
     path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     return subprocess.run(
-        [sys.executable, "-m", "heiscf.cli", *args],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
     )
+
+
+def run_module(args, timeout=None):
+    """`python -m heiscf.cli args` in a subprocess."""
+    return run_python(["-m", "heiscf.cli", *args], timeout)
 
 
 def load_schema():
@@ -400,3 +411,43 @@ class TestReproducibility:
 class TestEntryPoint:
     def test_console_script(self):
         assert run_module(["--version"]).returncode == 0
+
+
+class TestWithoutNumpy:
+    """The package and every subcommand run on mpmath and the standard library."""
+
+    def test_import_leaves_numpy_out(self):
+        proc = run_python(["-c", "import sys, heiscf, heiscf.cli, heiscf.lab; "
+                                 "print('numpy' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_khinchin_experiment(self):
+        proc = run_python(["-c", NO_NUMPY + "from heiscf.lab.sampling import "
+                           "khinchin_experiment as ex; print(ex(1.0, 1.0, (3, 5), 50, 0).as_dict())"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{khinchin_experiment(1.0, 1.0, (3, 5), 50, 0).as_dict()}\n"
+
+    def test_count_matches_golden(self):
+        """count, the one subcommand that runs the naive oracle."""
+        proc = run_python(["-c", NO_NUMPY_CLI, "count", "--m-max", "20", "--format", "csv"])
+        assert proc.returncode == 0, proc.stderr
+        golden = Path(__file__).parent / "data" / "golden" / "count.out"
+        assert proc.stdout == golden.read_text()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["expand", "--heis", "1/3+1/7i, 2/11", "--bits", "128", "--depth", "3"],
+            ["verify", "--samples", "2", "--depth", "5"],
+            ["measure", "--bits", "64", "--samples", "2", "--depth", "5"],
+            ["bestapprox", "--point", "(1+i; 1+4/5i)", "--m-max", "9"],
+            ["khinchin", "--m-max", "300"],
+            ["constants"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_subcommand_output_unchanged(self, args, capsys):
+        proc = run_python(["-c", NO_NUMPY_CLI, *args], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli(args, capsys)[1]

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heiscf.gaussian import GaussInt, gi_gcd
+from heiscf.gaussian import GaussInt, _coprime, _fold_unit, _trip_key, gi_gcd
 from heiscf.lab.enumerate import (
     Region,
+    _gauss_ints_in_disk,
     enumerate_rationals_naive,
     enumerate_rationals_qnorm,
     kprime_region,
@@ -88,6 +89,51 @@ class TestStructuredVsNaive:
         s = enumerate_rationals_qnorm(m, REGION, lowest_terms=False)
         n = enumerate_rationals_naive(m, REGION, lowest_terms=False)
         assert s.points == n.points
+
+
+def numpy_naive_points(m, region, lowest_terms):
+    """The naive oracle as it was before the join: a numpy match matrix per q."""
+    r_norm_max = math.floor(m * region.u_sq)
+    p_norm_max = math.floor(m * region.v_sq)
+    rs = [g for g in _gauss_ints_in_disk(r_norm_max)]
+    ps = [g for g in _gauss_ints_in_disk(p_norm_max)]
+    r_norm = np.array([g.norm() for g in rs], dtype=np.int64)
+    pc = np.array([g.re for g in ps], dtype=np.int64)
+    pd = np.array([g.im for g in ps], dtype=np.int64)
+    seen = set()
+    points = []
+    for q in qnorm_representations(m):
+        a, b = q.re, q.im
+        rhs = 2 * (a * pc + b * pd)
+        match = r_norm[:, None] == rhs[None, :]
+        for ri, pi in zip(*np.nonzero(match)):
+            trip = _fold_unit(q, rs[ri], ps[pi])
+            if lowest_terms and not _coprime(*trip):
+                continue
+            if trip not in seen:
+                seen.add(trip)
+                points.append(trip)
+    points.sort(key=_trip_key)
+    return points
+
+
+class TestNaiveJoinVsNumpyOracle:
+    """The join on |r|^2 keeps the numpy oracle's points, in its order."""
+
+    @pytest.mark.parametrize("lowest_terms", [True, False])
+    def test_kprime0(self, lowest_terms):
+        bad = [m for m in range(1, 121)
+               if enumerate_rationals_naive(m, REGION, lowest_terms).points
+               != numpy_naive_points(m, REGION, lowest_terms)]
+        assert bad == []
+
+    @pytest.mark.parametrize("lowest_terms", [True, False])
+    def test_thickened_region(self, lowest_terms):
+        region = kprime_region(0.5)
+        bad = [m for m in range(1, 33)
+               if enumerate_rationals_naive(m, region, lowest_terms).points
+               != numpy_naive_points(m, region, lowest_terms)]
+        assert bad == []
 
 
 class TestEnumerationInvariants:

@@ -1,8 +1,11 @@
 import random
 
+import numpy as np
+import pytest
 
 from heiscf.domain import DirichletDomain, nearest_float
 from heiscf.lab.sampling import (
+    _range_point_arrays,
     acceptance_stats,
     khinchin_experiment,
     sample_K,
@@ -77,3 +80,70 @@ class TestKhinchinExperiment:
         big = khinchin_experiment(2.0, 1.0, (1, 2), samples=60, seed=4)
         for rs, rb in zip(small.ranges, big.ranges):
             assert rb["hits"] >= rs["hits"]
+
+
+def numpy_full_scan_hits(tables, samples, seed):
+    """Hits per range by the numpy scan of every table point, as before the window."""
+    arrays = [
+        (k, np.array([p[0] for p in points], dtype=np.complex128),
+         np.array([p[1] for p in points], dtype=np.complex128),
+         np.array([p[2] for p in points], dtype=np.float64))
+        for k, points in tables
+    ]
+    master = random.Random(seed)
+    sub_seeds = [master.getrandbits(64) for _ in range(samples)]
+    hits = {k: 0 for k, *_ in arrays}
+    for s in sub_seeds:
+        u, v = sample_K_floats(random.Random(s))
+        for k, us, vs, thr4 in arrays:
+            if len(us) == 0:
+                continue
+            w = np.conj(vs) - np.conj(us) * u + v
+            d4 = np.abs(w) ** 2
+            if bool(np.any(d4 <= thr4)):
+                hits[k] += 1
+    return [hits[k] for k, *_ in arrays]
+
+
+class TestWindowVsNumpyFullScan:
+    """The scan of a window sorted by Re u_s finds every hit the full scan finds.
+
+    `points` per range is pinned to the table sizes before the window.
+    """
+
+    @pytest.mark.parametrize(
+        "C,eps,k_range,samples,seeds,points",
+        [
+            # the rational-census bench experiment
+            (1.0, 1.0, (3, 5), 200, range(6), [156, 936, 2928]),
+            # criterion 9 (on a prefix of its 400 samples)
+            (1.0, 1.0, (4, 8), 100, (101, 202, 303),
+             [696, 2196, 10502, 36624, 163164]),
+            # phi(2) = 1.5 caps delta at 1
+            (3.0, 1.0, (1, 5), 100, (1, 2, 3), [56, 546, 2214, 11992, 37406]),
+            # most samples hit in every range
+            (4.0, 0.5, (4, 6), 300, (5,), [3346, 10588, 50690]),
+        ],
+    )
+    def test_same_points_and_hits(self, C, eps, k_range, samples, seeds, points):
+        tables = _range_point_arrays(*k_range, C, eps)
+        for seed in seeds:
+            rep = khinchin_experiment(C, eps, k_range, samples, seed)
+            assert [r["points"] for r in rep.ranges] == points
+            assert [r["hits"] for r in rep.ranges] == numpy_full_scan_hits(
+                tables, samples, seed)
+
+    def test_tables_sorted_by_re_u(self):
+        for _, points in _range_point_arrays(3, 5, 1.0, 1.0):
+            keys = [p[0].real for p in points]
+            assert keys == sorted(keys)
+
+
+class TestKhinchinSignal:
+    """A (C, eps) where most samples hit, so the trend rests on hundreds of hits."""
+
+    def test_fraction_does_not_increase(self):
+        rep = khinchin_experiment(4.0, 0.5, (4, 6), samples=300, seed=5)
+        assert [r["hits"] for r in rep.ranges] == [300, 298, 296]
+        fr = rep.fractions()
+        assert all(a >= b for a, b in zip(fr, fr[1:]))
