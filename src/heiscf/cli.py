@@ -173,7 +173,9 @@ def cmd_verify(args) -> int:
     for e in _random_expansions(args, rng):
         for r in verify_expansion(e):
             checked += 1
-            max_residual = max(max_residual, r.residual / r.scale)
+            residual = r.residual
+            if residual:  # an exact pass is 0.0, which leaves the maximum as it is
+                max_residual = max(max_residual, residual / r.scale)
             if not r.passed:
                 failures.append(r.as_dict())
     rep = _sample_report("verify", args)

@@ -1,27 +1,38 @@
 """Verifiers for the exact continuant identities.
 
 Each verifier evaluates one identity at h_0 = (u_0, v_0) using the
-unreduced continuant entries, and reports the residual.  On the exact
-backend residuals are exactly zero; on the big-float backend they pass
-iff residual <= 2^(-bits/2) * scale, with scale the largest term
-magnitude (at least 1).  verify_expansion runs the whole suite on one
-expansion, as `heiscf verify` does.
+unreduced continuant entries, decides it, and reports the residual.  On
+the exact backend an identity holds iff it holds in integers: two
+Gaussian rationals are equal iff their reduced fields are, and the
+distance formula cross-multiplies its squares.  On the big-float backend
+it passes iff residual <= 2^(-bits/2) * scale, with scale the largest
+term magnitude (at least 1), decided on the exact squares of both sides.
+The floats a report shows are computed when they are read.
+verify_expansion runs the whole suite on one expansion, as `heiscf
+verify` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from mpmath import mpc
+from mpmath import mp, mpc
+from mpmath.libmp import (
+    fzero,
+    mpf_cmp,
+    mpf_mul,
+    mpf_pos,
+    mpf_sqrt,
+    round_down,
+    round_nearest,
+)
 
 from ..cf import CFExpansion
 from ..errors import HeisCFError
 from ..gaussian import GaussInt
 from ..siegel import (
+    _distance_form,
+    _linear_form,
     abs_sq,
     abs_sq_exact,
-    distance_pow4,
-    linear_form_terms,
     triple_to_planar,
 )
 
@@ -35,15 +46,46 @@ __all__ = [
 ]
 
 
-@dataclass
 class IdentityReport:
-    identity: str
-    n: int
-    lhs: complex
-    rhs: complex
-    residual: float
-    scale: float
-    passed: bool
+    """One identity at one index: its verdict and the floats it shows.
+
+    passed is decided when the report is made.  lhs, rhs, residual and
+    scale are computed when they are read, from the raw values the report
+    keeps (an exact report builds them at the first read), by the
+    expressions the verifiers have always used, so each float is the same.
+    An exact passing report's residual is 0.0 with no float work.  On big
+    floats residual and scale are roots of exact squares, the residual's
+    kept from the verdict, rounded as abs() rounds them.
+    """
+
+    def __init__(self, identity: str, n: int, passed: bool, values, bits=None, dsq=None):
+        self.identity, self.n, self.passed = identity, n, passed
+        self._values, self._bits, self._dsq = values, bits, dsq
+
+    def _raw(self) -> tuple:
+        """(lhs, rhs, diffs, magnitudes) as the verifier states them; an
+        exact report keeps the function that builds them until now."""
+        if callable(self._values):
+            self._values = self._values()
+        return self._values
+
+    lhs = property(lambda self: complex(self._raw()[0]))
+    rhs = property(lambda self: complex(self._raw()[1]))
+
+    @property
+    def residual(self) -> float:
+        if self._dsq is not None:
+            return float(_root(self._dsq, self._bits))
+        return 0.0 if self.passed else float(max(map(abs, self._raw()[2])))
+
+    @property
+    def scale(self) -> float:
+        magnitudes = self._raw()[3]
+        if self._bits is None:
+            top = max(map(abs, magnitudes))
+        else:
+            top = _root(_max_sq(magnitudes), self._bits)
+        return float(top) if top > 1 else 1.0
 
     def as_dict(self) -> dict:
         return {
@@ -57,54 +99,66 @@ class IdentityReport:
         }
 
 
-def _scale(values: tuple):
-    """max(1, |x| for x in values); call inside the values' work().
-
-    The values share one type.  mpmath's abs() rises with the exact |x|^2,
-    so mpcs are ranked on that and take one root, of the largest.
-    """
-    if isinstance(values[0], mpc):
-        top = abs(max(values, key=abs_sq_exact))
-    else:
-        top = max(map(abs, values))
-    return top if top > 1 else 1.0
+def _max_sq(values) -> tuple:
+    """The largest |x|^2 of mpcs or mpfs, a raw mpf, unrounded."""
+    top = fzero
+    for x in values:
+        sq = abs_sq_exact(x)._mpf_ if isinstance(x, mpc) else mpf_mul(x._mpf_, x._mpf_)
+        if mpf_cmp(sq, top) > 0:
+            top = sq
+    return top
 
 
-def _report(e: CFExpansion, identity: str, n: int, lhs, rhs, diffs, magnitudes) -> IdentityReport:
-    """The largest |diff| against the largest magnitude (at least 1); call
-    inside the values' work().  Exact backend: pass iff every diff is 0.  Big
-    floats: pass iff residual <= check_scale * scale.  lhs and rhs are only
-    reported."""
-    residual = max(map(abs, diffs))
-    scale = _scale(magnitudes)
-    passed = not any(diffs) if e.ctx is None else residual <= e.ctx.check_scale * scale
-    return IdentityReport(
-        identity=identity,
-        n=n,
-        lhs=complex(lhs),
-        rhs=complex(rhs),
-        residual=float(residual),
-        scale=float(scale),
-        passed=bool(passed),
-    )
+def _root(sq: tuple, prec: int):
+    """The root of an exact |x|^2 of an x at prec bits, as abs(x) rounds it:
+    mpf_hypot rounds the square down to prec + 4 bits, then takes one
+    root (and for a real x that gives |x| exactly)."""
+    return mp.make_mpf(mpf_sqrt(mpf_pos(sq, prec + 4, round_down), prec, round_nearest))
+
+
+def _report(e: CFExpansion, identity: str, n: int, values, passed=None) -> IdentityReport:
+    """values() gives (lhs, rhs, diffs, magnitudes) as the report shows
+    them; call inside the values' work().  Exact backend: passed is the
+    verdict, and values() runs when a float is first read.  Big floats:
+    values() runs now, and the report passes iff
+    max|diff|^2 <= check_scale^2 * max(1, max|x|^2), on unrounded squares;
+    the magnitudes are squared only when max|diff|^2 > check_scale^2."""
+    if e.ctx is None:
+        return IdentityReport(identity, n, passed, values)
+    raw = values()
+    dsq, cs = _max_sq(raw[2]), e.ctx.check_scale._mpf_
+    cs_sq = mpf_mul(cs, cs)
+    passed = mpf_cmp(dsq, cs_sq) <= 0 or mpf_cmp(dsq, mpf_mul(cs_sq, _max_sq(raw[3]))) <= 0
+    return IdentityReport(identity, n, passed, raw, e.ctx.bits, dsq)
+
+
+def _equality(e: CFExpansion, identity: str, n: int, lhs, rhs, terms) -> IdentityReport:
+    """The report on lhs = rhs, whose magnitudes are lhs, rhs and the
+    terms() of lhs; call inside the values' work().  Exact: lhs == rhs, as
+    a GaussRat has one normal form."""
+    def values():
+        return lhs, rhs, (lhs - rhs,), (lhs, rhs, *terms())
+
+    return _report(e, identity, n, values, e.ctx is None and lhs == rhs)
 
 
 def verify_prq(e: CFExpansion, n: int) -> IdentityReport:
     """conj(p_n) - conj(r_n) u + conj(q_n) v = (-1)^n prod_{i<=n} v_i at h_0."""
-    with e.point.work():
-        t1, t2, t3 = linear_form_terms(e.first_column(n), e.iterates[0])
-        lhs, prod = t1 - t2 + t3, e.v_prefix[n + 1]
+    h0 = e.iterates[0]
+    with h0.work():
+        lhs, terms = _linear_form(e.first_column(n), h0)
+        prod = e.v_prefix[n + 1]
         rhs = -prod if n % 2 else prod  # a sign flip: exact on both backends
-        return _report(e, "prq", n, lhs, rhs, (lhs - rhs,), (lhs, rhs, t1, t2, t3))
+        return _equality(e, "prq", n, lhs, rhs, terms)
 
 
 def verify_tildeprq(e: CFExpansion, n: int) -> IdentityReport:
     """Middle-column variant: rhs = (-1)^(n-1) u_n prod_{i<n} v_i."""
-    with e.point.work():
-        t1, t2, t3 = linear_form_terms(e.second_column(n), e.iterates[0])
-        lhs = t1 - t2 + t3
+    h0 = e.iterates[0]
+    with h0.work():
+        lhs, terms = _linear_form(e.second_column(n), h0)
         rhs = e.point.lift(GaussInt((-1) ** (n + 1))) * e.iterates[n].u * e.v_prefix[n]
-        return _report(e, "tildeprq", n, lhs, rhs, (lhs - rhs,), (lhs, rhs, t1, t2, t3))
+        return _equality(e, "tildeprq", n, lhs, rhs, terms)
 
 
 def _fracq_terms(e: CFExpansion, k: int) -> tuple:
@@ -130,17 +184,24 @@ def verify_fracq(e: CFExpansion, n: int) -> IdentityReport:
     if not e.v_prefix[n]:  # exact, and mpmath never rounds a nonzero product to 0
         raise HeisCFError(f"identity undefined (v_i = 0 for some i < {n})")
     with e.point.work():
-        t1, t2, t3 = _fracq_terms(e, n)
+        t1, t2, t3 = terms = _fracq_terms(e, n)
         lhs, rhs = (t1 + t2 - t3) * e.v_prefix[n], e.point.lift(GaussInt((-1) ** n))
-        return _report(e, "fracq", n, lhs, rhs, (lhs - rhs,), (lhs, rhs, t1, t2, t3))
+        return _equality(e, "fracq", n, lhs, rhs, lambda: terms)
+
+
+def _sq_parts(x) -> tuple[int, int]:
+    """|x|^2 of a GaussRat as (numerator, denominator), not reduced."""
+    return x.a * x.a + x.b * x.b, x.d * x.d
 
 
 def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
     """Both closed forms of d(convergent_n, h_0) against the direct distance.
 
     Form 1: |prod_{i<=n} v_i / q_n|^(1/2).  Form 2 (needs n+1 <= depth):
-    |conj(q_n) (q_{n+1} + q~_{n+1} u_{n+1} - q_n v_{n+1})|^(-1/2).  Both
-    are compared as fourth powers; the report shows the distances.
+    |conj(q_n) s|^(-1/2) with s = q_{n+1} + q~_{n+1} u_{n+1} - q_n v_{n+1}.
+    Both are compared as fourth powers; the report shows the distances.
+    On the exact backend d^4 = |w|^2, form 1 = |vp|^2 / |q_n|^2 and form 2
+    = 1 / (|q_n|^2 |s|^2) are cross-multiplied into integer equalities.
     """
     col = e.first_column(n)
     # the planar route, not the linear form: verify_prq already checks that;
@@ -148,18 +209,30 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
     conv = triple_to_planar(col, e.ctx)
     h0, lift = e.iterates[0], e.point.lift
     with h0.work():
-        d4 = distance_pow4(conv, h0)
-        qn = lift(col[0])
-        forms = [abs_sq(e.v_prefix[n + 1] / qn)]
+        w, qn, vp = _distance_form(conv, h0), lift(col[0]), e.v_prefix[n + 1]
+        s = None
         if n + 1 <= e.depth:
             t1, t2, t3 = _fracq_terms(e, n + 1)
-            denom = qn.conjugate() * (t1 + t2 - t3)
-            if denom:
-                forms.append(abs_sq(lift(GaussInt(1)) / denom))
-        return _report(
-            e, "distance", n, float(d4) ** 0.25, float(forms[0]) ** 0.25,
-            [d4 - f for f in forms], (d4, *forms),
-        )
+            s = t1 + t2 - t3
+
+        def values():
+            d4 = abs_sq(w)
+            forms = [abs_sq(vp / qn)]
+            if s:
+                forms.append(abs_sq(lift(GaussInt(1)) / (qn.conjugate() * s)))
+            return (
+                float(d4) ** 0.25, float(forms[0]) ** 0.25,
+                [d4 - f for f in forms], (d4, *forms),
+            )
+
+        passed = None
+        if e.ctx is None:
+            (nw, dw), (nv, dv), q2 = _sq_parts(w), _sq_parts(vp), col[0].norm()
+            passed = nw * dv * q2 == nv * dw
+            if passed and s:
+                ns, ds = _sq_parts(s)
+                passed = nw * ns * q2 == dw * ds
+        return _report(e, "distance", n, values, passed)
 
 
 def verify_expansion(e: CFExpansion) -> list[IdentityReport]:

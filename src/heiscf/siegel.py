@@ -45,6 +45,7 @@ from .gaussian import (
     GaussInt,
     GaussRat,
     RAT_ZERO,
+    _rat,
     format_gauss_int,
     parse_gauss_int,
     parse_gauss_rat,
@@ -188,6 +189,11 @@ class SiegelPoint:
         """g as a coordinate of this point's backend; call inside work()."""
         return _lift(g, self.ctx)
 
+    @cached_property  # not a field: equality and hash see u, v and ctx only
+    def _triple(self) -> tuple[GaussInt, GaussInt, GaussInt]:
+        """exact_triple(self), computed once per exact point."""
+        return exact_triple(self)
+
     def to_bigfloat(self, ctx: Optional[PrecisionContext]) -> "SiegelPoint":
         """This point at precision ctx; an exact point stays as it is for None."""
         if self.ctx == ctx:
@@ -304,11 +310,17 @@ def gauge_norm(h: SiegelPoint) -> Union[float, mpf]:
         return abs(h.v) ** mpf("0.5")
 
 
+def _distance_form(h1: SiegelPoint, h2: SiegelPoint) -> Union[GaussRat, mpc]:
+    """conj(v1) - conj(u1) u2 + v2, the v of h1^-1 h2, whose |.|^2 is
+    d(h1, h2)^4; call inside h1.work()."""
+    return h1.v.conjugate() - h1.u.conjugate() * h2.u + h2.v
+
+
 def distance_pow4(h1: SiegelPoint, h2: SiegelPoint) -> Union[Fraction, mpf]:
     """d(h1, h2)^4 = |conj(v1) - conj(u1) u2 + v2|^2."""
     _check_same_backend(h1, h2)
     with h1.work():
-        return abs_sq(h1.v.conjugate() - h1.u.conjugate() * h2.u + h2.v)
+        return abs_sq(_distance_form(h1, h2))
 
 
 def linear_form_terms(triple, h: SiegelPoint) -> tuple:
@@ -318,13 +330,45 @@ def linear_form_terms(triple, h: SiegelPoint) -> tuple:
     return p.conjugate(), r.conjugate() * h.u, q.conjugate() * h.v
 
 
+def _int_linear_form(triple, h: SiegelPoint) -> tuple[int, int, int]:
+    """(a, b, Q) with conj(p) - conj(r) u + conj(q) v = (a + b i) / Q at an
+    exact point h, from its triple (Q, R, P): a + b i is
+    conj(p) Q - conj(r) R + conj(q) P, in ints."""
+    (q, r, p), (Q, R, P) = triple, h._triple
+    Q = Q.re
+    return (
+        p.re * Q - (r.re * R.re + r.im * R.im) + (q.re * P.re + q.im * P.im),
+        -p.im * Q - (r.re * R.im - r.im * R.re) + (q.re * P.im - q.im * P.re),
+        Q,
+    )
+
+
+def _linear_form(triple, h: SiegelPoint) -> tuple:
+    """conj(p) - conj(r) u + conj(q) v for an integer triple (q, r, p) at
+    h = (u, v), in h's backend, and a function giving its three terms, as
+    linear_form_terms does; call inside h.work().
+
+    An exact point forms it in integers over its own triple, with one
+    reduction, and builds the terms only when they are asked for.  Big
+    floats add the terms, which are computed once.
+    """
+    if h.exact:
+        return _rat(*_int_linear_form(triple, h)), lambda: linear_form_terms(triple, h)
+    terms = linear_form_terms(triple, h)
+    t1, t2, t3 = terms
+    return t1 - t2 + t3, lambda: terms
+
+
 def triple_distance_pow4(triple, h: SiegelPoint) -> Union[Fraction, mpf]:
     """d((q : r : p), h)^4 = |conj(p) - conj(r) u + conj(q) v|^2 / |q|^2, which
-    holds for every nonzero multiple of a triple: none needs reducing."""
+    holds for every nonzero multiple of a triple: none needs reducing.  At
+    an exact point, |a + b i|^2 / (|q|^2 Q^2) in integers (_int_linear_form)."""
+    q, _, _ = triple
+    if h.exact:
+        a, b, Q = _int_linear_form(triple, h)
+        return Fraction(a * a + b * b, q.norm() * Q * Q)
     with h.work():
-        t1, t2, t3 = linear_form_terms(triple, h)
-        q, _, _ = triple
-        return abs_sq(t1 - t2 + t3) / q.norm()
+        return abs_sq(_linear_form(triple, h)[0]) / q.norm()
 
 
 def distance(h1: SiegelPoint, h2: SiegelPoint) -> Union[float, mpf]:

@@ -19,7 +19,7 @@ from heiscf.cf import expand
 from heiscf.domain import DirichletDomain, _dyadic, _ranked_candidates, integer_point
 from heiscf.errors import AmbiguousNearestInteger, CertificationError
 from heiscf.gaussian import GaussRat
-from heiscf.lab.identities import _scale
+from heiscf.lab.identities import IdentityReport, _max_sq, _root
 from heiscf.siegel import PrecisionContext, SiegelPoint, abs_sq, group_mul
 
 K = DirichletDomain()
@@ -332,16 +332,20 @@ class TestSquaredMagnitudes:
         with PrecisionContext(bits).work():
             values = [mpc(step(re, k, bits), im) for k in ks]
             roots = [abs(v) for v in values]
-            got = _scale(values)
-        want = max([1.0] + roots)
+            got = _root(_max_sq(values), bits)  # a big-float report's scale
+        want = max(roots)
         assert type(got) is type(want) and got == want
         assert len(set(roots)) == 2
 
     def test_scale_on_the_exact_backend(self):
         values = [GaussRat.from_fractions(Fraction(3, 5), Fraction(4, 5)),
                   GaussRat.from_fractions(Fraction(-7, 2), Fraction(0))]
-        assert _scale(values) == 3.5
-        assert _scale(values[:1]) == 1.0
+
+        def scale(magnitudes):  # an exact report's scale, read from its values
+            return IdentityReport("t", 0, False, lambda: (0, 0, (1,), magnitudes)).scale
+
+        assert scale(values) == 3.5
+        assert scale(values[:1]) == 1.0
 
 
 def constraint_boundary(ctx, ure, uim, vim, side):

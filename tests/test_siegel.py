@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 from mpmath.libmp import from_int, mpf_div, round_nearest
@@ -22,8 +22,11 @@ from heiscf.siegel import (
     PrecisionContext,
     ProjIntPoint,
     SiegelPoint,
+    _linear_form,
+    abs_sq,
     distance,
     distance_pow4,
+    exact_triple,
     from_heis,
     gauge_norm,
     group_inv,
@@ -266,6 +269,55 @@ class TestTripleDistance:
         with ctx.work():
             tol = ctx.check_scale * max(1, abs(want))
             assert abs(got - mpf(want.numerator) / want.denominator) <= tol
+
+
+class TestIntegerLinearForm:
+    """At an exact point the linear form conj(p) - conj(r) u + conj(q) v and
+    d^4 are formed in integers over the point's own triple (Q, R, P); they
+    equal the GaussRat route they replaced, the terms of linear_form_terms
+    added, and |.|^2 / |q|^2."""
+
+    @staticmethod
+    def gaussrat_route(triple, h) -> tuple:
+        t1, t2, t3 = linear_form_terms(triple, h)
+        q, _, _ = triple
+        return t1 - t2 + t3, abs_sq(t1 - t2 + t3) / q.norm()
+
+    @given(
+        heis_coords,
+        heis_coords,
+        st.sampled_from([(1, 0), (-1, 0), (0, 1), (2, 1), (-3, 5), (6, 0)]),
+    )
+    @example((Fraction(1, 3), Fraction(0), Fraction(1, 5)), (0, 0, Fraction(3, 7)), (2, 1))  # u = 0
+    @example((Fraction(1, 3), Fraction(0), Fraction(1, 5)), (Fraction(1, 2), 0, Fraction(1, 3)), (1, 0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_gaussrat_route(self, c1, c2, lam):
+        pt = planar_to_proj(rational_point(*c1))
+        h = rational_point(*c2)
+        lam = GaussInt(*lam)
+        # a ProjIntPoint and a multiple of its triple, at one point: the
+        # second round reads the triple the first computed
+        triples = [pt, (lam * pt.q, lam * pt.r, lam * pt.p)]
+        for trip in triples * 2:
+            want_form, want_d4 = self.gaussrat_route(trip, h)
+            form, terms = _linear_form(trip, h)
+            assert form == want_form and terms() == linear_form_terms(trip, h)
+            assert triple_distance_pow4(trip, h) == want_d4
+        assert vars(h)["_triple"] == exact_triple(h)
+
+    def test_examples_cover_zero_u_and_unequal_denominators(self):
+        assert not rational_point(0, 0, Fraction(3, 7)).u
+        h = rational_point(Fraction(1, 2), 0, Fraction(1, 3))
+        assert (h.u.d, h.v.d) == (2, 12)
+
+    def test_big_floats_add_the_terms(self):
+        h = rational_point(Fraction(1, 3), Fraction(-2, 5), Fraction(1, 7))
+        pt = planar_to_proj(rational_point(Fraction(1, 2), 0, Fraction(1, 3)))
+        big = h.to_bigfloat(PrecisionContext(128))
+        with big.work():
+            form, terms = _linear_form(pt, big)
+            t1, t2, t3 = linear_form_terms(pt, big)
+            assert form == t1 - t2 + t3 and terms() == (t1, t2, t3)
 
 
 class TestParsing:
