@@ -58,7 +58,11 @@ def gauss_map_step(h: SiegelPoint) -> tuple[IntegerPoint, SiegelPoint]:
 
 @dataclass
 class CFExpansion:
-    """Digits, iterates, continuants and convergents of one expansion."""
+    """Digits, iterates, continuants and convergents of one expansion.
+
+    Cached on first read: the prefix products v_0...v_k and the terms of
+    each s_k in the point's backend, which the identity verifiers share,
+    and the |v_i| as floats."""
 
     point: SiegelPoint
     gamma0: IntegerPoint
@@ -111,6 +115,18 @@ class CFExpansion:
             for h in self.iterates:
                 out.append(out[-1] * h.v)
         return out
+
+    @cached_property
+    def s_terms(self) -> list[tuple]:
+        """(q_k, q~_k u_k, q_{k-1} v_k) for k = 1..depth at index k - 1, the
+        terms of s_k = q_k + q~_k u_k - q_{k-1} v_k."""
+        lift = self.point.lift
+        with self.point.work():
+            q = [lift(m.rows[0][0]) for m in self.continuants]
+            return [
+                (q[k], lift(self.continuants[k].rows[0][1]) * h.u, q[k - 1] * h.v)
+                for k, h in enumerate(self.iterates[1:], 1)
+            ]
 
     @cached_property
     def v_abs(self) -> list[float]:

@@ -7,23 +7,16 @@ Gaussian rationals are equal iff their reduced fields are, and the
 distance formula cross-multiplies its squares.  On the big-float backend
 it passes iff residual <= 2^(-bits/2) * scale, with scale the largest
 term magnitude (at least 1), decided on the exact squares of both sides.
-The floats a report shows are computed when they are read.
+The floats a report shows are computed when they are read; on big floats
+residual and scale are mpmath's abs() at the report's precision.
 verify_expansion runs the whole suite on one expansion, as `heiscf
 verify` does.
 """
 
 from __future__ import annotations
 
-from mpmath import mp, mpc
-from mpmath.libmp import (
-    fzero,
-    mpf_cmp,
-    mpf_mul,
-    mpf_pos,
-    mpf_sqrt,
-    round_down,
-    round_nearest,
-)
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpc_abs, mpf_abs, mpf_cmp, mpf_mul, round_nearest, to_float
 
 from ..cf import CFExpansion
 from ..errors import HeisCFError
@@ -54,13 +47,13 @@ class IdentityReport:
     keeps (an exact report builds them at the first read), by the
     expressions the verifiers have always used, so each float is the same.
     An exact passing report's residual is 0.0 with no float work.  On big
-    floats residual and scale are roots of exact squares, the residual's
-    kept from the verdict, rounded as abs() rounds them.
+    floats residual and scale are the largest |x| as abs() rounds it at the
+    report's bits, whatever the precision at the read.
     """
 
-    def __init__(self, identity: str, n: int, passed: bool, values, bits=None, dsq=None):
+    def __init__(self, identity: str, n: int, passed: bool, values, bits=None):
         self.identity, self.n, self.passed = identity, n, passed
-        self._values, self._bits, self._dsq = values, bits, dsq
+        self._values, self._bits = values, bits
 
     def _raw(self) -> tuple:
         """(lhs, rhs, diffs, magnitudes) as the verifier states them; an
@@ -69,23 +62,28 @@ class IdentityReport:
             self._values = self._values()
         return self._values
 
+    def _top(self, values) -> float:
+        """The largest |x| as a float; on big floats as abs() rounds it at
+        the report's bits, taken of the x with the largest exact square."""
+        if self._bits is None:
+            return float(max(map(abs, values)))
+        x = max(values, key=_sq)
+        if isinstance(x, mpc):
+            return to_float(mpc_abs(x._mpc_, self._bits, round_nearest), rnd=round_nearest)
+        return to_float(mpf_abs(x._mpf_, self._bits, round_nearest), rnd=round_nearest)
+
     lhs = property(lambda self: complex(self._raw()[0]))
     rhs = property(lambda self: complex(self._raw()[1]))
 
     @property
     def residual(self) -> float:
-        if self._dsq is not None:
-            return float(_root(self._dsq, self._bits))
-        return 0.0 if self.passed else float(max(map(abs, self._raw()[2])))
+        if self.passed and self._bits is None:
+            return 0.0
+        return self._top(self._raw()[2])
 
     @property
     def scale(self) -> float:
-        magnitudes = self._raw()[3]
-        if self._bits is None:
-            top = max(map(abs, magnitudes))
-        else:
-            top = _root(_max_sq(magnitudes), self._bits)
-        return float(top) if top > 1 else 1.0
+        return max(1.0, self._top(self._raw()[3]))
 
     def as_dict(self) -> dict:
         return {
@@ -99,21 +97,14 @@ class IdentityReport:
         }
 
 
+def _sq(x) -> mpf:
+    """|x|^2 of an mpc or an mpf, unrounded: an mpf to compare."""
+    return abs_sq_exact(x) if isinstance(x, mpc) else mp.make_mpf(mpf_mul(x._mpf_, x._mpf_))
+
+
 def _max_sq(values) -> tuple:
     """The largest |x|^2 of mpcs or mpfs, a raw mpf, unrounded."""
-    top = fzero
-    for x in values:
-        sq = abs_sq_exact(x)._mpf_ if isinstance(x, mpc) else mpf_mul(x._mpf_, x._mpf_)
-        if mpf_cmp(sq, top) > 0:
-            top = sq
-    return top
-
-
-def _root(sq: tuple, prec: int):
-    """The root of an exact |x|^2 of an x at prec bits, as abs(x) rounds it:
-    mpf_hypot rounds the square down to prec + 4 bits, then takes one
-    root (and for a real x that gives |x| exactly)."""
-    return mp.make_mpf(mpf_sqrt(mpf_pos(sq, prec + 4, round_down), prec, round_nearest))
+    return max(map(_sq, values))._mpf_
 
 
 def _report(e: CFExpansion, identity: str, n: int, values, passed=None) -> IdentityReport:
@@ -129,7 +120,7 @@ def _report(e: CFExpansion, identity: str, n: int, values, passed=None) -> Ident
     dsq, cs = _max_sq(raw[2]), e.ctx.check_scale._mpf_
     cs_sq = mpf_mul(cs, cs)
     passed = mpf_cmp(dsq, cs_sq) <= 0 or mpf_cmp(dsq, mpf_mul(cs_sq, _max_sq(raw[3]))) <= 0
-    return IdentityReport(identity, n, passed, raw, e.ctx.bits, dsq)
+    return IdentityReport(identity, n, passed, raw, e.ctx.bits)
 
 
 def _equality(e: CFExpansion, identity: str, n: int, lhs, rhs, terms) -> IdentityReport:
@@ -161,17 +152,6 @@ def verify_tildeprq(e: CFExpansion, n: int) -> IdentityReport:
         return _equality(e, "tildeprq", n, lhs, rhs, terms)
 
 
-def _fracq_terms(e: CFExpansion, k: int) -> tuple:
-    """q_k, q~_k u_k and q_{k-1} v_k in the point's backend, the terms of
-    q_k + q~_k u_k - q_{k-1} v_k; call inside e.point.work()."""
-    lift, hk = e.point.lift, e.iterates[k]
-    return (
-        lift(e.first_column(k)[0]),
-        lift(e.second_column(k)[0]) * hk.u,
-        lift(e.first_column(k - 1)[0]) * hk.v,
-    )
-
-
 def verify_fracq(e: CFExpansion, n: int) -> IdentityReport:
     """(q_n + q~_n u_n - q_{n-1} v_n) * prod_{i<n} v_i = (-1)^n.
 
@@ -184,7 +164,7 @@ def verify_fracq(e: CFExpansion, n: int) -> IdentityReport:
     if not e.v_prefix[n]:  # exact, and mpmath never rounds a nonzero product to 0
         raise HeisCFError(f"identity undefined (v_i = 0 for some i < {n})")
     with e.point.work():
-        t1, t2, t3 = terms = _fracq_terms(e, n)
+        t1, t2, t3 = terms = e.s_terms[n - 1]
         lhs, rhs = (t1 + t2 - t3) * e.v_prefix[n], e.point.lift(GaussInt((-1) ** n))
         return _equality(e, "fracq", n, lhs, rhs, lambda: terms)
 
@@ -212,7 +192,7 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
         w, qn, vp = _distance_form(conv, h0), lift(col[0]), e.v_prefix[n + 1]
         s = None
         if n + 1 <= e.depth:
-            t1, t2, t3 = _fracq_terms(e, n + 1)
+            t1, t2, t3 = e.s_terms[n]
             s = t1 + t2 - t3
 
         def values():

@@ -216,6 +216,22 @@ class TestCertifiedExpansion:
         with pytest.raises(CertificationError, match="too close to the origin"):
             expand(big, max_depth=8)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_low_precision_digits_are_exact_or_refused(self):
+        # the literal P of ROADMAP item 1: at 64 bits, depth 30, its digits
+        # differ from the exact expansion's from index 14 on
+        den = "/" + "1" + "0" * 39
+        lit = ("314159265358979323846264338327950288419" + den
+               + "+271828182845904523536028747135266249775" + den + "i, "
+               + "141421356237309504880168872420969807856" + den)
+        exact = expand(from_heis(*parse_heis_point(lit)))
+        ctx = PrecisionContext(64)
+        try:
+            digits = expand(from_heis(*parse_heis_point(lit, ctx), ctx), max_depth=30).digits
+        except CertificationError:
+            return
+        assert digits == exact.digits[: len(digits)]
+
 
 class TestJsonFixture:
     def test_round_trip_schema_fields(self):

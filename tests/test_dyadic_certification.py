@@ -19,7 +19,7 @@ from heiscf.cf import expand
 from heiscf.domain import DirichletDomain, _dyadic, _ranked_candidates, integer_point
 from heiscf.errors import AmbiguousNearestInteger, CertificationError
 from heiscf.gaussian import GaussRat
-from heiscf.lab.identities import IdentityReport, _max_sq, _root
+from heiscf.lab.identities import IdentityReport
 from heiscf.siegel import PrecisionContext, SiegelPoint, abs_sq, group_mul
 
 K = DirichletDomain()
@@ -332,9 +332,8 @@ class TestSquaredMagnitudes:
         with PrecisionContext(bits).work():
             values = [mpc(step(re, k, bits), im) for k in ks]
             roots = [abs(v) for v in values]
-            got = _root(_max_sq(values), bits)  # a big-float report's scale
-        want = max(roots)
-        assert type(got) is type(want) and got == want
+        got = IdentityReport("t", 0, True, (0, 0, (), values), bits).scale
+        assert got == float(max(roots))
         assert len(set(roots)) == 2
 
     def test_scale_on_the_exact_backend(self):

@@ -15,6 +15,7 @@ against exact rationals instead.
 
 import dataclasses
 import importlib.util
+import math
 from fractions import Fraction
 import random
 from dataclasses import dataclass
@@ -25,12 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc
-from mpmath.libmp import from_man_exp, mpf_sqrt, round_nearest, to_rational
+from mpmath.libmp import from_man_exp, mpf_sqrt, round_nearest, to_float, to_rational
 
 from heiscf.cf import expand, reconstruct
 from heiscf.errors import HeisCFError
 from heiscf.gaussian import GaussInt, GaussRat
-from heiscf.lab.identities import _max_sq, _root
+from heiscf.lab.identities import IdentityReport, _max_sq
 from heiscf.lab.identities import _report as _new_report
 from heiscf.lab.identities import verify_expansion
 from heiscf.lab.random_points import random_bigfloat_point, random_digit_string
@@ -163,11 +164,17 @@ def oracle_suite(e) -> list:
 # The comparison
 
 
+def _fields(x):
+    """What makes two values of either backend the same value."""
+    return x._mpc_ if isinstance(x, mpc) else (x.a, x.b, x.d)
+
+
 def assert_as_oracle(e) -> list:
     """verify_expansion(e) against the oracle; the reports, for more checks.
 
     The verdicts are compared before any float is read; repr tells apart
-    any two distinct finite floats, -0.0 and 0.0 included.
+    any two distinct finite floats, -0.0 and 0.0 included.  The terms of
+    each s_k the expansion keeps are the oracle's own.
     """
     got, want = verify_expansion(e), oracle_suite(e)
     assert [(r.identity, r.n, r.passed) for r in got] == [
@@ -175,6 +182,11 @@ def assert_as_oracle(e) -> list:
     ]
     for r, w in zip(got, want):
         assert repr(r.as_dict()) == repr(w.as_dict()), (r.identity, r.n)
+    with e.point.work():
+        want_terms = [_fracq_terms(e, k) for k in range(1, e.depth + 1)]
+    assert [list(map(_fields, t)) for t in e.s_terms] == [
+        list(map(_fields, t)) for t in want_terms
+    ]
     return got
 
 
@@ -213,6 +225,23 @@ def test_low_precision_expansions(bits):
             if r.identity == "distance" and r.passed and r.lhs.real and r.rhs.real:
                 false_passes += abs(r.lhs.real**4 / r.rhs.real**4 - 1) > 1e-3
     assert false_passes > 0
+
+
+@pytest.mark.parametrize("bits", [128, 512])
+def test_floats_ignore_the_ambient_precision(bits):
+    """A big-float report's floats are rounded at its own bits, whatever
+    precision is current when they are read."""
+    rng, ctx = random.Random(1), PrecisionContext(bits)
+    for _ in range(3):
+        e = expand(random_bigfloat_point(rng, ctx), max_depth=12)
+        reports = verify_expansion(e)
+        with mp.workprec(53):
+            low = [repr(r.as_dict()) for r in reports]
+        with mp.workprec(4096):
+            high = [repr(r.as_dict()) for r in reports]
+        with e.point.work():
+            own = [repr(r.as_dict()) for r in reports]
+        assert low == high == own
 
 
 def test_exact_passing_report_reads_no_values():
@@ -321,24 +350,32 @@ def test_big_float_verdict_at_the_bound(bits, re_m, im_m, exp, jitter_re, jitter
     assert (r.residual, r.scale) == (float(want_residual), float(want_scale))
 
 
-def test_root_rounds_as_abs_next_to_a_midpoint():
+def test_report_floats_round_as_abs_next_to_a_midpoint():
     """|x| just past the midpoint above Im x, with Re x tiny: there abs()
     rounds |x|^2 down to bits + 4 bits before its root, and so can differ
-    from the correctly rounded root.  A report's root of the exact square
-    keeps abs()'s digits."""
-    rng = random.Random(5)
-    departs = 0
+    from the correctly rounded root.  A report's residual and scale keep
+    abs()'s digits, read at the default precision (the scale on x 2^bits,
+    an exact multiple, as it is floored at 1).  Im x is any bits-bit float,
+    then halfway between two doubles, where a root one ulp off abs() also
+    rounds to another float."""
+    rng, rng_mid = random.Random(5), random.Random(6)
+    departs = float_departs = 0
     for bits in (64, 128, 512):
-        for _ in range(40):
+        ims = [rng.randrange(2 ** (bits - 1), 2**bits) for _ in range(40)]
+        ims += [(2 * rng_mid.randrange(2**52, 2**53) + 1) << (bits - 54) for _ in range(40)]
+        for im_man in ims:
             with mp.workprec(bits):
-                im = mp.make_mpf(from_man_exp(rng.randrange(2 ** (bits - 1), 2**bits), -bits))
+                im = mp.make_mpf(from_man_exp(im_man, -bits))
                 half_ulp = mp.ldexp(1, -bits - 1)
             with mp.workprec(4 * bits):
                 re = mp.sqrt((im + half_ulp) ** 2 - im**2)
             for k in range(-4, 5):
                 with mp.workprec(bits):
                     x = mpc(nudge(+re, k, bits), im)
-                    sq, want = _max_sq([x]), abs(x)
-                assert _root(sq, bits) == want
-                departs += mpf_sqrt(sq, bits, round_nearest) != want._mpf_
-    assert departs
+                    big, want = x * 2**bits, abs(x)
+                    root = mpf_sqrt(_max_sq([x]), bits, round_nearest)
+                r = IdentityReport("t", 0, True, (x, x, (x,), (big,)), bits)
+                assert (r.residual, r.scale) == (float(want), math.ldexp(float(want), bits))
+                departs += root != want._mpf_
+                float_departs += to_float(root, rnd=round_nearest) != float(want)
+    assert departs and float_departs
