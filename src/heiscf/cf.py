@@ -21,6 +21,7 @@ from .siegel import (
     PrecisionContext,
     ProjIntPoint,
     SiegelPoint,
+    abs_sq_exact,
     exact_triple,
     group_mul,
     koranyi_inversion,
@@ -187,7 +188,8 @@ def expand(h: SiegelPoint, max_depth: Optional[int] = None) -> CFExpansion:
             e.terminated = t[2].is_zero()
         else:
             cur = e.iterates[-1]
-            if cur.ctx.below(cur.v, 4):  # only big floats can lose 1/v to rounding
+            # only big floats can lose 1/v to rounding (the rule at k = 4, no scale)
+            if cur.ctx.tol_sign(abs_sq_exact(cur.v)._mpf_, 4) < 0:
                 raise CertificationError(
                     "orbit too close to the origin to certify inversion"
                 )

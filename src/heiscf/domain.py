@@ -10,7 +10,7 @@ floats (nearest_float) enter as dyadic integers over one power of two.
 from __future__ import annotations
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_float, from_man_exp
+from mpmath.libmp import from_float, from_man_exp, mpf_mul
 
 from .errors import AmbiguousNearestInteger
 from .gaussian import GaussInt
@@ -102,8 +102,8 @@ class DirichletDomain:
 
     Ties on the boundary break toward the lexicographically smallest
     (Re u, Im u, Im v) candidate.  On the big-float backend the runner-up
-    must trail the best candidate by the certification tolerance
-    check_scale * max(1, |v|), else AmbiguousNearestInteger is raised;
+    must trail the best candidate by the tolerance rule at k = 4, s = |v|
+    (PrecisionContext.tol_sign), else AmbiguousNearestInteger is raised;
     ranking and gap are exact, over one power-of-two denominator.  This
     certifies the digit of h as given, at working precision, not of the
     point h approximates: an error already in h is not accounted for.
@@ -114,10 +114,11 @@ class DirichletDomain:
             return reduce_into_kd(exact_triple(h))[0]
         (ure, uim, vim), k = _dyadic(*h.u._mpc_, h.v._mpc_[1])
         ranked = _ranked_candidates(ure, uim, vim, 1 << k)
-        # the keys are 4 den^4 d4: the runner-up gap is compared at 4 tol
+        # the keys are 4 den^4 d4: the runner-up gap is compared at k = 4,
+        # squared after from_man_exp strips its trailing zeros (far cheaper)
         if len(ranked) > 1:
             gap = from_man_exp(ranked[1][0] - ranked[0][0], -4 * k)
-            if h.ctx.tol_cmp(gap, 4, h.v) < 0:
+            if h.ctx.tol_sign(mpf_mul(gap, gap), 4, (h.v,)) < 0:
                 raise AmbiguousNearestInteger(
                     "nearest integer ambiguous at working precision"
                 )

@@ -5,8 +5,8 @@ unreduced continuant entries, decides it, and reports the residual.  On
 the exact backend an identity holds iff it holds in integers: two
 Gaussian rationals are equal iff their reduced fields are, and the
 distance formula cross-multiplies its squares.  On the big-float backend
-it passes iff residual <= 2^(-bits/2) * scale, with scale the largest
-term magnitude (at least 1), decided on the exact squares of both sides.
+it passes iff the largest |diff| keeps to the context's tolerance rule at
+k = 1, s = the largest term magnitude (PrecisionContext.tol_sign).
 The floats a report shows are computed when they are read; on big floats
 residual and scale are mpmath's abs() at the report's precision.
 verify_expansion runs the whole suite on one expansion, as `heiscf
@@ -15,8 +15,8 @@ verify` does.
 
 from __future__ import annotations
 
-from mpmath import mp, mpc, mpf
-from mpmath.libmp import mpc_abs, mpf_abs, mpf_cmp, mpf_mul, round_nearest, to_float
+from mpmath import mpc
+from mpmath.libmp import mpc_abs, mpf_abs, round_nearest, to_float
 
 from ..cf import CFExpansion
 from ..errors import HeisCFError
@@ -24,6 +24,7 @@ from ..gaussian import GaussInt
 from ..siegel import (
     _distance_form,
     _linear_form,
+    _max_sq,
     abs_sq,
     abs_sq_exact,
     triple_to_planar,
@@ -67,7 +68,7 @@ class IdentityReport:
         the report's bits, taken of the x with the largest exact square."""
         if self._bits is None:
             return float(max(map(abs, values)))
-        x = max(values, key=_sq)
+        x = max(values, key=abs_sq_exact)
         if isinstance(x, mpc):
             return to_float(mpc_abs(x._mpc_, self._bits, round_nearest), rnd=round_nearest)
         return to_float(mpf_abs(x._mpf_, self._bits, round_nearest), rnd=round_nearest)
@@ -97,29 +98,16 @@ class IdentityReport:
         }
 
 
-def _sq(x) -> mpf:
-    """|x|^2 of an mpc or an mpf, unrounded: an mpf to compare."""
-    return abs_sq_exact(x) if isinstance(x, mpc) else mp.make_mpf(mpf_mul(x._mpf_, x._mpf_))
-
-
-def _max_sq(values) -> tuple:
-    """The largest |x|^2 of mpcs or mpfs, a raw mpf, unrounded."""
-    return max(map(_sq, values))._mpf_
-
-
 def _report(e: CFExpansion, identity: str, n: int, values, passed=None) -> IdentityReport:
     """values() gives (lhs, rhs, diffs, magnitudes) as the report shows
     them; call inside the values' work().  Exact backend: passed is the
     verdict, and values() runs when a float is first read.  Big floats:
-    values() runs now, and the report passes iff
-    max|diff|^2 <= check_scale^2 * max(1, max|x|^2), on unrounded squares;
-    the magnitudes are squared only when max|diff|^2 > check_scale^2."""
+    values() runs now, and the report passes iff tol_sign(max|diff|^2, 1,
+    magnitudes) <= 0, which squares the magnitudes only when it must."""
     if e.ctx is None:
         return IdentityReport(identity, n, passed, values)
     raw = values()
-    dsq, cs = _max_sq(raw[2]), e.ctx.check_scale._mpf_
-    cs_sq = mpf_mul(cs, cs)
-    passed = mpf_cmp(dsq, cs_sq) <= 0 or mpf_cmp(dsq, mpf_mul(cs_sq, _max_sq(raw[3]))) <= 0
+    passed = e.ctx.tol_sign(_max_sq(raw[2]), 1, raw[3]) <= 0
     return IdentityReport(identity, n, passed, raw, e.ctx.bits)
 
 

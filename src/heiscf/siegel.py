@@ -6,9 +6,9 @@ exact identities) and arbitrary-precision big floats with an explicit
 precision context (everything else).  Both coordinate types offer
 + - * /, conjugate() and truth as "nonzero", so each operation is written
 once: inside SiegelPoint.work(), with integers brought in by
-SiegelPoint.lift() and magnitudes taken by abs_sq().  Big-float
-tolerances are decided on exact squares of the dyadic coordinates, with
-no root taken and nothing rounded.
+SiegelPoint.lift() and magnitudes taken by abs_sq().  Every big-float
+tolerance is PrecisionContext.tol_sign, decided on exact squares of the
+dyadic coordinates, with no root taken and nothing rounded.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
     fone,
     from_int,
-    mpf_abs,
     mpf_add,
     mpf_cmp,
     mpf_div,
@@ -82,9 +81,8 @@ __all__ = [
 class PrecisionContext:
     """Working precision for the big-float backend.
 
-    All operations within one computation share the same context; the
-    derived check_scale 2^(-bits/2) is the tolerance unit for constraint
-    and identity checks.
+    All operations within one computation share the same context.  Its
+    tol_sign is the one tolerance rule of every big-float certificate.
     """
 
     bits: int = 256
@@ -101,21 +99,21 @@ class PrecisionContext:
         with mp.workprec(self.bits):
             return mpf(2) ** (-self.bits / 2)
 
-    def _bound(self, k: int) -> tuple:
-        return mpf_mul(from_int(k), self.check_scale._mpf_)  # exact
+    @cached_property
+    def _check_scale_sq(self) -> tuple:
+        return mpf_mul(self.check_scale._mpf_, self.check_scale._mpf_)  # exact
 
-    def tol_cmp(self, x: tuple, k: int, v: mpc) -> int:
-        """The sign of x - k * check_scale * max(1, |v|) for a raw mpf x >= 0,
-        decided exactly: beyond |v| = 1 on x^2 against the square of the bound."""
-        bound, v_sq = self._bound(k), abs_sq_exact(v)._mpf_
-        if mpf_cmp(v_sq, fone) <= 0:
-            return mpf_cmp(x, bound)
-        return mpf_cmp(mpf_mul(x, x), mpf_mul(mpf_mul(bound, bound), v_sq))
-
-    def below(self, x: mpc, k: int) -> bool:
-        """|x| < k * check_scale, decided exactly on |x|^2."""
-        bound = self._bound(k)
-        return mpf_cmp(abs_sq_exact(x)._mpf_, mpf_mul(bound, bound)) < 0
+    def tol_sign(self, x_sq: tuple, k: int, scale: tuple = ()) -> int:
+        """The sign of x^2 - (k check_scale)^2 max(1, s^2), exactly, for a raw
+        unrounded x_sq = x^2 and s the largest |y| of the mpcs or mpfs in scale
+        (0 if none): |x| <= k check_scale max(1, |s|) is the rule.  scale is
+        read only when x^2 >= (k check_scale)^2, below which the sign is known."""
+        bound_sq = mpf_mul(from_int(k * k), self._check_scale_sq)
+        sign = mpf_cmp(x_sq, bound_sq)
+        if sign < 0 or not scale:
+            return sign
+        s_sq = _max_sq(scale)
+        return sign if mpf_cmp(s_sq, fone) <= 0 else mpf_cmp(x_sq, mpf_mul(bound_sq, s_sq))
 
 
 def _lift(g: GaussInt, ctx: Optional[PrecisionContext]) -> Union[GaussRat, mpc]:
@@ -146,8 +144,8 @@ class SiegelPoint:
     """A point (u, v) of the Siegel model.
 
     Exact backend: GaussRat coordinates with |u|^2 = 2 Re(v) exactly.
-    Big-float backend: mpc coordinates, constraint held to
-    8 * check_scale * max(1, |v|), both sides exact.
+    Big-float backend: finite mpc coordinates, with | |u|^2 - 2 Re(v) |
+    held to the context's tolerance rule at k = 8, s = |v|.
     """
 
     u: Union[GaussRat, mpc]
@@ -161,10 +159,10 @@ class SiegelPoint:
                 raise ValueError(
                     f"not on the Siegel surface: |u|^2 != 2 Re v for ({self.u}; {self.v})"
                 )
-        else:
-            two_re_v = mpf_shift(self.v._mpc_[0], 1)
-            resid = mpf_abs(mpf_sub(abs_sq_exact(self.u)._mpf_, two_re_v))
-            if self.ctx.tol_cmp(resid, 8, self.v) > 0:
+        else:  # a NaN or an infinity has bc < 0 and no place on the surface
+            resid = mpf_sub(abs_sq_exact(self.u)._mpf_, mpf_shift(self.v._mpc_[0], 1))
+            if (any(x[3] < 0 for x in (*self.u._mpc_, *self.v._mpc_))
+                    or self.ctx.tol_sign(mpf_mul(resid, resid), 8, (self.v,)) > 0):
                 raise ValueError("Siegel constraint violated beyond tolerance")
 
     @property
@@ -264,10 +262,17 @@ def abs_sq(x: Union[GaussRat, mpc]) -> Union[Fraction, mpf]:
     return mp.make_mpf(mpf_add(mpf_mul(re, re), mpf_mul(im, im), mp.prec, round_nearest))
 
 
-def abs_sq_exact(x: mpc) -> mpf:
-    """|x|^2 of an mpc, unrounded: an mpf to compare, not to compute with."""
+def abs_sq_exact(x: Union[mpc, mpf]) -> mpf:
+    """|x|^2 of an mpc or an mpf, unrounded: an mpf to compare, not to compute with."""
+    if isinstance(x, mpf):
+        return mp.make_mpf(mpf_mul(x._mpf_, x._mpf_))
     re, im = x._mpc_
     return mp.make_mpf(mpf_add(mpf_mul(re, re), mpf_mul(im, im)))
+
+
+def _max_sq(values) -> tuple:
+    """The largest |x|^2 of mpcs or mpfs, a raw mpf, unrounded."""
+    return max(map(abs_sq_exact, values))._mpf_
 
 
 def group_mul(h1: SiegelPoint, h2: SiegelPoint) -> SiegelPoint:

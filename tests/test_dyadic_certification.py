@@ -20,10 +20,11 @@ from heiscf.domain import DirichletDomain, _dyadic, _ranked_candidates, integer_
 from heiscf.errors import AmbiguousNearestInteger, CertificationError
 from heiscf.gaussian import GaussRat
 from heiscf.lab.identities import IdentityReport
-from heiscf.siegel import PrecisionContext, SiegelPoint, abs_sq, group_mul
+from heiscf.siegel import PrecisionContext, SiegelPoint, abs_sq, abs_sq_exact, group_mul
 
 K = DirichletDomain()
 BITS = st.sampled_from([64, 128, 512])
+ODD_BITS = st.sampled_from([64, 65, 128, 512])  # check_scale at 65 bits is no power of two
 
 
 def rat(x: mpf) -> Fraction:
@@ -55,6 +56,18 @@ def ulp_moved(x: Fraction, k: int, bits: int) -> Fraction:
     """Dyadic x moved by k units in the last place of a bits-bit mantissa."""
     e = abs(x.numerator).bit_length() - x.denominator.bit_length() if x else -bits
     return x + k * Fraction(2) ** (e - bits + 1)
+
+
+def exact_mpf(x: Fraction) -> tuple:
+    """A dyadic Fraction as a raw mpf, exactly."""
+    return from_man_exp(x.numerator, 1 - x.denominator.bit_length())
+
+
+def exact_sq(x) -> Fraction:
+    """|x|^2 of an mpc or an mpf, in Fractions."""
+    if isinstance(x, mpf):
+        return rat(x) ** 2
+    return rat(x.real) ** 2 + rat(x.imag) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +321,14 @@ def mpcs(draw, bits):
 
 
 class TestSquaredMagnitudes:
+    @given(ODD_BITS.flatmap(mpcs), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_abs_sq_exact_is_the_exact_square(self, x, real):
+        y = x.real if real else x
+        with mp.workprec(53):  # nothing is rounded to the working precision
+            got = abs_sq_exact(y)
+        assert rat(got) == exact_sq(y)
+
     @given(BITS.flatmap(lambda bits: st.tuples(st.just(bits), mpcs(bits))))
     @settings(max_examples=200, deadline=None)
     def test_abs_sq_rounds_once(self, bits_x):
@@ -358,6 +379,45 @@ def constraint_boundary(ctx, ure, uim, vim, side):
         return vre
 
 
+NAN, INF = mpf("nan"), mpf("inf")
+
+
+class Unread:
+    """A nonempty scale that fails the test if tol_sign reads it."""
+
+    def __bool__(self):
+        return True
+
+    def __iter__(self):
+        raise AssertionError("scale read below (k check_scale)^2")
+
+
+@st.composite
+def tolerance_scales(draw, bits):
+    """(bits, scale): up to three mpcs or mpfs whose largest |y|^2 is below 1
+    (down to one ulp under it), exactly 1, or above 1 (from one ulp over it);
+    or no scale at all."""
+    def value(man, exp):
+        part = mp.make_mpf(from_man_exp(man, exp))
+        return part if draw(st.booleans()) else mpc(*draw(st.permutations([part, mpf(0)])))
+
+    small = [value(draw(st.integers(-(2**bits) + 1, 2**bits - 1)),
+                   draw(st.integers(-bits - 8, -bits - 1)))  # |y|^2 < 1/2
+             for _ in range(draw(st.integers(0, 2)))]
+    largest = draw(st.sampled_from(["none", "below", "at", "above"]))
+    if largest == "none":
+        return bits, ()
+    if largest == "below":
+        man, exp = draw(st.sampled_from([(2**bits - 1, -bits), (1, -1)]))
+    elif largest == "at":
+        man, exp = 1, 0
+    else:
+        man = draw(st.integers(2 ** (bits - 1) + 1, 2**bits - 1))
+        exp = draw(st.integers(-bits + 1, 8))
+    top = value(draw(st.sampled_from([-1, 1])) * man, exp)
+    return bits, tuple(draw(st.permutations([top, *small])))
+
+
 class TestExactTolerances:
     @given(BITS, st.integers(-2**20, 2**20), st.integers(-2**20, 2**20),
            st.integers(-2**22, 2**22), st.sampled_from([-1, 1]), st.integers(-2, 2))
@@ -388,7 +448,7 @@ class TestExactTolerances:
             vim = step(to_mpf(rat(mp.sqrt(r**2 - vre**2)), bits), k, bits)
         h = point(ctx, ure, mpf(0), vim, vre)
         below = rat(vre) ** 2 + rat(vim) ** 2 < 16 * rat(ctx.check_scale) ** 2
-        assert ctx.below(h.v, 4) == below
+        assert (ctx.tol_sign(abs_sq_exact(h.v)._mpf_, 4) < 0) == below
         try:
             expand(h, max_depth=1)
             raised = False
@@ -398,13 +458,26 @@ class TestExactTolerances:
             raised = False
         assert raised == below
 
-    def test_tol_cmp_signs(self):
-        ctx = PrecisionContext(64)
-        cs = ctx.check_scale
-        with ctx.work():
-            small, big = mpc(0, mpf(1) / 2), mpc(0, 4)
-            assert ctx.tol_cmp((8 * cs)._mpf_, 8, small) == 0
-            assert ctx.tol_cmp((32 * cs)._mpf_, 8, big) == 0
-            assert ctx.tol_cmp((31 * cs)._mpf_, 8, big) < 0
-            assert ctx.tol_cmp((9 * cs)._mpf_, 8, small) > 0
+    @given(ODD_BITS.flatmap(tolerance_scales),
+           st.sampled_from([1, 4, 8]), st.booleans(), st.integers(-1, 1))
+    @settings(max_examples=400, deadline=None)
+    def test_tol_sign_as_fractions(self, bits_scale, k, full, j):
+        # x^2 at, or one ulp either side of, (k cs)^2 or (k cs)^2 max(1, s^2)
+        bits, scale = bits_scale
+        ctx = PrecisionContext(bits)
+        short = (k * rat(ctx.check_scale)) ** 2
+        bound = short * max([Fraction(1)] + [exact_sq(y) for y in scale])
+        x_sq = ulp_moved(bound if full else short, j, 4 * bits)
+        got = ctx.tol_sign(exact_mpf(x_sq), k, Unread() if x_sq < short else scale)
+        assert got == (x_sq > bound) - (x_sq < bound)
 
+    def test_check_scale_at_odd_bits_is_not_a_power_of_two(self):
+        assert rat(PrecisionContext(65).check_scale).numerator != 1
+        assert rat(PrecisionContext(64).check_scale) == Fraction(1, 2**32)
+
+    @pytest.mark.parametrize("u, v", [((NAN, 0), (0, 0)), ((0, 0), (NAN, NAN)),
+                                      ((INF, 0), (INF, 0))], ids=["nan-u", "nan-v", "inf-u-v"])
+    def test_non_finite_points_are_refused(self, u, v):
+        ctx = PrecisionContext(128)
+        with ctx.work(), pytest.raises(ValueError, match="Siegel constraint violated"):
+            SiegelPoint(mpc(*u), mpc(*v), ctx)
