@@ -209,34 +209,56 @@ def r2_count_naive(n: int) -> int:
     return count
 
 
-def r2_count(n: int) -> int:
-    """Number of ways to write n = a^2 + b^2 counting signs and order.
-
-    Computed from the factorization, found by trial division up to
-    sqrt(n): zero if some prime = 3 mod 4 occurs to an odd power, else
-    4 * prod(e_p + 1) over primes p = 1 mod 4.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    while n % 2 == 0:
-        n //= 2
-    result = 4
-    p = 3
+def _factor(n: int) -> list[tuple[int, int]]:
+    """The prime factorization of n >= 1 as (p, e) pairs, by trial division."""
+    out, p = [], 2
     while p * p <= n:
         e = 0
         while n % p == 0:
-            n //= p
-            e += 1
-        if p % 4 == 3 and e % 2 == 1:
-            return 0
-        if p % 4 == 1:
-            result *= e + 1
-        p += 2
-    if n > 1:  # one prime left, to the first power
-        if n % 4 == 3:
-            return 0
-        result *= 2
-    return result
+            n, e = n // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    return out + [(n, 1)] if n > 1 else out
+
+
+def r2_count(n: int) -> int:
+    """Number of ways to write n = a^2 + b^2 counting signs and order.
+
+    Computed from the factorization: zero if some prime = 3 mod 4 occurs
+    to an odd power, else 4 * prod(e_p + 1) over primes p = 1 mod 4.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    factors = _factor(n)
+    if any(p % 4 == 3 and e % 2 == 1 for p, e in factors):
+        return 0
+    return 4 * math.prod(e + 1 for p, e in factors if p % 4 == 1)
+
+
+def _prime_tests(q: GaussInt, factors: list[tuple[int, int]]) -> list[tuple]:
+    """The Gaussian primes of q, from the factorization of |q|^2, as (p, s):
+    each divides re + im*i iff re + s*im = 0 mod p; 1+i is (2, 1), a split
+    prime has s^2 = -1 mod p, and an inert p is (p, None): p | re and p | im.
+    """
+    a, b = q.re, q.im
+    tests = []
+    for p, _ in factors:
+        if p == 2 or p % 4 == 3:
+            tests.append((p, 1 if p == 2 else None))
+        elif a % p or b % p:  # one prime over p divides q
+            tests.append((p, -a * pow(b, -1, p) % p))
+        else:  # both do; s = c^((p-1)/4) for the least non-residue c
+            c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+            s = pow(c, (p - 1) // 4, p)
+            tests += [(p, s), (p, p - s)]
+    return tests
+
+
+def _dividing(tests: list[tuple], re: int, im: int) -> list[tuple]:
+    """The primes of tests (see _prime_tests) that divide re + im*i."""
+    return [(p, s) for p, s in tests
+            if (re % p == 0 == im % p if s is None else (re + s * im) % p == 0)]
 
 
 # ---------------------------------------------------------------------------

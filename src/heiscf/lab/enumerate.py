@@ -3,7 +3,9 @@
 Two routes are kept deliberately separate: a structured enumeration that
 solves the linear relation |r|^2 = 2(ac + bd) for the p coordinate, and
 a naive triple loop used as its oracle.  Both count points (q : r : p)
-with |q|^2 = m whose planar coordinates lie in a box region.
+with |q|^2 = m whose planar coordinates lie in a box region.  In lowest
+terms the structured route tests the Gaussian primes of q by integer
+congruences; the oracle runs Gaussian Euclid once per distinct folded triple.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..gaussian import GaussInt, _coprime, _fold_unit, _trip_key
+from ..gaussian import _dividing, _factor, _prime_tests
 
 __all__ = [
     "Region",
@@ -64,15 +67,10 @@ class RationalEnumeration:
 def qnorm_representations(m: int) -> list[GaussInt]:
     """All Gaussian integers q with |q|^2 = m."""
     out = []
-    a = -math.isqrt(m)
-    while a <= math.isqrt(m):
-        rest = m - a * a
-        b = math.isqrt(rest)
-        if b * b == rest:
-            out.append(GaussInt(a, b))
-            if b != 0:
-                out.append(GaussInt(a, -b))
-        a += 1
+    for a in range(-math.isqrt(m), math.isqrt(m) + 1):
+        b = math.isqrt(m - a * a)
+        if b * b == m - a * a:
+            out += [GaussInt(a, b), GaussInt(a, -b)] if b else [GaussInt(a, 0)]
     return out
 
 
@@ -116,25 +114,29 @@ def enumerate_rationals_qnorm(
 
     For each canonical q = a+bi (a > 0, b >= 0; its associates give only unit
     multiples) and each admissible r, the p coordinate is read off the line
-    a c + b d = |r|^2 / 2 intersected with the |p| disk.
+    a c + b d = |r|^2 / 2 intersected with the |p| disk.  In lowest terms m is
+    factored once, each Gaussian prime of q is a congruence (_prime_tests),
+    r is tested once and p only against the primes dividing r: no gcd.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     r_norm_max = math.floor(m * region.u_sq)
     p_norm_max = math.floor(m * region.v_sq)
+    factors = _factor(m) if lowest_terms else []
     points = []
     for q in qnorm_representations(m):
         a, b = q.re, q.im
         if a <= 0 or b < 0:
             continue
+        tests = _prime_tests(q, factors)
         for r in _gauss_ints_in_disk(r_norm_max):
             rn = r.norm()
             if rn % 2 != 0:
                 continue
+            r_tests = tests and _dividing(tests, r.re, r.im)
             for c, d in solve_p_line(a, b, rn // 2, p_norm_max):
-                trip = (q, r, GaussInt(c, d))
-                if not lowest_terms or _coprime(*trip):
-                    points.append(trip)
+                if not r_tests or not _dividing(r_tests, c, d):
+                    points.append((q, r, GaussInt(c, d)))
     points.sort(key=_trip_key)
     return RationalEnumeration(m, region, lowest_terms, points)
 
@@ -145,7 +147,8 @@ def enumerate_rationals_naive(
     """Naive oracle: every (q, p) pair joined to the r with |r|^2 = 2 Re(conj(q) p).
 
     The r disk is grouped by norm once; no line is solved, so this stays
-    independent of solve_p_line.
+    independent of solve_p_line.  Every associate of q is walked; lowest terms
+    are Gaussian Euclid (_coprime), once per distinct folded triple.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -162,11 +165,10 @@ def enumerate_rationals_naive(
         for p in ps:
             for r in rs_by_norm.get(2 * (a * p.re + b * p.im), ()):
                 trip = _fold_unit(q, r, p)
-                if lowest_terms and not _coprime(*trip):
-                    continue
                 if trip not in seen:
                     seen.add(trip)
-                    points.append(trip)
+                    if not lowest_terms or _coprime(*trip):
+                        points.append(trip)
     points.sort(key=_trip_key)
     return RationalEnumeration(m, region, lowest_terms, points)
 

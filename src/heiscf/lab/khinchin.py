@@ -24,13 +24,8 @@ __all__ = [
 
 def divisor_g_r2(m: int) -> int:
     """sum over g with g^2 | m of g * r2(m / g^2)."""
-    total = 0
-    g = 1
-    while g * g <= m:
-        if m % (g * g) == 0:
-            total += g * r2_count(m // (g * g))
-        g += 1
-    return total
+    return sum(g * r2_count(m // (g * g))
+               for g in range(1, math.isqrt(m) + 1) if m % (g * g) == 0)
 
 
 def phi(m, C: float, eps: float) -> float:
@@ -48,12 +43,31 @@ def khinchin_terms(m: int, C: float, eps: float) -> float:
         raise ValueError("m must be >= 1")
     if C <= 0 or eps <= 0:
         raise ValueError("C and eps must be positive")
+    return _term(m, C, eps, divisor_g_r2(m), r2_count)
+
+
+def _term(m: int, C: float, eps: float, d_sum: int, r2) -> float:
+    """khinchin_terms from D(m) = d_sum, calling r2(m) only at a square."""
     phi4 = phi(m, C, eps) ** 4
-    term = phi4 * m * divisor_g_r2(m)
+    term = phi4 * m * d_sum
     root = math.isqrt(m)
     if root * root == m:
-        term += phi4 * r2_count(m) * m**1.5
+        term += phi4 * r2(m) * m**1.5
     return term
+
+
+def _sieve_r2_d(M: int) -> tuple[list[int], list[int]]:
+    """r2(n) = 4 sum_{odd d | n} chi4(d) and D(n) = divisor_g_r2(n), n <= M."""
+    r2 = [0] * (M + 1)
+    for d in range(1, M + 1, 2):
+        chi = 4 if d % 4 == 1 else -4
+        for n in range(d, M + 1, d):
+            r2[n] += chi
+    D = [0] * (M + 1)
+    for g in range(1, math.isqrt(M) + 1):
+        for k in range(1, M // (g * g) + 1):
+            D[k * g * g] += g * r2[k]
+    return r2, D
 
 
 @dataclass
@@ -77,14 +91,16 @@ class KhinchinSum:
 def khinchin_partial_sum(C: float, eps: float, M: int) -> KhinchinSum:
     """Partial sum up to M with a tail bound via the rearranged double sum.
 
-    The tail bound uses r2(n) <= 8 sqrt(n) and integral comparison; it is
-    finite for eps > 1/4 and reported as infinity otherwise.
+    The terms are khinchin_terms', added in order of m from r2 and D sieved
+    once up to M.  The tail bound uses r2(n) <= 8 sqrt(n) and integral
+    comparison; it is finite for eps > 1/4 and reported as infinity otherwise.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    if M < 1 or C <= 0 or eps <= 0:
+        raise ValueError("M must be >= 1 and C, eps positive")
+    r2, D = _sieve_r2_d(M)
     partial = 0.0
     for m in range(1, M + 1):
-        partial += khinchin_terms(m, C, eps)
+        partial += _term(m, C, eps, D[m], r2.__getitem__)
     return KhinchinSum(C, eps, M, partial, _tail_bound(C, eps, M))
 
 

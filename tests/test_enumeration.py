@@ -6,7 +6,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heiscf.gaussian import GaussInt, _coprime, _fold_unit, _trip_key, gi_gcd
+import heiscf.gaussian as gaussian
+import heiscf.lab.enumerate as enumerate_module
+from heiscf.gaussian import (
+    GaussInt,
+    _coprime,
+    _dividing,
+    _factor,
+    _fold_unit,
+    _prime_tests,
+    _trip_key,
+    gi_gcd,
+)
 from heiscf.lab.enumerate import (
     Region,
     _gauss_ints_in_disk,
@@ -89,6 +100,105 @@ class TestStructuredVsNaive:
         s = enumerate_rationals_qnorm(m, REGION, lowest_terms=False)
         n = enumerate_rationals_naive(m, REGION, lowest_terms=False)
         assert s.points == n.points
+
+
+def congruence_coprime(q, r, p):
+    """The structured route's verdict: no Gaussian prime of q divides r and p."""
+    r_tests = _dividing(_prime_tests(q, _factor(q.norm())), r.re, r.im)
+    return not _dividing(r_tests, p.re, p.im)
+
+
+G = GaussInt
+
+
+class TestPrimeCongruences:
+    """Primitivity by congruences against Gaussian Euclid (gaussian._coprime)."""
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3])
+    def test_every_unreduced_triple(self, delta):
+        region = kprime_region(delta)
+        bad = [
+            (m, trip)
+            for m in range(1, 301)
+            for trip in enumerate_rationals_qnorm(m, region, lowest_terms=False).points
+            if congruence_coprime(*trip) != _coprime(*trip)
+        ]
+        assert bad == []
+
+    @pytest.mark.parametrize(
+        "q,primes",
+        [
+            (G(5), [(5, 2), (5, 3)]),  # both primes over 5 divide q = (2+i)(2-i)
+            (G(3, 4), [(5, 3)]),  # (2+i)^2: only 2+i, where i = 3 mod 5
+            (G(3), [(3, None)]),  # inert
+            (G(1, 1), [(2, 1)]),
+            (G(2), [(2, 1)]),  # -i (1+i)^2
+            (G(65), [(5, 2), (5, 3), (13, 5), (13, 8)]),
+            (G(1), []),
+        ],
+    )
+    def test_primes_of_q(self, q, primes):
+        assert sorted(_prime_tests(q, _factor(q.norm()))) == primes
+
+    @pytest.mark.parametrize(
+        "q,r,p,coprime",
+        [
+            (G(5), G(2, 1), G(2, -1), True),  # 2+i | r, 2-i | p: no common prime
+            (G(5), G(2, 1), G(1, 3), False),  # 1+3i = (1+i)(2+i)
+            (G(5), G(1, 2), G(3, -4), False),  # 1+2i = i(2-i), 3-4i = (2-i)^2
+            (G(3, 4), G(2, -1), G(2, -1), True),  # 2-i does not divide q
+            (G(3, 4), G(2, 1), G(1, 3), False),
+            (G(3), G(3), G(0, 3), False),
+            (G(3), G(3, 3), G(1), True),
+            (G(1, 1), G(1, 1), G(2), False),
+            (G(1, 1), G(2, 0), G(1, 0), True),
+            (G(2), G(1, 1), G(1, -1), False),
+            (G(2), G(1), G(2), True),
+            (G(65), G(2, 1), G(3, 2), True),  # primes over 5 and 13 apart
+            (G(65), G(3, 2), G(1, 5), False),  # 1+5i = (1+i)(3+2i)
+            (G(65), G(3, 2), G(3, -2), True),
+            (G(5), G(0), G(2, 1), False),  # r = 0: every prime of q divides r
+            (G(5), G(0), G(1), True),
+            (G(3, 4), G(2, -1), G(0), True),  # p = 0
+            (G(3, 4), G(2, 1), G(0), False),
+            (G(1), G(0), G(0), True),
+        ],
+    )
+    def test_named_triples(self, q, r, p, coprime):
+        assert congruence_coprime(q, r, p) is coprime
+        assert _coprime(q, r, p) is coprime
+
+    def test_structured_route_takes_no_gcd(self, monkeypatch):
+        want = [enumerate_rationals_naive(m, REGION).points for m in range(1, 101)]
+        calls = []
+        monkeypatch.setattr(gaussian, "gi_gcd", lambda *a: calls.append(a))
+        got = [enumerate_rationals_qnorm(m, REGION).points for m in range(1, 101)]
+        assert calls == []
+        assert got == want
+
+
+class TestNaiveOracleCoprimality:
+    def test_lowest_terms_filters_all_terms(self):
+        bad = [m for m in range(1, 121)
+               if enumerate_rationals_naive(m, REGION, True).points
+               != [t for t in enumerate_rationals_naive(m, REGION, False).points
+                   if _coprime(*t)]]
+        assert bad == []
+
+    def test_one_euclid_per_distinct_folded_triple(self, monkeypatch):
+        calls = []
+
+        def counted(*trip):
+            calls.append(trip)
+            return _coprime(*trip)
+
+        monkeypatch.setattr(enumerate_module, "_coprime", counted)
+        for m in range(1, 121):
+            calls.clear()
+            distinct = enumerate_rationals_naive(m, REGION, False).points
+            assert calls == []
+            enumerate_rationals_naive(m, REGION, True)
+            assert sorted(calls, key=_trip_key) == distinct
 
 
 def numpy_naive_points(m, region, lowest_terms):

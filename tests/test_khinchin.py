@@ -4,6 +4,7 @@ import pytest
 
 from heiscf.gaussian import r2_count
 from heiscf.lab.khinchin import (
+    _sieve_r2_d,
     divisor_g_r2,
     khinchin_partial_sum,
     khinchin_terms,
@@ -37,6 +38,14 @@ class TestDivisorSum:
         assert lhs == rhs
 
 
+class TestSieve:
+    def test_matches_per_m_oracles(self):
+        r2, D = _sieve_r2_d(20000)
+        assert len(r2) == len(D) == 20001
+        assert [m for m in range(1, 20001) if D[m] != divisor_g_r2(m)] == []
+        assert [n for n in range(1, 20001) if r2[n] != r2_count(n)] == []
+
+
 class TestTerms:
     def test_positive(self):
         for m in range(1, 50):
@@ -56,6 +65,22 @@ class TestTerms:
 
 
 class TestPartialSums:
+    @pytest.mark.parametrize("C,eps", [(1.0, 1.0), (2.0, 0.3), (4.0, 0.5), (1.0, 0.2)])
+    @pytest.mark.parametrize("M", [1, 2, 4, 99, 100, 2025])
+    def test_bit_identical_to_summed_terms(self, C, eps, M):
+        want = 0.0
+        for m in range(1, M + 1):
+            want += khinchin_terms(m, C, eps)
+        assert khinchin_partial_sum(C, eps, M).partial == want
+
+    @pytest.mark.parametrize(
+        "C,eps,M", [(0.0, 1.0, 10), (-1.0, 1.0, 10), (1.0, 0.0, 10), (1.0, -0.5, 10),
+                    (1.0, 1.0, 0), (1.0, 1.0, -3)]
+    )
+    def test_input_validation(self, C, eps, M):
+        with pytest.raises(ValueError):
+            khinchin_partial_sum(C, eps, M)
+
     def test_monotone_increasing(self):
         prev = 0.0
         for M in (10, 50, 100, 500, 1000):
