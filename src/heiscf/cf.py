@@ -21,6 +21,7 @@ from .siegel import (
     PrecisionContext,
     ProjIntPoint,
     SiegelPoint,
+    _linear_form,
     abs_sq_exact,
     exact_triple,
     group_mul,
@@ -61,9 +62,9 @@ def gauss_map_step(h: SiegelPoint) -> tuple[IntegerPoint, SiegelPoint]:
 class CFExpansion:
     """Digits, iterates, continuants and convergents of one expansion.
 
-    Cached on first read: the prefix products v_0...v_k and the terms of
-    each s_k in the point's backend, which the identity verifiers share,
-    and the |v_i| as floats."""
+    Cached on first read: the prefix products v_0...v_k and each s_k and
+    its terms in the point's backend, which the identity verifiers share,
+    and the |v_i| as floats; on big floats also the lifted continuants."""
 
     point: SiegelPoint
     gamma0: IntegerPoint
@@ -109,6 +110,15 @@ class CFExpansion:
         return [self.convergent(n) for n in range(self.depth + 1)]
 
     @cached_property
+    def lifted(self) -> list[tuple]:
+        """Per Q_k, big floats only: its first and second column lifted once,
+        and _linear_form of the first at h_0 (verify_prq, convergent_distance)."""
+        h0, lift = self.iterates[0], self.point.lift
+        with h0.work():
+            cols = [[tuple(map(lift, m.column(j))) for j in (0, 1)] for m in self.continuants]
+            return [(c0, c1, _linear_form(None, h0, c0)) for c0, c1 in cols]
+
+    @cached_property
     def v_prefix(self) -> list:
         """v_0 ... v_{k-1} for k = 0..depth+1, multiplied left to right from 1."""
         with self.point.work():
@@ -122,12 +132,16 @@ class CFExpansion:
         """(q_k, q~_k u_k, q_{k-1} v_k) for k = 1..depth at index k - 1, the
         terms of s_k = q_k + q~_k u_k - q_{k-1} v_k."""
         lift = self.point.lift
+        with self.point.work():  # an exact expansion lifts q_k and q~_k alone: see lifted
+            q, qt = ([c[j][0] for c in self.lifted] if self.ctx else
+                     [lift(m.rows[0][j]) for m in self.continuants] for j in (0, 1))
+            return [(q[k], qt[k] * h.u, q[k - 1] * h.v) for k, h in enumerate(self.iterates[1:], 1)]
+
+    @cached_property
+    def s_values(self) -> list:
+        """s_k = q_k + q~_k u_k - q_{k-1} v_k for k = 1..depth at index k - 1."""
         with self.point.work():
-            q = [lift(m.rows[0][0]) for m in self.continuants]
-            return [
-                (q[k], lift(self.continuants[k].rows[0][1]) * h.u, q[k - 1] * h.v)
-                for k, h in enumerate(self.iterates[1:], 1)
-            ]
+            return [t1 + t2 - t3 for t1, t2, t3 in self.s_terms]
 
     @cached_property
     def v_abs(self) -> list[float]:
@@ -162,41 +176,41 @@ def expand(h: SiegelPoint, max_depth: Optional[int] = None) -> CFExpansion:
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    if h.exact:
-        gamma0, t = reduce_into_kd(exact_triple(h))
-        h0 = triple_to_planar(t)
-    elif max_depth is None:
+    if not h.exact and max_depth is None:
         raise ValueError("max_depth is required on the big-float backend")
-    else:
-        gamma0, h0 = _into_kd(h)
-
-    e = CFExpansion(
-        point=h,
-        gamma0=gamma0,
-        digits=[],
-        iterates=[h0],
-        continuants=[IDENTITY],
-        terminated=h0.is_origin(),
-    )
-    while not e.terminated and e.depth != max_depth:
+    with h.work():  # one precision switch for the whole orbit: work() inside is free
         if h.exact:
-            q, r, p = t
-            gamma, t = reduce_into_kd((p, -r, q))
-            if 2 * t[2].norm() > t[0].norm():
-                raise InternalError("exact Gauss-map step failed to contract |q|")
-            nxt = triple_to_planar(t)
-            e.terminated = t[2].is_zero()
+            gamma0, t = reduce_into_kd(exact_triple(h))
+            h0 = triple_to_planar(t)
         else:
-            cur = e.iterates[-1]
-            # only big floats can lose 1/v to rounding (the rule at k = 4, no scale)
-            if cur.ctx.tol_sign(abs_sq_exact(cur.v)._mpf_, 4) < 0:
-                raise CertificationError(
-                    "orbit too close to the origin to certify inversion"
-                )
-            gamma, nxt = gauss_map_step(cur)
-        e.digits.append(gamma)
-        e.continuants.append(mul_digit_matrix(e.continuants[-1], gamma))
-        e.iterates.append(nxt)
+            gamma0, h0 = _into_kd(h)
+        e = CFExpansion(
+            point=h,
+            gamma0=gamma0,
+            digits=[],
+            iterates=[h0],
+            continuants=[IDENTITY],
+            terminated=h0.is_origin(),
+        )
+        while not e.terminated and e.depth != max_depth:
+            if h.exact:
+                q, r, p = t
+                gamma, t = reduce_into_kd((p, -r, q))
+                if 2 * t[2].norm() > t[0].norm():
+                    raise InternalError("exact Gauss-map step failed to contract |q|")
+                nxt = triple_to_planar(t)
+                e.terminated = t[2].is_zero()
+            else:
+                cur = e.iterates[-1]
+                # only big floats can lose 1/v to rounding (the rule at k = 4, no scale)
+                if cur.ctx.tol_sign(abs_sq_exact(cur.v)._mpf_, 4) < 0:
+                    raise CertificationError(
+                        "orbit too close to the origin to certify inversion"
+                    )
+                gamma, nxt = gauss_map_step(cur)
+            e.digits.append(gamma)
+            e.continuants.append(mul_digit_matrix(e.continuants[-1], gamma))
+            e.iterates.append(nxt)
     return e
 
 

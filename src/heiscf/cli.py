@@ -110,10 +110,11 @@ def _check_usage(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise ParseError(f"--{flag.replace('_', '-')} must be at least 1")
-    for flag in ("epsilon", "bigc"):
+    # C^4 and the tail bound's 8 C^4 stay normal floats: phi^4 cannot overflow or flush to 0
+    for flag, lo, hi in (("epsilon", 0.0, math.inf), ("bigc", 2.0**-255, 2.0**255)):
         value = getattr(args, flag, None)
-        if value is not None and not value > 0:
-            raise ParseError(f"--{flag} must be positive")
+        if value is not None and not lo < value < hi:
+            raise ParseError(f"--{flag} must lie in ({lo:g}, {hi:g})")
     given = [f for f in ("point", "heis") if getattr(args, f, None) is not None]
     if len(given) == 2:
         raise ParseError("give only one of --point and --heis")

@@ -115,9 +115,11 @@ class DirichletDomain:
         (ure, uim, vim), k = _dyadic(*h.u._mpc_, h.v._mpc_[1])
         ranked = _ranked_candidates(ure, uim, vim, 1 << k)
         # the keys are 4 den^4 d4: the runner-up gap is compared at k = 4,
-        # squared after from_man_exp strips its trailing zeros (far cheaper)
+        # squared once its trailing zeros are shifted off in one step
         if len(ranked) > 1:
-            gap = from_man_exp(ranked[1][0] - ranked[0][0], -4 * k)
+            d = ranked[1][0] - ranked[0][0]
+            t = max(0, (d & -d).bit_length() - 1)
+            gap = from_man_exp(d >> t, t - 4 * k)
             if h.ctx.tol_sign(mpf_mul(gap, gap), 4, (h.v,)) < 0:
                 raise AmbiguousNearestInteger(
                     "nearest integer ambiguous at working precision"

@@ -11,7 +11,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from mpmath import mp
+from mpmath.libmp import mpf_shift, mpf_sqrt, round_nearest, to_float
 
 from ..cf import CFExpansion
 from ..domain import RAD_KD, rk_constant
@@ -89,15 +89,15 @@ def convergent_distance(e: CFExpansion, n: int, k: int = 0) -> float:
     """d(nth convergent, h_0) * 2**k, as a float.
 
     Exact backend: (d^4 * 16**k) rounded once, then its float fourth root.
-    Big floats: two mpf square roots at the working precision, then one
-    rounding; scaling by 2**k is exact in both roots.
+    Big floats: two mpf square roots of d^4 (from the expansion's linear
+    form) at the point's bits, then one rounding; 2**k is exact in both.
     """
     h0 = e.iterates[0]
-    d4 = triple_distance_pow4(e.first_column(n), h0)
+    d4 = triple_distance_pow4(e.first_column(n), h0, e.ctx and e.lifted[n][2][0])
     if h0.exact:
         return ((d4.numerator << 4 * k) / d4.denominator) ** 0.25
-    with h0.work():
-        return float(mp.sqrt(mp.sqrt(mp.ldexp(d4, 4 * k))))
+    root = mpf_sqrt(mpf_shift(d4._mpf_, 4 * k), e.ctx.bits, round_nearest)
+    return to_float(mpf_sqrt(root, e.ctx.bits, round_nearest), rnd=round_nearest)
 
 
 def approx_quality(e: CFExpansion, n: int) -> ApproxRecord:

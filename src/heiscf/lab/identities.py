@@ -20,7 +20,6 @@ from mpmath.libmp import mpc_abs, mpf_abs, round_nearest, to_float
 
 from ..cf import CFExpansion
 from ..errors import HeisCFError
-from ..gaussian import GaussInt
 from ..siegel import (
     _distance_form,
     _linear_form,
@@ -125,7 +124,8 @@ def verify_prq(e: CFExpansion, n: int) -> IdentityReport:
     """conj(p_n) - conj(r_n) u + conj(q_n) v = (-1)^n prod_{i<=n} v_i at h_0."""
     h0 = e.iterates[0]
     with h0.work():
-        lhs, terms = _linear_form(e.first_column(n), h0)
+        col = e.first_column(n)  # range-checks n on both backends
+        lhs, terms = _linear_form(col, h0) if e.ctx is None else e.lifted[n][2]
         prod = e.v_prefix[n + 1]
         rhs = -prod if n % 2 else prod  # a sign flip: exact on both backends
         return _equality(e, "prq", n, lhs, rhs, terms)
@@ -135,8 +135,8 @@ def verify_tildeprq(e: CFExpansion, n: int) -> IdentityReport:
     """Middle-column variant: rhs = (-1)^(n-1) u_n prod_{i<n} v_i."""
     h0 = e.iterates[0]
     with h0.work():
-        lhs, terms = _linear_form(e.second_column(n), h0)
-        rhs = e.point.lift(GaussInt((-1) ** (n + 1))) * e.iterates[n].u * e.v_prefix[n]
+        lhs, terms = _linear_form(e.second_column(n), h0, e.ctx and e.lifted[n][1])
+        rhs = e.iterates[n].u * (e.v_prefix[n] if n % 2 else -e.v_prefix[n])  # (-1)^(n+1)
         return _equality(e, "tildeprq", n, lhs, rhs, terms)
 
 
@@ -152,8 +152,8 @@ def verify_fracq(e: CFExpansion, n: int) -> IdentityReport:
     if not e.v_prefix[n]:  # exact, and mpmath never rounds a nonzero product to 0
         raise HeisCFError(f"identity undefined (v_i = 0 for some i < {n})")
     with e.point.work():
-        t1, t2, t3 = terms = e.s_terms[n - 1]
-        lhs, rhs = (t1 + t2 - t3) * e.v_prefix[n], e.point.lift(GaussInt((-1) ** n))
+        terms = e.s_terms[n - 1]
+        lhs, rhs = e.s_values[n - 1] * e.v_prefix[n], -e.v_prefix[0] if n % 2 else e.v_prefix[0]
         return _equality(e, "fracq", n, lhs, rhs, lambda: terms)
 
 
@@ -171,23 +171,20 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
     On the exact backend d^4 = |w|^2, form 1 = |vp|^2 / |q_n|^2 and form 2
     = 1 / (|q_n|^2 |s|^2) are cross-multiplied into integer equalities.
     """
-    col = e.first_column(n)
-    # the planar route, not the linear form: verify_prq already checks that;
-    # a column of a U(2,1; Z[i]) matrix needs no reducing
-    conv = triple_to_planar(col, e.ctx)
-    h0, lift = e.iterates[0], e.point.lift
+    col, h0 = e.first_column(n), e.iterates[0]
     with h0.work():
-        w, qn, vp = _distance_form(conv, h0), lift(col[0]), e.v_prefix[n + 1]
-        s = None
-        if n + 1 <= e.depth:
-            t1, t2, t3 = e.s_terms[n]
-            s = t1 + t2 - t3
+        # the planar route, not the linear form: verify_prq already checks that;
+        # a column of a U(2,1; Z[i]) matrix needs no reducing
+        conv = triple_to_planar(col, e.ctx)
+        qn = e.point.lift(col[0]) if e.ctx is None else e.lifted[n][0][0]
+        w, vp = _distance_form(conv, h0), e.v_prefix[n + 1]
+        s = e.s_values[n] if n + 1 <= e.depth else None
 
         def values():
             d4 = abs_sq(w)
             forms = [abs_sq(vp / qn)]
             if s:
-                forms.append(abs_sq(lift(GaussInt(1)) / (qn.conjugate() * s)))
+                forms.append(abs_sq(e.v_prefix[0] / (qn.conjugate() * s)))
             return (
                 float(d4) ** 0.25, float(forms[0]) ** 0.25,
                 [d4 - f for f in forms], (d4, *forms),
@@ -212,8 +209,9 @@ def verify_expansion(e: CFExpansion) -> list[IdentityReport]:
     """
     top = e.depth if e.terminated else e.depth - 1
     reports = []
-    for n in range(top + 1):
-        reports += [verify_prq(e, n), verify_tildeprq(e, n), verify_distance_formula(e, n)]
-        if n >= 1:
-            reports.append(verify_fracq(e, n))
+    with e.point.work():  # one precision switch for the suite
+        for n in range(top + 1):
+            reports += [verify_prq(e, n), verify_tildeprq(e, n), verify_distance_formula(e, n)]
+            if n >= 1:
+                reports.append(verify_fracq(e, n))
     return reports

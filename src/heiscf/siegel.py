@@ -24,6 +24,10 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
     fone,
     from_int,
+    fzero,
+    mpc_abs,
+    mpc_div,
+    mpc_neg,
     mpf_add,
     mpf_cmp,
     mpf_div,
@@ -81,8 +85,8 @@ __all__ = [
 class PrecisionContext:
     """Working precision for the big-float backend.
 
-    All operations within one computation share the same context.  Its
-    tol_sign is the one tolerance rule of every big-float certificate.
+    All operations within one computation share it; work() is free inside
+    its own work(), and tol_sign is the one tolerance rule of certificates.
     """
 
     bits: int = 256
@@ -92,7 +96,7 @@ class PrecisionContext:
             raise ValueError("bits must be >= 64")
 
     def work(self):
-        return mp.workprec(self.bits)
+        return nullcontext() if mp.prec == self.bits else mp.workprec(self.bits)
 
     @cached_property  # not a field: equality and hash see bits only
     def check_scale(self) -> mpf:
@@ -264,9 +268,7 @@ def abs_sq(x: Union[GaussRat, mpc]) -> Union[Fraction, mpf]:
 
 def abs_sq_exact(x: Union[mpc, mpf]) -> mpf:
     """|x|^2 of an mpc or an mpf, unrounded: an mpf to compare, not to compute with."""
-    if isinstance(x, mpf):
-        return mp.make_mpf(mpf_mul(x._mpf_, x._mpf_))
-    re, im = x._mpc_
+    re, im = x._mpc_ if isinstance(x, mpc) else (x._mpf_, fzero)
     return mp.make_mpf(mpf_add(mpf_mul(re, re), mpf_mul(im, im)))
 
 
@@ -300,11 +302,13 @@ def koranyi_inversion(h: SiegelPoint) -> SiegelPoint:
         raise InversionAtOrigin("inversion at origin")
     if h.exact:  # exact: 1/v is on the surface as it stands
         return SiegelPoint(-(h.u / h.v), h.v.inverse())
-    with h.ctx.work():
-        u = -h.u / h.v
-        v = 1 / h.v
-        v = mpc(abs(u) ** 2 / 2, v.imag)
-        return SiegelPoint(u, v, h.ctx)
+    # -u/v, abs(u) ** 2 / 2 and Im(1/v), each rounded as mpmath's operators round them at bits
+    prec, rnd, v = h.ctx.bits, round_nearest, h.v._mpc_
+    u = mpc_neg(mpc_div(h.u._mpc_, v, prec, rnd), prec, rnd)
+    a = mpc_abs(u, prec, rnd)
+    re = mpf_shift(mpf_mul(a, a, prec, rnd), -1)  # the halving is exact
+    im = mpc_div((fone, fzero), v, prec, rnd)[1]
+    return SiegelPoint(mp.make_mpc(u), mp.make_mpc((re, im)), h.ctx)
 
 
 def gauge_norm(h: SiegelPoint) -> Union[float, mpf]:
@@ -328,10 +332,10 @@ def distance_pow4(h1: SiegelPoint, h2: SiegelPoint) -> Union[Fraction, mpf]:
         return abs_sq(_distance_form(h1, h2))
 
 
-def linear_form_terms(triple, h: SiegelPoint) -> tuple:
+def linear_form_terms(triple, h: SiegelPoint, lifted=None) -> tuple:
     """The terms of conj(p) - conj(r) u + conj(q) v for an integer triple
-    (q, r, p) at h = (u, v), in h's backend; call inside h.work()."""
-    q, r, p = (h.lift(g) for g in triple)
+    (q, r, p), or its lifted entries, at h = (u, v) in h's backend; call inside h.work()."""
+    q, r, p = lifted or map(h.lift, triple)
     return p.conjugate(), r.conjugate() * h.u, q.conjugate() * h.v
 
 
@@ -348,32 +352,32 @@ def _int_linear_form(triple, h: SiegelPoint) -> tuple[int, int, int]:
     )
 
 
-def _linear_form(triple, h: SiegelPoint) -> tuple:
+def _linear_form(triple, h: SiegelPoint, lifted=None) -> tuple:
     """conj(p) - conj(r) u + conj(q) v for an integer triple (q, r, p) at
     h = (u, v), in h's backend, and a function giving its three terms, as
     linear_form_terms does; call inside h.work().
 
     An exact point forms it in integers over its own triple, with one
     reduction, and builds the terms only when they are asked for.  Big
-    floats add the terms, which are computed once.
+    floats add the terms, which are computed once, from lifted if given.
     """
     if h.exact:
         return _rat(*_int_linear_form(triple, h)), lambda: linear_form_terms(triple, h)
-    terms = linear_form_terms(triple, h)
+    terms = linear_form_terms(triple, h, lifted)
     t1, t2, t3 = terms
     return t1 - t2 + t3, lambda: terms
 
 
-def triple_distance_pow4(triple, h: SiegelPoint) -> Union[Fraction, mpf]:
-    """d((q : r : p), h)^4 = |conj(p) - conj(r) u + conj(q) v|^2 / |q|^2, which
-    holds for every nonzero multiple of a triple: none needs reducing.  At
-    an exact point, |a + b i|^2 / (|q|^2 Q^2) in integers (_int_linear_form)."""
+def triple_distance_pow4(triple, h: SiegelPoint, form=None) -> Union[Fraction, mpf]:
+    """d((q : r : p), h)^4 = |conj(p) - conj(r) u + conj(q) v|^2 / |q|^2 (big
+    floats may pass that form's value), which holds for every nonzero multiple
+    of a triple.  At an exact point |a + b i|^2 / (|q|^2 Q^2) in integers."""
     q, _, _ = triple
     if h.exact:
         a, b, Q = _int_linear_form(triple, h)
         return Fraction(a * a + b * b, q.norm() * Q * Q)
     with h.work():
-        return abs_sq(_linear_form(triple, h)[0]) / q.norm()
+        return abs_sq(_linear_form(triple, h)[0] if form is None else form) / q.norm()
 
 
 def distance(h1: SiegelPoint, h2: SiegelPoint) -> Union[float, mpf]:

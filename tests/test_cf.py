@@ -1,11 +1,13 @@
 import json
 import math
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 import heiscf.cf as cf
 from heiscf.cf import (
@@ -22,9 +24,22 @@ from heiscf.domain import (
     nearest_float,
     reduce_into_kd,
 )
-from heiscf.errors import CertificationError, InternalError, InvalidDigitString
+from heiscf.errors import (
+    AmbiguousNearestInteger,
+    CertificationError,
+    InternalError,
+    InvalidDigitString,
+)
 from heiscf.gaussian import GaussRat
+from heiscf.lab.approx import approx_quality
+from heiscf.lab.identities import (
+    verify_distance_formula,
+    verify_expansion,
+    verify_prq,
+    verify_tildeprq,
+)
 from heiscf.lab.random_points import (
+    random_bigfloat_point,
     random_digit_string,
     random_rational_point,
 )
@@ -39,6 +54,7 @@ from heiscf.siegel import (
     from_heis,
     group_mul,
     koranyi_inversion,
+    linear_form_terms,
     parse_heis_point,
     parse_planar_point,
     triple_to_planar,
@@ -460,3 +476,98 @@ class TestNearestFloatDifferential:
         g = DirichletDomain().nearest(float_point(ure, uim, vim))
         # nearest_float reads only Re u, Im u and Im v
         assert nearest_float(complex(ure, uim), complex(0.0, vim)) == (g.u.re, g.u.im, g.v.im)
+
+
+# ---------------------------------------------------------------------------
+# One precision switch per expansion, and the big-float continuants lifted once
+
+
+def tie_preimage(ctx):
+    """A big-float point whose first Gauss-map step lands on a boundary tie:
+    iota of the tie (1 ; 1/2 - 2i), so [h] certifies and [iota h] cannot."""
+    tie = SiegelPoint(GaussRat.from_fractions(1, 0), GaussRat.from_fractions(Fraction(1, 2), -2))
+    return koranyi_inversion(tie).to_bigfloat(ctx)
+
+
+def count_switches(monkeypatch) -> list:
+    """Calls to mp.workprec from now on, by precision asked for."""
+    calls, workprec = [], mp.workprec
+    monkeypatch.setattr(mp, "workprec", lambda n: calls.append(n) or workprec(n))
+    return calls
+
+
+class TestPrecisionSwitch:
+    def test_work_at_its_own_precision_is_free(self):
+        ctx = PrecisionContext(128)
+        with mp.workprec(128):
+            assert isinstance(ctx.work(), nullcontext)
+            with ctx.work():
+                assert mp.prec == 128
+            assert mp.prec == 128
+
+    def test_work_elsewhere_sets_and_restores(self):
+        ctx = PrecisionContext(128)
+        before = mp.prec
+        assert before != 128
+        with ctx.work():
+            assert mp.prec == 128
+            with PrecisionContext(64).work():
+                assert mp.prec == 64
+            assert mp.prec == 128
+        assert mp.prec == before
+
+    def test_one_switch_per_expansion_and_per_suite(self, monkeypatch):
+        h = random_bigfloat_point(random.Random(3), PrecisionContext(512))
+        calls = count_switches(monkeypatch)
+        e = expand(h, max_depth=12)
+        assert calls == [512]
+        verify_expansion(e)
+        assert calls == [512, 512]
+
+    @pytest.mark.parametrize("outer", [53, 64, 300])
+    def test_expand_restores_the_precision_when_it_raises(self, outer):
+        big = from_heis(*parse_heis_point("1/3+1/7i, 2/11", PrecisionContext(64)),
+                        PrecisionContext(64))
+        tie = tie_preimage(PrecisionContext(128))
+        K.nearest(tie)  # [h] certifies: the tie is met inside the orbit
+        with mp.workprec(outer):
+            with pytest.raises(CertificationError):
+                expand(big, max_depth=8)
+            assert mp.prec == outer
+            with pytest.raises(AmbiguousNearestInteger):
+                expand(tie, max_depth=3)
+            assert mp.prec == outer
+
+
+class TestLiftedContinuants:
+    @pytest.mark.parametrize("bits", [64, 128, 512])
+    def test_cached_forms_equal_fresh_linear_forms(self, bits):
+        ctx = PrecisionContext(bits)
+        for seed in range(3):
+            e = expand(random_bigfloat_point(random.Random(seed), ctx), max_depth=15)
+            h0 = e.iterates[0]
+            with h0.work():
+                for n in range(e.depth + 1):
+                    c0, c1, (form, terms) = e.lifted[n]
+                    assert c0 == tuple(map(h0.lift, e.first_column(n)))
+                    assert c1 == tuple(map(h0.lift, e.second_column(n)))
+                    fresh = linear_form_terms(e.first_column(n), h0)
+                    assert [t._mpc_ for t in terms()] == [t._mpc_ for t in fresh]
+                    t1, t2, t3 = fresh
+                    assert form._mpc_ == (t1 - t2 + t3)._mpc_
+
+    @pytest.mark.parametrize("verifier", [verify_prq, verify_tildeprq, verify_distance_formula])
+    def test_cached_columns_keep_the_index_check(self, verifier):
+        e = expand(random_bigfloat_point(random.Random(0), PrecisionContext(128)), max_depth=4)
+        for n in (-1, e.depth + 1):
+            with pytest.raises(IndexError):
+                verifier(e, n)
+
+    def test_exact_expansion_never_lifts_its_continuants(self):
+        rng = random.Random(5)
+        for length in range(1, 9):
+            e = expand(reconstruct(*random_digit_string(rng, length)))
+            verify_expansion(e)
+            for n in range(e.depth):
+                approx_quality(e, n)
+            assert "lifted" not in e.__dict__

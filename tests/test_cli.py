@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -239,6 +240,11 @@ class TestUsageErrors:
             ["khinchin", "--m-max", "0"],
             ["khinchin", "--epsilon", "-1"],
             ["khinchin", "--bigc", "0"],
+            # C^4 past the float range, infinite, or flushed to zero
+            ["khinchin", "--bigc", "1e100", "--m-max", "10"],
+            ["khinchin", "--bigc", "inf"],
+            ["khinchin", "--bigc", "1e-320"],
+            ["khinchin", "--epsilon", "inf"],
             ["count", "--m-max", "-5"],
             ["expand", "--point", "(1/0; 0)"],
             ["expand", "--heis", "1/0, 0"],
@@ -265,7 +271,8 @@ class TestUsageErrors:
             "verify-negative-samples", "measure-negative-samples",
             "bestapprox-negative-samples", "khinchin-negative-m-max",
             "khinchin-zero-m-max", "khinchin-negative-epsilon",
-            "khinchin-zero-bigc", "count-negative-m-max",
+            "khinchin-zero-bigc", "khinchin-huge-bigc", "khinchin-infinite-bigc",
+            "khinchin-tiny-bigc", "khinchin-infinite-epsilon", "count-negative-m-max",
             "point-zero-denominator", "heis-zero-denominator",
             "point-zero-quotient-denominator", "point-zero-imag-denominator",
             "bestapprox-zero-denominator", "bestapprox-huge-m-max", "out-not-writable",
@@ -360,6 +367,16 @@ class TestKhinchin:
         assert code == 0
         s = check_json(out)["sums"]
         assert s["partial_sum"] > 0 and s["tail_bound"] > 0
+
+    @pytest.mark.parametrize("bigc", ["1.8e-77", "5.7e76"])
+    def test_extreme_bigc_gives_finite_sums(self, bigc, capsys):
+        # the ends of the accepted range: C^4 is a normal float, so the
+        # first term is neither flushed to 0 nor past the float range
+        args = ["khinchin", "--bigc", bigc, "--m-max", "10", "--format", "json"]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        s = check_json(out)["sums"]
+        assert 0 < s["partial_sum"] < math.inf and 0 < s["tail_bound"] < math.inf
 
 
 class TestBestApprox:

@@ -13,14 +13,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_rational
+from mpmath.libmp import (
+    from_man_exp,
+    from_rational,
+    mpf_add,
+    mpf_mul,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+    to_rational,
+)
 
+import heiscf.domain
 from heiscf.cf import expand
 from heiscf.domain import DirichletDomain, _dyadic, _ranked_candidates, integer_point
 from heiscf.errors import AmbiguousNearestInteger, CertificationError
 from heiscf.gaussian import GaussRat
 from heiscf.lab.identities import IdentityReport
-from heiscf.siegel import PrecisionContext, SiegelPoint, abs_sq, abs_sq_exact, group_mul
+from heiscf.siegel import (
+    PrecisionContext,
+    SiegelPoint,
+    _max_sq,
+    abs_sq,
+    abs_sq_exact,
+    group_mul,
+    koranyi_inversion,
+)
 
 K = DirichletDomain()
 BITS = st.sampled_from([64, 128, 512])
@@ -481,3 +499,146 @@ class TestExactTolerances:
         ctx = PrecisionContext(128)
         with ctx.work(), pytest.raises(ValueError, match="Siegel constraint violated"):
             SiegelPoint(mpc(*u), mpc(*v), ctx)
+
+
+# ---------------------------------------------------------------------------
+# The raw-tuple kernels against the mpmath expressions they replaced
+
+WIDE_BITS = st.sampled_from([64, 128, 512, 1024])
+
+
+def abs_sq_exact_oracle(x) -> mpf:
+    """abs_sq_exact as it was written, one branch per type."""
+    if isinstance(x, mpf):
+        return mp.make_mpf(mpf_mul(x._mpf_, x._mpf_))
+    re, im = x._mpc_
+    return mp.make_mpf(mpf_add(mpf_mul(re, re), mpf_mul(im, im)))
+
+
+def accepts_oracle(u: mpc, v: mpc, ctx) -> bool:
+    """The SiegelPoint check as it was written on abs_sq_exact."""
+    resid = mpf_sub(abs_sq_exact_oracle(u)._mpf_, mpf_shift(v._mpc_[0], 1))
+    return not (any(x[3] < 0 for x in (*u._mpc_, *v._mpc_))
+                or ctx.tol_sign(mpf_mul(resid, resid), 8, (v,)) > 0)
+
+
+def accepts(u: mpc, v: mpc, ctx) -> bool:
+    try:
+        SiegelPoint(u, v, ctx)
+    except ValueError:
+        return False
+    return True
+
+
+def koranyi_oracle(h):
+    """koranyi_inversion's big-float branch as it was written on mpc objects."""
+    with h.ctx.work():
+        u = -h.u / h.v
+        v = 1 / h.v
+        v = mpc(abs(u) ** 2 / 2, v.imag)
+    return u, v
+
+
+def unchecked_point(u: mpc, v: mpc, ctx) -> SiegelPoint:
+    """A big-float point built without the constraint check."""
+    h = object.__new__(SiegelPoint)
+    for name, value in (("u", u), ("v", v), ("ctx", ctx)):
+        object.__setattr__(h, name, value)
+    return h
+
+
+def assert_inversion_as_oracle(h):
+    want_u, want_v = koranyi_oracle(h)
+    try:
+        got = koranyi_inversion(h)
+    except ValueError:
+        assert not accepts_oracle(want_u, want_v, h.ctx)
+    else:
+        assert accepts_oracle(want_u, want_v, h.ctx)
+        assert (got.u._mpc_, got.v._mpc_) == (want_u._mpc_, want_v._mpc_)
+
+
+@st.composite
+def surface_points(draw):
+    """Points on the surface at 64 to 1024 bits, v != 0."""
+    bits = draw(WIDE_BITS)
+    u, w = draw(mpcs(bits)), draw(mpcs(bits))
+    h = point(PrecisionContext(bits), u.real, u.imag, w.imag)
+    return h if h.v else point(h.ctx, u.real, u.imag, mpf(1))
+
+
+NON_FINITE = [((NAN, 0), (1, 1)), ((0, 0), (NAN, NAN)), ((INF, 0), (INF, 0)),
+              ((1, 0), (0.5, INF)), ((0, INF), (1, 0)), ((1, 1), (NAN, 0))]
+NON_FINITE_IDS = ["nan-u", "nan-v", "inf-u-v", "inf-im-v", "inf-im-u", "nan-re-v"]
+
+
+class TestRawKernels:
+    @given(surface_points())
+    @settings(max_examples=200, deadline=None)
+    def test_koranyi_inversion_as_mpc_expressions(self, h):
+        assert_inversion_as_oracle(h)
+
+    @pytest.mark.parametrize("u, v", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_koranyi_inversion_of_non_finite_parts(self, u, v):
+        ctx = PrecisionContext(128)
+        with ctx.work():
+            h = unchecked_point(mpc(*u), mpc(*v), ctx)
+        assert_inversion_as_oracle(h)
+
+    @given(WIDE_BITS, st.integers(-2**20, 2**20), st.integers(-2**20, 2**20),
+           st.integers(-2**22, 2**22), st.sampled_from([-1, 1]), st.integers(-2, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_constraint_check_as_abs_sq_exact(self, bits, a, b, t, side, k):
+        # either side of the tolerance, as test_constraint_check_decides_as_fractions
+        ctx = PrecisionContext(bits)
+        ure, uim, vim = (mpf(n) / 2**18 for n in (a, b, t))
+        vre = step(to_mpf(rat(constraint_boundary(ctx, ure, uim, vim, side)), bits), k, bits)
+        with ctx.work():
+            u, v = mpc(ure, uim), mpc(vre, vim)
+        assert accepts(u, v, ctx) == accepts_oracle(u, v, ctx)
+
+    @pytest.mark.parametrize("u, v", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_constraint_check_of_non_finite_parts(self, u, v):
+        ctx = PrecisionContext(128)
+        with ctx.work():
+            u, v = mpc(*u), mpc(*v)
+        assert not accepts(u, v, ctx) and not accepts_oracle(u, v, ctx)
+
+    @given(ODD_BITS.flatmap(lambda bits: st.lists(
+        st.one_of(mpcs(bits), mpcs(bits).map(lambda x: x.real),
+                  st.sampled_from([NAN, INF, -INF, mpc(NAN, 1), mpc(0, -INF)])),
+        min_size=1, max_size=4)))
+    @settings(max_examples=300, deadline=None)
+    def test_max_sq_and_abs_sq_exact_as_written(self, values):
+        assert [abs_sq_exact(x)._mpf_ for x in values] == [
+            abs_sq_exact_oracle(x)._mpf_ for x in values]
+        assert _max_sq(values) == max(map(abs_sq_exact_oracle, values))._mpf_
+
+
+# ---------------------------------------------------------------------------
+# The runner-up gap, its trailing zeros shifted off in one step
+
+
+class TestRunnerUpGap:
+    @given(st.integers(0, 2**70), st.integers(0, 4000), BITS)
+    @settings(max_examples=200, deadline=None)
+    def test_gap_is_the_exact_key_difference(self, odd, zeros, bits):
+        # nearest() squares the gap it forms; the keys are replaced by (0, d)
+        d = (2 * odd + 1 if odd else 0) << zeros
+        h = point(PrecisionContext(bits), mpf(1) / 3, mpf(1) / 5, mpf(1) / 7)
+        k = _dyadic(*h.u._mpc_, h.v._mpc_[1])[1]
+        gaps = []
+
+        def record(x, y, *args):
+            gaps.append(x)
+            return mpf_mul(x, y, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(heiscf.domain, "_ranked_candidates",
+                          lambda *_: [(0, 0, 0, 0), (d, 0, 0, 1)])
+            patch.setattr(heiscf.domain, "mpf_mul", record)
+            try:
+                K.nearest(h)
+            except AmbiguousNearestInteger:
+                pass
+        assert gaps == [from_man_exp(d, -4 * k)]
