@@ -38,7 +38,6 @@ __all__ = [
     "expansion_to_json",
 ]
 
-_E1 = (GaussInt(1, 0), GaussInt(0, 0), GaussInt(0, 0))
 _K_D = DirichletDomain()
 
 
@@ -215,19 +214,20 @@ def expand(h: SiegelPoint, max_depth: Optional[int] = None) -> CFExpansion:
 
 
 def _apply_digits(digits: list[IntegerPoint]) -> tuple[GaussInt, GaussInt, GaussInt]:
-    """A_gamma1 ... A_gamman (1:0:0), applied right to left as
-    t <- J T_gamma t with J (q, r, p) = (-p, r, -q).  A zero q entry on the
-    way is the v = 0 at which an inversion of the nested form is undefined.
-    """
-    t = _E1
+    """A_gamma1 ... A_gamman (1:0:0), applied right to left on the int parts as
+    t <- J T_gamma t = (-(v q + conj(u) r + p), u q + r, -q), gamma = (u, v).  A
+    zero q on the way is the v = 0 at which the nested inversion is undefined."""
+    qa, qb, ra, rb, pa, pb = 1, 0, 0, 0, 0, 0
     for gamma in reversed(digits):
-        q, r, p = translate(gamma, t)
-        t = (-p, r, -q)
-        if t[0].is_zero():
-            raise InvalidDigitString(
-                "invalid digit string: intermediate point has v = 0"
-            )
-    return t
+        (ua, ub), (va, vb) = (gamma.u.re, gamma.u.im), (gamma.v.re, gamma.v.im)
+        qa, qb, ra, rb, pa, pb = (
+            -(va * qa - vb * qb + ua * ra + ub * rb + pa),
+            -(va * qb + vb * qa + ua * rb - ub * ra + pb),
+            ua * qa - ub * qb + ra, ua * qb + ub * qa + rb, -qa, -qb,
+        )
+        if qa == qb == 0:
+            raise InvalidDigitString("invalid digit string: intermediate point has v = 0")
+    return GaussInt(qa, qb), GaussInt(ra, rb), GaussInt(pa, pb)
 
 
 def reconstruct(gamma0: IntegerPoint, digits: list[IntegerPoint]) -> SiegelPoint:

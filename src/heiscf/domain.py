@@ -14,7 +14,6 @@ from mpmath.libmp import from_float, from_man_exp, mpf_mul
 
 from .errors import AmbiguousNearestInteger
 from .gaussian import GaussInt
-from .matrices import translate
 from .siegel import IntegerPoint, SiegelPoint, exact_triple
 
 __all__ = [
@@ -69,13 +68,17 @@ def _ranked_candidates(ure, uim, vim, den) -> list[tuple]:
 def reduce_into_kd(t):
     """[x] and the triple T_{[x]^-1} t for the point x = (r/q, p/q) of an
     integer triple t = (q, r, p), q != 0, ranked over the denominator |q|^2:
-    u = r conj(q) / |q|^2 and Im v = Im(p conj(q)) / |q|^2."""
+    u = r conj(q) / |q|^2 and Im v = Im(p conj(q)) / |q|^2.  With [x] = (u; v),
+    the triple is (q, r - u q, conj(v) q - conj(u) r + p), on the int parts."""
     q, r, p = t
-    qc = q.conj()
-    w = r * qc
-    _, a, b, c = _ranked_candidates(w.re, w.im, (p * qc).im, q.norm())[0]
+    qa, qb, ra, rb, pa, pb = q.re, q.im, r.re, r.im, p.re, p.im
+    n = qa * qa + qb * qb
+    _, a, b, c = _ranked_candidates(ra * qa + rb * qb, rb * qa - ra * qb, pb * qa - pa * qb, n)[0]
     gamma = integer_point(a, b, c)
-    return gamma, translate(gamma.inv(), t)
+    e = gamma.v.re  # v = e + ci
+    return gamma, (q, GaussInt(ra - a * qa + b * qb, rb - a * qb - b * qa),
+                   GaussInt(e * qa + c * qb - a * ra - b * rb + pa,
+                            e * qb - c * qa - a * rb + b * ra + pb))
 
 
 def nearest_float(u: complex, v: complex) -> tuple[int, int, int]:

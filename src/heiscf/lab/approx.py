@@ -17,7 +17,7 @@ from ..cf import CFExpansion
 from ..domain import RAD_KD, rk_constant
 from ..gaussian import GaussInt, _coprime, _fold_unit, _trip_key
 from ..matrices import mat_apply_triple, u21_inverse
-from ..siegel import ProjIntPoint, SiegelPoint, triple_distance_pow4
+from ..siegel import ProjIntPoint, SiegelPoint, _int_linear_form, triple_distance_pow4
 from .enumerate import solve_p_line
 
 __all__ = [
@@ -88,14 +88,16 @@ def _prod_exp(xs) -> tuple[float, int]:
 def convergent_distance(e: CFExpansion, n: int, k: int = 0) -> float:
     """d(nth convergent, h_0) * 2**k, as a float.
 
-    Exact backend: (d^4 * 16**k) rounded once, then its float fourth root.
-    Big floats: two mpf square roots of d^4 (from the expansion's linear
-    form) at the point's bits, then one rounding; 2**k is exact in both.
+    Exact backend: (d^4 * 16**k) rounded once, by int / int on the unreduced
+    quotient of _int_linear_form, then its float fourth root.  Big floats: two
+    mpf square roots of d^4 (from the expansion's linear form) at the point's
+    bits, then one rounding; 2**k is exact in both.
     """
-    h0 = e.iterates[0]
-    d4 = triple_distance_pow4(e.first_column(n), h0, e.ctx and e.lifted[n][2][0])
+    h0, col = e.iterates[0], e.first_column(n)
     if h0.exact:
-        return ((d4.numerator << 4 * k) / d4.denominator) ** 0.25
+        a, b, Q = _int_linear_form(col, h0)
+        return (((a * a + b * b) << 4 * k) / (col[0].norm() * Q * Q)) ** 0.25
+    d4 = triple_distance_pow4(col, h0, e.lifted[n][2][0])
     root = mpf_sqrt(mpf_shift(d4._mpf_, 4 * k), e.ctx.bits, round_nearest)
     return to_float(mpf_sqrt(root, e.ctx.bits, round_nearest), rnd=round_nearest)
 

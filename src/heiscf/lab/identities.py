@@ -162,6 +162,15 @@ def _sq_parts(x) -> tuple[int, int]:
     return x.a * x.a + x.b * x.b, x.d * x.d
 
 
+def _distance_sq_parts(h1, h2) -> tuple[int, int]:
+    """|_distance_form(h1, h2)|^2 of exact points as unreduced (numerator, denominator)."""
+    (u1, v1), (u2, v2) = (h1.u, h1.v), (h2.u, h2.v)
+    du, dv = u1.d * u2.d, v1.d * v2.d
+    x = (v1.a * v2.d + v2.a * v1.d) * du - (u1.a * u2.a + u1.b * u2.b) * dv
+    y = (v2.b * v1.d - v1.b * v2.d) * du - (u1.a * u2.b - u1.b * u2.a) * dv
+    return x * x + y * y, (du * dv) ** 2
+
+
 def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
     """Both closed forms of d(convergent_n, h_0) against the direct distance.
 
@@ -169,19 +178,20 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
     |conj(q_n) s|^(-1/2) with s = q_{n+1} + q~_{n+1} u_{n+1} - q_n v_{n+1}.
     Both are compared as fourth powers; the report shows the distances.
     On the exact backend d^4 = |w|^2, form 1 = |vp|^2 / |q_n|^2 and form 2
-    = 1 / (|q_n|^2 |s|^2) are cross-multiplied into integer equalities.
+    = 1 / (|q_n|^2 |s|^2) are cross-multiplied into integer equalities, |w|^2
+    unreduced; w and q_n are built as GaussRats only when a float is read.
     """
     col, h0 = e.first_column(n), e.iterates[0]
     with h0.work():
         # the planar route, not the linear form: verify_prq already checks that;
         # a column of a U(2,1; Z[i]) matrix needs no reducing
         conv = triple_to_planar(col, e.ctx)
-        qn = e.point.lift(col[0]) if e.ctx is None else e.lifted[n][0][0]
-        w, vp = _distance_form(conv, h0), e.v_prefix[n + 1]
+        vp = e.v_prefix[n + 1]
         s = e.s_values[n] if n + 1 <= e.depth else None
 
         def values():
-            d4 = abs_sq(w)
+            qn = e.point.lift(col[0]) if e.ctx is None else e.lifted[n][0][0]
+            d4 = abs_sq(_distance_form(conv, h0))
             forms = [abs_sq(vp / qn)]
             if s:
                 forms.append(abs_sq(e.v_prefix[0] / (qn.conjugate() * s)))
@@ -192,7 +202,7 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
 
         passed = None
         if e.ctx is None:
-            (nw, dw), (nv, dv), q2 = _sq_parts(w), _sq_parts(vp), col[0].norm()
+            (nw, dw), (nv, dv), q2 = _distance_sq_parts(conv, h0), _sq_parts(vp), col[0].norm()
             passed = nw * dv * q2 == nv * dw
             if passed and s:
                 ns, ds = _sq_parts(s)

@@ -95,12 +95,15 @@ def digit_matrix(gamma: IntegerPoint) -> UMatrix:
 
 def mul_digit_matrix(m: UMatrix, gamma: IntegerPoint) -> UMatrix:
     """m * A_gamma in closed form: with (u, v) = gamma, the columns c0, c1, c2
-    of m become u c1 - v c0 - c2, c1 - conj(u) c0 and -c0."""
-    u, v = gamma.u, gamma.v
-    uc = u.conj()
-    return UMatrix(
-        tuple((u * c1 - v * c0 - c2, c1 - uc * c0, -c0) for c0, c1, c2 in m.rows)
-    )
+    of m become u c1 - v c0 - c2, c1 - conj(u) c0 and -c0, formed on the int
+    parts with one GaussInt built per entry."""
+    (ua, ub), (va, vb) = (gamma.u.re, gamma.u.im), (gamma.v.re, gamma.v.im)
+    return UMatrix(tuple(
+        (GaussInt(ua * c1.re - ub * c1.im - va * c0.re + vb * c0.im - c2.re,
+                  ua * c1.im + ub * c1.re - va * c0.im - vb * c0.re - c2.im),
+         GaussInt(c1.re - ua * c0.re - ub * c0.im, c1.im - ua * c0.im + ub * c0.re),
+         GaussInt(-c0.re, -c0.im))
+        for c0, c1, c2 in m.rows))
 
 
 def mat_mul(m1: UMatrix, m2: UMatrix) -> UMatrix:

@@ -129,18 +129,18 @@ def _lift(g: GaussInt, ctx: Optional[PrecisionContext]) -> Union[GaussRat, mpc]:
     return mp.make_mpc((from_int(g.re, prec, round_nearest), from_int(g.im, prec, round_nearest)))
 
 
-def _quotient(g: GaussInt, n: int) -> mpc:
-    """g / n with each part rounded once to the working precision."""
+def _quotient(re: int, im: int, n: int) -> mpc:
+    """(re + im i) / n with each part rounded once to the working precision."""
     prec, d = mp.prec, from_int(n)
     return mp.make_mpc((
-        mpf_div(from_int(g.re), d, prec, round_nearest),
-        mpf_div(from_int(g.im), d, prec, round_nearest),
+        mpf_div(from_int(re), d, prec, round_nearest),
+        mpf_div(from_int(im), d, prec, round_nearest),
     ))
 
 
 def _rat_quotient(x: GaussRat) -> mpc:
     """x with each part rounded once to the working precision."""
-    return _quotient(GaussInt(x.a, x.b), x.d)
+    return _quotient(x.a, x.b, x.d)
 
 
 @dataclass(frozen=True)
@@ -456,17 +456,21 @@ class ProjIntPoint:
 def triple_to_planar(triple, ctx: Optional[PrecisionContext] = None) -> SiegelPoint:
     """(r/q, p/q) for any nonzero multiple of an integer triple (q, r, p).
 
-    Exact backend (ctx None): the GaussRat quotients reduce themselves.
-    Big floats: each part of r conj(q) / |q|^2 and p conj(q) / |q|^2 is
-    rounded once.
+    Both backends form r conj(q) and p conj(q) over |q|^2 on the int parts.
+    Exact (ctx None): each quotient is reduced once.  Big floats: each part
+    is rounded once.
     """
-    if ctx is None:
-        q, r, p = (GaussRat.from_int(g) for g in triple)
-        return SiegelPoint(r / q, p / q)
     q, r, p = triple
-    qc, n = q.conj(), q.norm()
+    qa, qb = q.re, q.im
+    n = qa * qa + qb * qb
+    w = r.re * qa + r.im * qb, r.im * qa - r.re * qb
+    z = p.re * qa + p.im * qb, p.im * qa - p.re * qb
+    if ctx is None:
+        if not n:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return SiegelPoint(_rat(*w, n), _rat(*z, n))
     with ctx.work():
-        return SiegelPoint(_quotient(r * qc, n), _quotient(p * qc, n), ctx)
+        return SiegelPoint(_quotient(*w, n), _quotient(*z, n), ctx)
 
 
 def exact_triple(h: SiegelPoint) -> tuple[GaussInt, GaussInt, GaussInt]:

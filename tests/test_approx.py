@@ -1,11 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 from heiscf.cf import expand, reconstruct
-from heiscf.gaussian import GaussInt, _coprime, _fold_unit, _trip_key
+from heiscf.gaussian import GaussInt, GaussRat, _coprime, _fold_unit, _trip_key
 from heiscf.lab import approx
 from heiscf.lab.approx import (
     RAD_KD,
@@ -27,6 +28,7 @@ from heiscf.siegel import (
     PrecisionContext,
     ProjIntPoint,
     distance,
+    from_heis,
     parse_planar_point,
     triple_distance_pow4,
     triple_to_planar,
@@ -123,6 +125,55 @@ class TestConvergentDistance:
         for n in range(ex.depth):
             d = convergent_distance(ex, n)
             assert math.isclose(convergent_distance(ex, n, 37), math.ldexp(d, 37), rel_tol=1e-15)
+
+
+def convergent_distance_fraction(e, n, k):
+    """d_n * 2**k from the reduced Fraction d^4, as convergent_distance once
+    rounded it."""
+    d4 = triple_distance_pow4(e.first_column(n), e.iterates[0])
+    return ((d4.numerator << 4 * k) / d4.denominator) ** 0.25
+
+
+def same_float(e, n, k):
+    """Both routes give the same float, or both find d^4 * 16**k past the
+    float range."""
+    outcomes = []
+    for route in (convergent_distance, convergent_distance_fraction):
+        try:
+            outcomes.append(route(e, n, k))
+        except OverflowError:
+            outcomes.append(OverflowError)
+    return outcomes[0] == outcomes[1]
+
+
+def far_expansion(seed, bits=600):
+    """The full expansion of a point over a denominator near 2**bits: its
+    last |q_n| pass 2**(2 bits - 100)."""
+    rng = random.Random(seed)
+    den = rng.randrange(2**bits, 2**(bits + 1))
+    x, y, t = (Fraction(rng.randrange(den), den) for _ in range(3))
+    return expand(from_heis(GaussRat.from_fractions(x, y), t))
+
+
+class TestConvergentDistanceBits:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_equals_fraction_route(self, seed):
+        e = far_expansion(seed)
+        sizes = [e.first_column(n)[0].norm().bit_length() // 2 for n in range(e.depth + 1)]
+        assert sizes[-1] > 1100
+        # every small index, a stride through the middle and every |q_n| > 2^1100
+        for n in sorted({*range(8), *range(0, e.depth + 1, 23),
+                         *(n for n, b in enumerate(sizes) if b > 1100)}):
+            for k in {0, 37, 600, approx._abs_gi(e.first_column(n)[0])[1]}:
+                assert same_float(e, n, k), (n, k)
+
+    def test_seeded_orbits(self):
+        # the spec point's h_0 has denominator 5, so d^4 is a quotient of small ints
+        for e in [expand(parse_planar_point("(1+i; 1+4/5i)"))] + [
+                exact_expansion(seed, length=10) for seed in range(10)]:
+            for n in range(e.depth + 1):
+                for k in (0, 37, 600):
+                    assert same_float(e, n, k), (e.point, n, k)
 
 
 def _c_n_reference(e, n) -> float:

@@ -30,7 +30,7 @@ from heiscf.errors import (
     InternalError,
     InvalidDigitString,
 )
-from heiscf.gaussian import GaussRat
+from heiscf.gaussian import GaussInt, GaussRat
 from heiscf.lab.approx import approx_quality
 from heiscf.lab.identities import (
     verify_distance_formula,
@@ -43,7 +43,7 @@ from heiscf.lab.random_points import (
     random_digit_string,
     random_rational_point,
 )
-from heiscf.matrices import IDENTITY, digit_matrix, mat_mul, u21_check
+from heiscf.matrices import IDENTITY, digit_matrix, mat_mul, translate, u21_check
 from heiscf.siegel import (
     IntegerPoint,
     PrecisionContext,
@@ -476,6 +476,91 @@ class TestNearestFloatDifferential:
         g = DirichletDomain().nearest(float_point(ure, uim, vim))
         # nearest_float reads only Re u, Im u and Im v
         assert nearest_float(complex(ure, uim), complex(0.0, vim)) == (g.u.re, g.u.im, g.v.im)
+
+
+# ---------------------------------------------------------------------------
+# The exact kernels on int parts against the GaussInt/GaussRat forms they replace
+
+
+def reduce_into_kd_reference(t):
+    """[x] and T_{[x]^-1} t through GaussInt products and matrices.translate."""
+    q, r, p = t
+    qc = q.conj()
+    w = r * qc
+    _, a, b, c = _ranked_candidates(w.re, w.im, (p * qc).im, q.norm())[0]
+    gamma = integer_point(a, b, c)
+    return gamma, translate(gamma.inv(), t)
+
+
+def triple_to_planar_reference(triple):
+    """(r/q, p/q) as the GaussRat quotients r / q and p / q."""
+    q, r, p = (GaussRat.from_int(g) for g in triple)
+    return SiegelPoint(r / q, p / q)
+
+
+big_ints = st.integers(-(2**512), 2**512)
+big_fractions = st.builds(Fraction, big_ints, st.integers(1, 2**512))
+big_heis_points = st.builds(
+    lambda x, y, t: from_heis(GaussRat.from_fractions(x, y), t),
+    big_fractions,
+    big_fractions,
+    big_fractions,
+)
+# nonzero Gaussian multiples of the triples of large points: q is no longer
+# real or canonical, and the entries share a factor that the kernels must reduce
+big_triples = st.builds(
+    lambda h, a, b: tuple(GaussInt(a, b) * g for g in exact_triple(h)),
+    st.one_of(big_heis_points, heis_points),
+    st.integers(1, 2**512),
+    big_ints,
+)
+# large integer points: the ties stay ties under left translation
+big_shifts = {
+    "2^300": integer_point(2**300 + 1, 2**300 - 1, -(2**400)),
+    "3^200": integer_point(-(3**200), 5**150, 7**180),
+    "2^511": integer_point(2**511, -(2**511), 2**513 + 1),
+}
+
+
+class TestIntKernels:
+    @given(big_triples)
+    @settings(max_examples=150, deadline=None)
+    def test_reduce_into_kd_matches_reference(self, t):
+        assert reduce_into_kd(t) == reduce_into_kd_reference(t)
+
+    @given(big_triples)
+    @settings(max_examples=150, deadline=None)
+    def test_triple_to_planar_matches_reference(self, t):
+        # a GaussRat is compared field by field: each quotient is in lowest terms
+        assert triple_to_planar(t) == triple_to_planar_reference(t)
+
+    @pytest.mark.parametrize("r, p", [(GaussInt(0, 0), GaussInt(0, 0)),
+                                      (GaussInt(2**600, 3), GaussInt(-1, 2**513))])
+    def test_triple_to_planar_refuses_zero_q(self, r, p):
+        t = (GaussInt(0, 0), r, p)
+        for convert in (triple_to_planar, triple_to_planar_reference):
+            with pytest.raises(ZeroDivisionError, match="division by zero Gaussian rational"):
+                convert(t)
+
+    @pytest.mark.parametrize("g", big_shifts.values(), ids=big_shifts)
+    @pytest.mark.parametrize("w", tie_points(), ids=str)
+    def test_ties_translated_far(self, g, w):
+        h = group_mul(g.to_siegel(), w)
+        t = exact_triple(h)
+        ranked = ranked_candidates_fraction(h.u.re(), h.u.im(), h.v.im())
+        assert ranked[0][0] == ranked[1][0]  # still a tie
+        for s in (t, tuple(GaussInt(3, -2**200) * x for x in t)):
+            gamma, moved = reduce_into_kd(s)
+            assert (gamma, moved) == reduce_into_kd_reference(s)
+            assert gamma == lexicographic_nearest(h)
+
+    @given(st.one_of(big_heis_points, seeded_points), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_large_expansion_matches_planar_route(self, h, max_depth):
+        e = expand(h, max_depth=max_depth)
+        gamma0, digits, iterates, continuants, terminated = expand_reference(h, max_depth)
+        assert (e.gamma0, e.digits, e.iterates, e.continuants, e.terminated) == (
+            gamma0, digits, iterates, continuants, terminated)
 
 
 # ---------------------------------------------------------------------------

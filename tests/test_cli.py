@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,10 +12,14 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import heiscf
 from heiscf.cli import main
+from heiscf.errors import ParseError
+from heiscf.gaussian import parse_gauss_rat
 from heiscf.lab.sampling import khinchin_experiment
 
 
@@ -423,6 +429,114 @@ class TestReproducibility:
         _, a = run_cli(args, capsys)
         _, b = run_cli(args, capsys)
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# `expand` on fuzzed exact literals (ROADMAP item 13)
+
+
+def digits(draw, most: int) -> int:
+    """A natural number of 1 to most decimal digits, each length as likely."""
+    k = draw(st.integers(1, most))
+    return draw(st.integers(10 ** (k - 1) - (k == 1), 10**k - 1))
+
+
+@st.composite
+def naturals(draw):
+    """A numerator (small, or up to 10^200) and a common factor that scales
+    it and its denominator: a small value times a factor of up to 10^188
+    reaches a height of 10^200 while its reduced denominator stays small."""
+    n = draw(st.integers(0, 12)) if draw(st.booleans()) else digits(draw, 200)
+    return n, (digits(draw, 188) if n <= 12 and draw(st.booleans()) else 1)
+
+
+@st.composite
+def real_terms(draw, imag=False):
+    """One term of the literal grammar: `a`, `a/b`, and with imag `ai`,
+    `a/bi`, `ai/b` or `i`; denominators may be 0 or up to 10^12 (times a
+    common factor), and a decimal point may appear."""
+    (a, scale), sign = draw(naturals()), draw(st.sampled_from(["", "-", "+"]))
+    b = draw(st.sampled_from([1, 2]) | st.integers(1, 10**12)) if draw(st.integers(0, 11)) else 0
+    num, den = str(a * scale), str(b * scale)
+    if draw(st.integers(0, 9)) == 0:
+        num += ".5"
+    i = "i" if imag else ""
+    if imag and draw(st.booleans()):
+        return sign + draw(st.sampled_from([f"{num}i/{den}", "i", f"{num}i"]))
+    return sign + (num + i if b == 1 and scale == 1 else f"{num}/{den}{i}")
+
+
+@st.composite
+def gauss_rat_literals(draw):
+    """A Gaussian rational: a sum of a real and an imaginary term in either
+    order, or a quotient of parenthesized Gaussian integers."""
+    if draw(st.integers(0, 4)) == 0:
+        parts = [f"{draw(st.integers(-9, 9))}{draw(st.sampled_from(['+', '-']))}"
+                 f"{draw(st.integers(0, 10**30))}i" for _ in range(2)]
+        return f"({parts[0]})/({parts[1] if draw(st.integers(0, 3)) else 0})"
+    terms = [draw(real_terms()), draw(real_terms(imag=True))]
+    terms = draw(st.sampled_from([terms, terms[::-1], terms[:1], terms[1:]]))
+    return terms[0] + "".join(t if t[0] in "+-" else "+" + t for t in terms[1:])
+
+
+def on_surface(draw, u: str) -> str:
+    """A v with |u|^2 = 2 Re v for a u that parses, else any literal."""
+    try:
+        x = parse_gauss_rat(u)
+    except ParseError:
+        return draw(gauss_rat_literals())
+    t = Fraction(digits(draw, 200) * draw(st.sampled_from([1, -1])), draw(st.integers(1, 10**6)))
+    return f"{Fraction(x.a * x.a + x.b * x.b, 2 * x.d * x.d)}{'-' if t < 0 else '+'}{abs(t)}i"
+
+
+@st.composite
+def spaced(draw, text: str) -> str:
+    """text with blanks (and now and then a tab) put between characters."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=4)))
+    blank = draw(st.sampled_from([" "] * 6 + ["  "] * 3 + ["\t"]))
+    pieces = [text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])]
+    return blank.join(pieces)
+
+
+@st.composite
+def expand_argv(draw):
+    """`expand --point "(u; v)"` (v mostly on the surface) or `expand --heis
+    "z, t"`, with JSON output."""
+    if draw(st.booleans()):
+        u = draw(gauss_rat_literals())
+        v = on_surface(draw, u) if draw(st.integers(0, 3)) else draw(gauss_rat_literals())
+        lit = f"({u}{draw(st.sampled_from(['; ', ';', ', ']))}{v})"
+        flag = "--point"
+    else:
+        t = draw(real_terms()) if draw(st.integers(0, 5)) else draw(gauss_rat_literals())
+        lit, flag = f"{draw(gauss_rat_literals())}, {t}", "--heis"
+    return ["expand", flag, draw(spaced(lit)), "--format", "json"]
+
+
+def run_in_process(argv) -> tuple[int, str, str]:
+    """main(argv) with its output captured; argparse's exit 2 is an exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            assert e.code == 2, f"SystemExit({e.code!r}) from {argv!r}"
+            code = 2
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExpandFuzz:
+    @given(expand_argv())
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    def test_contract(self, argv):
+        code, out, err = run_in_process(argv)
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            rep = check_json(out)
+            assert rep["expansion"]["terminated"] and rep["expansion"]["backend"] == "exact"
+        else:
+            assert out == "" and err.count("\n") >= 1
+        assert run_in_process(argv) == (code, out, err)
 
 
 class TestEntryPoint:

@@ -217,8 +217,8 @@ def test_only_domain_ranks_candidates():
 
 
 def test_only_matrices_builds_translation_matrices():
-    # T_gamma acts on a triple through matrices.translate; the matrices
-    # themselves are built in matrices.py alone
+    # T_gamma acts on a triple in closed form (matrices.translate, or on ints
+    # in the exact kernels); the matrices themselves are built in matrices.py alone
     pkg = Path(heiscf.__file__).parent
     calling = sorted(
         str(f.relative_to(pkg)) for f in pkg.rglob("*.py")

@@ -1,10 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import heiscf.lab.identities as identities
 from heiscf.cf import expand, reconstruct
+from heiscf.domain import integer_point
 from heiscf.errors import HeisCFError
+from heiscf.gaussian import GaussRat
 from heiscf.lab.identities import (
+    _distance_sq_parts,
     verify_distance_formula,
     verify_expansion,
     verify_fracq,
@@ -12,7 +19,14 @@ from heiscf.lab.identities import (
     verify_tildeprq,
 )
 from heiscf.lab.random_points import random_digit_string
-from heiscf.siegel import PrecisionContext, parse_planar_point
+from heiscf.siegel import (
+    PrecisionContext,
+    _distance_form,
+    from_heis,
+    group_mul,
+    parse_planar_point,
+    triple_to_planar,
+)
 
 
 def exact_expansion(seed, length=8):
@@ -113,3 +127,52 @@ class TestVerifyExpansion:
         reports = verify_expansion(e)
         assert not e.terminated and len(reports) == 4 * e.depth - 1
         assert [(r.identity, r.n) for r in reports] == self.expected(e.depth - 1)
+
+
+def distance_verdict_reference(e, n, conv):
+    """The exact distance identity at conv decided on GaussRat values, as
+    Fractions: |w|^2 = |vp / q_n|^2 and, where s is defined and nonzero,
+    |w|^2 = |v_0 / (conj(q_n) s)|^2, with s formed by GaussRat arithmetic."""
+    h0, lift = e.iterates[0], GaussRat.from_int
+    qn = lift(e.first_column(n)[0])
+    d4 = _distance_form(conv, h0).abs_sq()
+    passed = d4 == (e.v_prefix[n + 1] / qn).abs_sq()
+    if n + 1 <= e.depth:
+        h = e.iterates[n + 1]
+        s = lift(e.first_column(n + 1)[0]) + lift(e.second_column(n + 1)[0]) * h.u - qn * h.v
+        if s:
+            passed = passed and d4 == (e.v_prefix[0] / (qn.conjugate() * s)).abs_sq()
+    return passed
+
+
+SHIFT = integer_point(0, 0, 2).to_siegel()  # (0; 2i): w moves by -2i, and |w| < 1
+
+
+class TestDistanceVerdict:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_gaussrat_verdict(self, seed):
+        e = exact_expansion(seed, length=1 + seed % 10)
+        for n in range(e.depth + 1):
+            passed = verify_distance_formula(e, n).passed
+            assert passed is distance_verdict_reference(e, n, triple_to_planar(e.first_column(n)))
+            assert passed
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wrong_convergent_rejected_by_both(self, seed, monkeypatch):
+        # the planar convergent moved off by (0; 2i): d^4 = |w - 2i|^2 != |w|^2
+        e = exact_expansion(seed)
+        monkeypatch.setattr(
+            identities, "triple_to_planar",
+            lambda col, ctx=None: group_mul(SHIFT, triple_to_planar(col, ctx)))
+        for n in range(e.depth + 1):
+            wrong = group_mul(SHIFT, triple_to_planar(e.first_column(n)))
+            assert not distance_verdict_reference(e, n, wrong)
+            assert not verify_distance_formula(e, n).passed
+
+    @given(*[st.builds(Fraction, st.integers(-(2**300), 2**300), st.integers(1, 2**300))] * 6)
+    @settings(max_examples=100, deadline=None)
+    def test_unreduced_square_equals_fraction(self, x1, y1, t1, x2, y2, t2):
+        h1 = from_heis(GaussRat.from_fractions(x1, y1), t1)
+        h2 = from_heis(GaussRat.from_fractions(x2, y2), t2)
+        for a, b in ((h1, h2), (h2, h1), (h1, h1)):
+            assert Fraction(*_distance_sq_parts(a, b)) == _distance_form(a, b).abs_sq()

@@ -28,7 +28,7 @@ from heiscf.siegel import (
 )
 
 
-def integer_points():
+def integer_points(ab=st.integers(-5, 5), c=st.integers(-9, 9)):
     """Strategy for integer model points (parity-matched u, free Im v)."""
 
     def build(a, b, c):
@@ -36,7 +36,7 @@ def integer_points():
             b += 1
         return IntegerPoint(GaussInt(a, b), GaussInt((a * a + b * b) // 2, c))
 
-    return st.builds(build, st.integers(-5, 5), st.integers(-5, 5), st.integers(-9, 9))
+    return st.builds(build, ab, ab, c)
 
 
 gauss_ints = st.builds(GaussInt, st.integers(-50, 50), st.integers(-50, 50))
@@ -119,6 +119,30 @@ matrices = st.one_of(
     members,
     st.builds(perturbed, members, st.integers(0, 2), st.integers(0, 2), small_gauss_ints),
 )
+
+
+def mul_digit_matrix_reference(m, gamma):
+    """m * A_gamma in closed form through GaussInt products."""
+    u, v = gamma.u, gamma.v
+    uc = u.conj()
+    return UMatrix(tuple((u * c1 - v * c0 - c2, c1 - uc * c0, -c0) for c0, c1, c2 in m.rows))
+
+
+big_ints = st.integers(-(2**512), 2**512)
+big_gauss_ints = st.builds(GaussInt, big_ints, big_ints)
+big_matrices = st.lists(
+    st.lists(st.one_of(big_gauss_ints, small_gauss_ints), min_size=3, max_size=3),
+    min_size=3, max_size=3,
+).map(lambda rows: UMatrix(tuple(tuple(row) for row in rows)))
+
+
+class TestMulDigitMatrix:
+    @given(st.one_of(big_matrices, matrices),
+           st.one_of(integer_points(big_ints, big_ints), integer_points()))
+    @settings(max_examples=200)
+    def test_matches_reference(self, m, g):
+        assert mul_digit_matrix(m, g) == mul_digit_matrix_reference(m, g)
+        assert mul_digit_matrix(m, g) == mat_mul(m, digit_matrix(g))
 
 
 class TestAdjoint:
