@@ -15,7 +15,7 @@ from typing import Optional
 from .domain import DirichletDomain, reduce_into_kd
 from .errors import CertificationError, InternalError, InvalidDigitString
 from .gaussian import GaussInt, _fold_unit
-from .matrices import IDENTITY, UMatrix, mul_digit_matrix, translate
+from .matrices import IDENTITY, column, mul_digit_matrix, translate
 from .siegel import (
     IntegerPoint,
     PrecisionContext,
@@ -61,15 +61,16 @@ def gauss_map_step(h: SiegelPoint) -> tuple[IntegerPoint, SiegelPoint]:
 class CFExpansion:
     """Digits, iterates, continuants and convergents of one expansion.
 
-    Cached on first read: the prefix products v_0...v_k and each s_k and
-    its terms in the point's backend, which the identity verifiers share,
-    and the |v_i| as floats; on big floats also the lifted continuants."""
+    Cached on first read, in the point's backend: the linear forms of the
+    first two continuant columns at h_0, the prefix products v_0...v_k and
+    each s_k and its terms, which the identity verifiers share; and the
+    |v_i| as floats."""
 
     point: SiegelPoint
     gamma0: IntegerPoint
     digits: list[IntegerPoint]
     iterates: list[SiegelPoint]  # h_0 .. h_n
-    continuants: list[UMatrix]  # Q_0 .. Q_n
+    continuants: list[tuple]  # Q_0 .. Q_n, each a tuple of rows
     terminated: bool
 
     @property
@@ -92,12 +93,12 @@ class CFExpansion:
     def first_column(self, n: int) -> tuple[GaussInt, GaussInt, GaussInt]:
         """(q_n, r_n, p_n), unreduced continuant entries (no gamma_0 shift)."""
         self._check_index(n)
-        return self.continuants[n].column(0)
+        return column(self.continuants[n], 0)
 
     def second_column(self, n: int) -> tuple[GaussInt, GaussInt, GaussInt]:
         """(q~_n, r~_n, p~_n), the middle continuant column."""
         self._check_index(n)
-        return self.continuants[n].column(1)
+        return column(self.continuants[n], 1)
 
     def convergent(self, n: int) -> ProjIntPoint:
         """The nth convergent T_gamma0 Q_n (1:0:0) as a reduced projective
@@ -109,13 +110,14 @@ class CFExpansion:
         return [self.convergent(n) for n in range(self.depth + 1)]
 
     @cached_property
-    def lifted(self) -> list[tuple]:
-        """Per Q_k, big floats only: its first and second column lifted once,
-        and _linear_form of the first at h_0 (verify_prq, convergent_distance)."""
-        h0, lift = self.iterates[0], self.point.lift
+    def forms(self) -> list[tuple]:
+        """Per Q_k, _linear_form of its first and second column at h_0, each
+        (q, F, terms) with every entry lifted once on big floats: the
+        verifiers, s_terms and the big-float convergent_distance read them."""
+        h0 = self.iterates[0]
         with h0.work():
-            cols = [[tuple(map(lift, m.column(j))) for j in (0, 1)] for m in self.continuants]
-            return [(c0, c1, _linear_form(None, h0, c0)) for c0, c1 in cols]
+            return [(_linear_form(column(m, 0), h0), _linear_form(column(m, 1), h0))
+                    for m in self.continuants]
 
     @cached_property
     def v_prefix(self) -> list:
@@ -130,11 +132,10 @@ class CFExpansion:
     def s_terms(self) -> list[tuple]:
         """(q_k, q~_k u_k, q_{k-1} v_k) for k = 1..depth at index k - 1, the
         terms of s_k = q_k + q~_k u_k - q_{k-1} v_k."""
-        lift = self.point.lift
-        with self.point.work():  # an exact expansion lifts q_k and q~_k alone: see lifted
-            q, qt = ([c[j][0] for c in self.lifted] if self.ctx else
-                     [lift(m.rows[0][j]) for m in self.continuants] for j in (0, 1))
-            return [(q[k], qt[k] * h.u, q[k - 1] * h.v) for k, h in enumerate(self.iterates[1:], 1)]
+        f = self.forms
+        with self.point.work():
+            return [(f[k][0][0], f[k][1][0] * h.u, f[k - 1][0][0] * h.v)
+                    for k, h in enumerate(self.iterates[1:], 1)]
 
     @cached_property
     def s_values(self) -> list:

@@ -17,7 +17,7 @@ from ..cf import CFExpansion
 from ..domain import RAD_KD, rk_constant
 from ..gaussian import GaussInt, _coprime, _fold_unit, _trip_key
 from ..matrices import mat_apply_triple, u21_inverse
-from ..siegel import ProjIntPoint, SiegelPoint, _int_linear_form, triple_distance_pow4
+from ..siegel import ProjIntPoint, SiegelPoint, _int_linear_form, abs_sq, triple_distance_pow4
 from .enumerate import solve_p_line
 
 __all__ = [
@@ -97,7 +97,8 @@ def convergent_distance(e: CFExpansion, n: int, k: int = 0) -> float:
     if h0.exact:
         a, b, Q = _int_linear_form(col, h0)
         return (((a * a + b * b) << 4 * k) / (col[0].norm() * Q * Q)) ** 0.25
-    d4 = triple_distance_pow4(col, h0, e.lifted[n][2][0])
+    with h0.work():
+        d4 = abs_sq(e.forms[n][0][1]) / col[0].norm()
     root = mpf_sqrt(mpf_shift(d4._mpf_, 4 * k), e.ctx.bits, round_nearest)
     return to_float(mpf_sqrt(root, e.ctx.bits, round_nearest), rnd=round_nearest)
 

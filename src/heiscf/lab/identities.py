@@ -22,7 +22,6 @@ from ..cf import CFExpansion
 from ..errors import HeisCFError
 from ..siegel import (
     _distance_form,
-    _linear_form,
     _max_sq,
     abs_sq,
     abs_sq_exact,
@@ -122,10 +121,9 @@ def _equality(e: CFExpansion, identity: str, n: int, lhs, rhs, terms) -> Identit
 
 def verify_prq(e: CFExpansion, n: int) -> IdentityReport:
     """conj(p_n) - conj(r_n) u + conj(q_n) v = (-1)^n prod_{i<=n} v_i at h_0."""
-    h0 = e.iterates[0]
-    with h0.work():
-        col = e.first_column(n)  # range-checks n on both backends
-        lhs, terms = _linear_form(col, h0) if e.ctx is None else e.lifted[n][2]
+    with e.point.work():
+        e.first_column(n)  # range-checks n: forms[-1] is an index too
+        _, lhs, terms = e.forms[n][0]
         prod = e.v_prefix[n + 1]
         rhs = -prod if n % 2 else prod  # a sign flip: exact on both backends
         return _equality(e, "prq", n, lhs, rhs, terms)
@@ -133,9 +131,9 @@ def verify_prq(e: CFExpansion, n: int) -> IdentityReport:
 
 def verify_tildeprq(e: CFExpansion, n: int) -> IdentityReport:
     """Middle-column variant: rhs = (-1)^(n-1) u_n prod_{i<n} v_i."""
-    h0 = e.iterates[0]
-    with h0.work():
-        lhs, terms = _linear_form(e.second_column(n), h0, e.ctx and e.lifted[n][1])
+    with e.point.work():
+        e.second_column(n)  # range-checks n
+        _, lhs, terms = e.forms[n][1]
         rhs = e.iterates[n].u * (e.v_prefix[n] if n % 2 else -e.v_prefix[n])  # (-1)^(n+1)
         return _equality(e, "tildeprq", n, lhs, rhs, terms)
 
@@ -190,7 +188,7 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
         s = e.s_values[n] if n + 1 <= e.depth else None
 
         def values():
-            qn = e.point.lift(col[0]) if e.ctx is None else e.lifted[n][0][0]
+            qn = e.forms[n][0][0]
             d4 = abs_sq(_distance_form(conv, h0))
             forms = [abs_sq(vp / qn)]
             if s:

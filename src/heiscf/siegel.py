@@ -332,10 +332,10 @@ def distance_pow4(h1: SiegelPoint, h2: SiegelPoint) -> Union[Fraction, mpf]:
         return abs_sq(_distance_form(h1, h2))
 
 
-def linear_form_terms(triple, h: SiegelPoint, lifted=None) -> tuple:
+def linear_form_terms(triple, h: SiegelPoint) -> tuple:
     """The terms of conj(p) - conj(r) u + conj(q) v for an integer triple
-    (q, r, p), or its lifted entries, at h = (u, v) in h's backend; call inside h.work()."""
-    q, r, p = lifted or map(h.lift, triple)
+    (q, r, p) at h = (u, v) in h's backend; call inside h.work()."""
+    q, r, p = map(h.lift, triple)
     return p.conjugate(), r.conjugate() * h.u, q.conjugate() * h.v
 
 
@@ -352,32 +352,33 @@ def _int_linear_form(triple, h: SiegelPoint) -> tuple[int, int, int]:
     )
 
 
-def _linear_form(triple, h: SiegelPoint, lifted=None) -> tuple:
-    """conj(p) - conj(r) u + conj(q) v for an integer triple (q, r, p) at
-    h = (u, v), in h's backend, and a function giving its three terms, as
-    linear_form_terms does; call inside h.work().
+def _linear_form(triple, h: SiegelPoint) -> tuple:
+    """(q, F, terms) for an integer triple (q, r, p) at h = (u, v): q and
+    F = conj(p) - conj(r) u + conj(q) v in h's backend, and a function giving
+    F's three terms, as linear_form_terms does; call inside h.work().
 
-    An exact point forms it in integers over its own triple, with one
+    An exact point forms F in integers over its own triple, with one
     reduction, and builds the terms only when they are asked for.  Big
-    floats add the terms, which are computed once, from lifted if given.
+    floats lift each entry once and add the terms.
     """
     if h.exact:
-        return _rat(*_int_linear_form(triple, h)), lambda: linear_form_terms(triple, h)
-    terms = linear_form_terms(triple, h, lifted)
-    t1, t2, t3 = terms
-    return t1 - t2 + t3, lambda: terms
+        q, _, _ = triple
+        return h.lift(q), _rat(*_int_linear_form(triple, h)), lambda: linear_form_terms(triple, h)
+    q, r, p = map(h.lift, triple)
+    t1, t2, t3 = terms = p.conjugate(), r.conjugate() * h.u, q.conjugate() * h.v
+    return q, t1 - t2 + t3, lambda: terms
 
 
-def triple_distance_pow4(triple, h: SiegelPoint, form=None) -> Union[Fraction, mpf]:
-    """d((q : r : p), h)^4 = |conj(p) - conj(r) u + conj(q) v|^2 / |q|^2 (big
-    floats may pass that form's value), which holds for every nonzero multiple
-    of a triple.  At an exact point |a + b i|^2 / (|q|^2 Q^2) in integers."""
+def triple_distance_pow4(triple, h: SiegelPoint) -> Union[Fraction, mpf]:
+    """d((q : r : p), h)^4 = |conj(p) - conj(r) u + conj(q) v|^2 / |q|^2, which
+    holds for every nonzero multiple of a triple.  At an exact point
+    |a + b i|^2 / (|q|^2 Q^2) in integers."""
     q, _, _ = triple
     if h.exact:
         a, b, Q = _int_linear_form(triple, h)
         return Fraction(a * a + b * b, q.norm() * Q * Q)
     with h.work():
-        return abs_sq(_linear_form(triple, h)[0] if form is None else form) / q.norm()
+        return abs_sq(_linear_form(triple, h)[1]) / q.norm()
 
 
 def distance(h1: SiegelPoint, h2: SiegelPoint) -> Union[float, mpf]:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import heiscf.cf as cf
+import heiscf.siegel as siegel
 from heiscf.cf import (
     expand,
     expansion_to_json,
@@ -43,7 +44,7 @@ from heiscf.lab.random_points import (
     random_digit_string,
     random_rational_point,
 )
-from heiscf.matrices import IDENTITY, digit_matrix, mat_mul, translate, u21_check
+from heiscf.matrices import IDENTITY, column, digit_matrix, mat_mul, translate, u21_check
 from heiscf.siegel import (
     IntegerPoint,
     PrecisionContext,
@@ -119,7 +120,7 @@ class TestContinuants:
         e = expand(h)
         for n in range(1, e.depth + 1):
             q, r, p = e.first_column(n - 1)
-            mq, mr, mp = e.continuants[n].column(2)
+            mq, mr, mp = column(e.continuants[n], 2)
             assert (-mq, -mr, -mp) == (q, r, p)
 
     def test_convergents_approach_point(self):
@@ -564,7 +565,7 @@ class TestIntKernels:
 
 
 # ---------------------------------------------------------------------------
-# One precision switch per expansion, and the big-float continuants lifted once
+# One precision switch per expansion, and the continuant forms built once
 
 
 def tie_preimage(ctx):
@@ -625,21 +626,26 @@ class TestPrecisionSwitch:
 
 
 class TestLiftedContinuants:
-    @pytest.mark.parametrize("bits", [64, 128, 512])
+    @pytest.mark.parametrize("bits", [None, 64, 128, 512])
     def test_cached_forms_equal_fresh_linear_forms(self, bits):
-        ctx = PrecisionContext(bits)
+        """forms[n][j] is (q, F, terms) of column j of Q_n at h_0, bit for bit
+        on big floats; a GaussRat has one normal form, so == is exact."""
+        raw = (lambda x: x) if bits is None else (lambda x: x._mpc_)
         for seed in range(3):
-            e = expand(random_bigfloat_point(random.Random(seed), ctx), max_depth=15)
+            rng = random.Random(seed)
+            h = (random_rational_point(rng, length=8) if bits is None
+                 else random_bigfloat_point(rng, PrecisionContext(bits)))
+            e = expand(h, max_depth=15)
             h0 = e.iterates[0]
             with h0.work():
                 for n in range(e.depth + 1):
-                    c0, c1, (form, terms) = e.lifted[n]
-                    assert c0 == tuple(map(h0.lift, e.first_column(n)))
-                    assert c1 == tuple(map(h0.lift, e.second_column(n)))
-                    fresh = linear_form_terms(e.first_column(n), h0)
-                    assert [t._mpc_ for t in terms()] == [t._mpc_ for t in fresh]
-                    t1, t2, t3 = fresh
-                    assert form._mpc_ == (t1 - t2 + t3)._mpc_
+                    for j, col in enumerate((e.first_column(n), e.second_column(n))):
+                        q, form, terms = e.forms[n][j]
+                        fresh = linear_form_terms(col, h0)
+                        assert raw(q) == raw(h0.lift(col[0]))
+                        assert [raw(t) for t in terms()] == [raw(t) for t in fresh]
+                        t1, t2, t3 = fresh
+                        assert raw(form) == raw(t1 - t2 + t3)
 
     @pytest.mark.parametrize("verifier", [verify_prq, verify_tildeprq, verify_distance_formula])
     def test_cached_columns_keep_the_index_check(self, verifier):
@@ -648,11 +654,20 @@ class TestLiftedContinuants:
             with pytest.raises(IndexError):
                 verifier(e, n)
 
-    def test_exact_expansion_never_lifts_its_continuants(self):
+    def test_exact_suite_builds_its_terms_only_when_a_float_is_read(self, monkeypatch):
+        """verify_expansion and approx_quality on exact expansions decide
+        everything in integers: the linear-form terms are built only when a
+        report's float is read."""
+        calls = []
+        fresh = siegel.linear_form_terms
+        monkeypatch.setattr(siegel, "linear_form_terms", lambda *a: calls.append(a) or fresh(*a))
         rng = random.Random(5)
         for length in range(1, 9):
             e = expand(reconstruct(*random_digit_string(rng, length)))
-            verify_expansion(e)
+            reports = verify_expansion(e)
             for n in range(e.depth):
                 approx_quality(e, n)
-            assert "lifted" not in e.__dict__
+            assert all(r.passed for r in reports) and not calls
+            reports[0].as_dict()
+            assert calls
+            calls.clear()

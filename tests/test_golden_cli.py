@@ -30,6 +30,14 @@ CASES = {
     ],
     "count": ["count", "--m-max", "20", "--format", "csv"],
     "khinchin": ["khinchin", "--m-max", "300", "--format", "json"],
+    # the sampled experiment: its ranges as JSON, CSV rows and the text list of dicts
+    "khinchin_samples": ["khinchin", "--m-max", "300", "--samples", "400", "--format", "json"],
+    "khinchin_samples_csv": [
+        "khinchin", "--m-max", "300", "--samples", "400", "--format", "csv",
+    ],
+    "khinchin_samples_text": [
+        "khinchin", "--m-max", "300", "--samples", "400", "--format", "text",
+    ],
     "constants": ["constants", "--format", "json"],
     "expand_heis_bits512": [
         "expand", "--heis", "1/3+1/7i, 2/11", "--bits", "512", "--depth", "3",

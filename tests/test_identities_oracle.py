@@ -35,7 +35,6 @@ from heiscf.lab.identities import IdentityReport, _max_sq
 from heiscf.lab.identities import _report as _new_report
 from heiscf.lab.identities import verify_expansion
 from heiscf.lab.random_points import random_bigfloat_point, random_digit_string
-from heiscf.matrices import UMatrix
 from heiscf.siegel import (
     PrecisionContext,
     abs_sq,
@@ -299,10 +298,10 @@ def test_perturbed_continuant_fails(n):
     """q~_{n+1} plus 1+i in Q_{n+1}: at index n form 1 holds and form 2 is
     wrong, so the distance report fails on its second form alone."""
     for e in _expansions():
-        rows = [list(row) for row in e.continuants[n + 1].rows]
+        rows = [list(row) for row in e.continuants[n + 1]]
         rows[0][1] += GaussInt(1, 1)
         bad = dataclasses.replace(e, continuants=list(e.continuants))
-        bad.continuants[n + 1] = UMatrix(tuple(map(tuple, rows)))
+        bad.continuants[n + 1] = tuple(map(tuple, rows))
         if e.ctx is None:
             assert _forms_hold(bad, n) == (True, False)
         assert ("distance", n) in _failed(bad)

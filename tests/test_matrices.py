@@ -8,7 +8,7 @@ from heiscf.gaussian import GaussInt
 from heiscf.matrices import (
     IDENTITY,
     J,
-    UMatrix,
+    column,
     digit_matrix,
     mat_apply,
     mat_apply_triple,
@@ -60,11 +60,9 @@ class TestConstructions:
 
     def test_u21_check_rejects(self):
         m = IDENTITY
-        bad = type(m)(
-            tuple(
-                tuple(GaussInt(2, 0) if i == j == 0 else m.rows[i][j] for j in range(3))
-                for i in range(3)
-            )
+        bad = tuple(
+            tuple(GaussInt(2, 0) if i == j == 0 else m[i][j] for j in range(3))
+            for i in range(3)
         )
         assert not u21_check(bad)
 
@@ -80,11 +78,9 @@ class TestInverse:
 
     def test_inverse_requires_membership(self):
         m = IDENTITY
-        bad = type(m)(
-            tuple(
-                tuple(GaussInt(2, 0) if i == j == 0 else m.rows[i][j] for j in range(3))
-                for i in range(3)
-            )
+        bad = tuple(
+            tuple(GaussInt(2, 0) if i == j == 0 else m[i][j] for j in range(3))
+            for i in range(3)
         )
         with pytest.raises(NotInU21):
             u21_inverse(bad)
@@ -92,7 +88,7 @@ class TestInverse:
 
 def dagger(m):
     """The conjugate transpose m^dag."""
-    return UMatrix(tuple(tuple(m.rows[j][i].conj() for j in range(3)) for i in range(3)))
+    return tuple(tuple(m[j][i].conj() for j in range(3)) for i in range(3))
 
 
 def j_dagger_j(m):
@@ -102,9 +98,9 @@ def j_dagger_j(m):
 
 def perturbed(m, i, j, e):
     """m with e added to entry (i, j)."""
-    rows = [list(row) for row in m.rows]
+    rows = [list(row) for row in m]
     rows[i][j] = rows[i][j] + e
-    return UMatrix(tuple(tuple(row) for row in rows))
+    return tuple(tuple(row) for row in rows)
 
 
 small_gauss_ints = st.builds(GaussInt, st.integers(-1, 1), st.integers(-1, 1))
@@ -115,7 +111,7 @@ members = st.builds(
 # arbitrary small matrices, members of U(2,1) and members with one entry moved
 matrices = st.one_of(
     st.lists(st.lists(small_gauss_ints, min_size=3, max_size=3), min_size=3, max_size=3)
-    .map(lambda rows: UMatrix(tuple(tuple(row) for row in rows))),
+    .map(lambda rows: tuple(tuple(row) for row in rows)),
     members,
     st.builds(perturbed, members, st.integers(0, 2), st.integers(0, 2), small_gauss_ints),
 )
@@ -125,7 +121,7 @@ def mul_digit_matrix_reference(m, gamma):
     """m * A_gamma in closed form through GaussInt products."""
     u, v = gamma.u, gamma.v
     uc = u.conj()
-    return UMatrix(tuple((u * c1 - v * c0 - c2, c1 - uc * c0, -c0) for c0, c1, c2 in m.rows))
+    return tuple((u * c1 - v * c0 - c2, c1 - uc * c0, -c0) for c0, c1, c2 in m)
 
 
 big_ints = st.integers(-(2**512), 2**512)
@@ -133,7 +129,7 @@ big_gauss_ints = st.builds(GaussInt, big_ints, big_ints)
 big_matrices = st.lists(
     st.lists(st.one_of(big_gauss_ints, small_gauss_ints), min_size=3, max_size=3),
     min_size=3, max_size=3,
-).map(lambda rows: UMatrix(tuple(tuple(row) for row in rows)))
+).map(lambda rows: tuple(tuple(row) for row in rows))
 
 
 class TestMulDigitMatrix:
@@ -143,6 +139,14 @@ class TestMulDigitMatrix:
     def test_matches_reference(self, m, g):
         assert mul_digit_matrix(m, g) == mul_digit_matrix_reference(m, g)
         assert mul_digit_matrix(m, g) == mat_mul(m, digit_matrix(g))
+
+
+class TestColumn:
+    @given(matrices)
+    @settings(max_examples=40)
+    def test_columns_transpose_the_rows(self, m):
+        assert tuple(column(m, j) for j in range(3)) == tuple(zip(*m))
+        assert all(len(row) == 3 and type(row) is tuple for row in m)
 
 
 class TestAdjoint:

@@ -23,6 +23,7 @@ from heiscf.siegel import (
     ProjIntPoint,
     SiegelPoint,
     _linear_form,
+    _rat_quotient,
     abs_sq,
     distance,
     distance_pow4,
@@ -77,6 +78,41 @@ class TestModelConstraint:
     def test_heis_round_trip(self, c):
         h = rational_point(*c)
         assert from_heis(*to_heis(h)) == h
+
+
+class TestBigFloatPoints:
+    """The public big-float branches of the point API against the exact ones."""
+
+    @pytest.mark.parametrize("bits", [64, 512])
+    def test_origin(self, bits):
+        ctx = PrecisionContext(bits)
+        o = SiegelPoint.origin(ctx)
+        assert o.is_origin() and not o.exact and o.ctx == ctx
+        assert o == SiegelPoint.origin().to_bigfloat(ctx)
+        assert str(o) == "(0.0; 0.0)"  # real parts alone: no imaginary part printed
+
+    @given(heis_coords)
+    @settings(max_examples=40)
+    def test_heis_round_trip(self, c):
+        ctx = PrecisionContext(128)
+        h = rational_point(*c)
+        big = h.to_bigfloat(ctx)
+        z, t = to_heis(big)
+        want_z, want_t = to_heis(h)
+        back = from_heis(z, t, ctx)
+        with ctx.work():
+            tol = ctx.check_scale * max(1, abs(big.u), abs(big.v))
+            assert abs(z - _rat_quotient(want_z)) <= tol
+            assert abs(t - mpf(want_t.numerator) / want_t.denominator) <= tol
+            assert abs(back.u - big.u) <= tol and abs(back.v - big.v) <= tol
+
+    @given(heis_coords)
+    @settings(max_examples=40)
+    def test_gauge_norm_matches_exact(self, c):
+        h = rational_point(*c)
+        big = gauge_norm(h.to_bigfloat(PrecisionContext(128)))
+        assert isinstance(big, mpf)
+        assert math.isclose(float(big), gauge_norm(h), rel_tol=1e-14)
 
 
 class TestGroupLaw:
@@ -300,7 +336,8 @@ class TestIntegerLinearForm:
         triples = [pt, (lam * pt.q, lam * pt.r, lam * pt.p)]
         for trip in triples * 2:
             want_form, want_d4 = self.gaussrat_route(trip, h)
-            form, terms = _linear_form(trip, h)
+            (tq, _, _), (q, form, terms) = trip, _linear_form(trip, h)
+            assert q == GaussRat.from_int(tq)
             assert form == want_form and terms() == linear_form_terms(trip, h)
             assert triple_distance_pow4(trip, h) == want_d4
         assert vars(h)["_triple"] == exact_triple(h)
@@ -315,8 +352,9 @@ class TestIntegerLinearForm:
         pt = planar_to_proj(rational_point(Fraction(1, 2), 0, Fraction(1, 3)))
         big = h.to_bigfloat(PrecisionContext(128))
         with big.work():
-            form, terms = _linear_form(pt, big)
+            q, form, terms = _linear_form(pt, big)
             t1, t2, t3 = linear_form_terms(pt, big)
+            assert q._mpc_ == big.lift(pt.q)._mpc_
             assert form == t1 - t2 + t3 and terms() == (t1, t2, t3)
 
 
