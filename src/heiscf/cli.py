@@ -75,8 +75,8 @@ def _render_text(report: dict) -> str:
         elif isinstance(obj, list):
             for v in obj:
                 if isinstance(v, (dict, list)):
-                    walk(v, pad + "  ")
                     lines.append(pad + "  -")
+                    walk(v, pad + "  ")
                 else:
                     lines.append(f"{pad}- {v}")
 

@@ -18,7 +18,6 @@ from ..domain import RAD_KD, rk_constant
 from ..gaussian import GaussInt, _coprime, _fold_unit, _trip_key
 from ..matrices import mat_apply_triple, u21_inverse
 from ..siegel import ProjIntPoint, SiegelPoint, _int_linear_form, abs_sq, triple_distance_pow4
-from .enumerate import solve_p_line
 
 __all__ = [
     "ApproxRecord",
@@ -172,46 +171,62 @@ def candidate_triples(h: SiegelPoint, B: float, dist_fn=None):
     whose radius comes back <= 0 are skipped outright.  The other three
     associates of Q would only repeat these triples: a unit multiplies
     every complex product and quotient below exactly, bit for bit.
+
+    Only cells that can pass the float tests are walked (see the README),
+    in windows widened past rounding: the triples and their order are
+    those of a scan of the bounding squares.
     """
     uh, vh = complex(h.u), complex(h.v)
+    uh_c, vh_c, uh_abs, vh_abs = uh.conjugate(), vh.conjugate(), abs(uh), abs(vh)
     qmax2 = int(B * B + 1e-9)
-    for qa in range(1, int(B) + 2):
-        for qb in range(int(B) + 2):
+    for qa in range(1, min(int(B) + 1, math.isqrt(qmax2)) + 1):
+        for qb in range(min(int(B) + 1, math.isqrt(qmax2 - qa * qa)) + 1):
             qn = qa * qa + qb * qb
-            if qn > qmax2:
-                continue
             dist_q = DIST_BOUND
             if dist_fn is not None:
                 dist_q = min(DIST_BOUND, dist_fn(qn))
                 if dist_q <= 0.0:
                     continue
             db2 = dist_q * dist_q
+            d4_max = db2 * db2 * 1.000001 + 1e-9
             u_slack = math.sqrt(2.0) * dist_q + 1e-9
-            q = GaussInt(qa, qb)
             qc = complex(qa, qb)
             q_abs = math.sqrt(qn)
             center = qc * uh
+            cx, cy, qv = center.real, center.imag, qc * vh_c
             rad = q_abs * u_slack
-            u_r_max = abs(uh) + u_slack
-            v_r_max = db2 + u_r_max * abs(uh) + abs(vh)
+            v_r_max = db2 + (uh_abs + u_slack) * uh_abs + vh_abs
             p_norm_max = int(qn * (v_r_max * v_r_max) + 1)
-            for ra in range(math.floor(center.real - rad), math.ceil(center.real + rad) + 1):
-                for rb in range(math.floor(center.imag - rad), math.ceil(center.imag + rad) + 1):
-                    dr = complex(ra, rb) - center
-                    if abs(dr) > rad:
+            # P = (s x - b t, s y + a t) on a c + b d = s, with a x + b y = 1
+            g = math.gcd(qa, qb)
+            a, b = qa // g, qb // g
+            x = pow(a, -1, b) if b else 1
+            y = (1 - a * x) // b if b else 0
+            k, step2 = b * x - a * y, a * a + b * b
+            t_half = (q_abs * math.sqrt(d4_max) * 1.000001 + 1e-6) / math.sqrt(step2)
+            for ra in range(math.ceil(cx - rad - 1e-6), math.floor(cx + rad + 1e-6) + 1):
+                dx = ra - cx
+                w = math.sqrt(max(rad * rad - dx * dx, 0.0) + 1e-9 * rad * rad) + 1e-6
+                lo = math.ceil(cy - w)
+                for rb in range(lo + (lo - ra) % 2, math.floor(cy + w) + 1, 2):
+                    if abs(complex(dx, rb - cy)) > rad:
                         continue
-                    rn = ra * ra + rb * rb
-                    if rn % 2 != 0:
+                    s, rem = divmod((ra * ra + rb * rb) >> 1, g)
+                    if rem:
                         continue
-                    uc = complex(ra, rb) / qc
-                    for pc, pd in solve_p_line(qa, qb, rn // 2, p_norm_max):
-                        # float prefilter: keep only candidates plausibly
-                        # within dist_q of h (exact check happens later)
-                        vc = complex(pc, pd) / qc
-                        d4f = abs(vc.conjugate() - uc.conjugate() * uh + vh) ** 2
-                        if d4f > db2 * db2 * 1.000001 + 1e-9:
+                    rc = complex(ra, rb)
+                    ucu = (rc / qc).conjugate() * uh
+                    pz = rc * uh_c - qv
+                    t_mid = (s * k - b * pz.real + a * pz.imag) / step2
+                    for t in range(math.ceil(t_mid - t_half), math.floor(t_mid + t_half) + 1):
+                        pc, pd = s * x - b * t, s * y + a * t
+                        if pc * pc + pd * pd > p_norm_max:
                             continue
-                        trip = (q, GaussInt(ra, rb), GaussInt(pc, pd))
+                        # float prefilter: plausibly within dist_q of h (exact check later)
+                        vc = complex(pc, pd) / qc
+                        if abs(vc.conjugate() - ucu + vh) ** 2 > d4_max:
+                            continue
+                        trip = (GaussInt(qa, qb), GaussInt(ra, rb), GaussInt(pc, pd))
                         if _coprime(*trip):
                             yield trip
 
@@ -222,8 +237,8 @@ def best_approx_search(h: SiegelPoint, B: float) -> tuple[ProjIntPoint, float]:
     Exhaustive over the candidates within DIST_BOUND of h; ties break by
     triple ordering.
     """
-    if B < 1:
-        raise ValueError("B must be >= 1")
+    if not 1 <= B < math.inf:
+        raise ValueError("B must be finite and at least 1")
     best = None
     for trip in candidate_triples(h, B):
         d4 = triple_distance_pow4(trip, h)

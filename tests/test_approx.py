@@ -9,6 +9,7 @@ from heiscf.cf import expand, reconstruct
 from heiscf.gaussian import GaussInt, GaussRat, _coprime, _fold_unit, _trip_key
 from heiscf.lab import approx
 from heiscf.lab.approx import (
+    DIST_BOUND,
     RAD_KD,
     RK_KD,
     approx_quality,
@@ -27,6 +28,7 @@ from heiscf.lab.random_points import (
 from heiscf.siegel import (
     PrecisionContext,
     ProjIntPoint,
+    SiegelPoint,
     distance,
     from_heis,
     parse_planar_point,
@@ -88,6 +90,62 @@ def candidate_triples_all_associates(h, B, dist_fn=None):
                         trip = _fold_unit(*trip)
                         if trip not in seen:
                             seen.add(trip)
+                            yield trip
+
+
+def candidate_triples_reference(h, B, dist_fn=None):
+    """Lowest-terms triples (Q, R, P), |Q| <= B and Q canonical, near h, each once.
+
+    Near means gauge distance <= DIST_BOUND.  A dist_fn(q_norm)
+    further tightens the search radius per denominator norm; q values
+    whose radius comes back <= 0 are skipped outright.  The other three
+    associates of Q would only repeat these triples: a unit multiplies
+    every complex product and quotient below exactly, bit for bit.
+
+    The search as it was before the row walk: every cell of the bounding
+    squares, one solve_p_line call per even |R|^2.  The walk must yield
+    this list, in this order.
+    """
+    uh, vh = complex(h.u), complex(h.v)
+    qmax2 = int(B * B + 1e-9)
+    for qa in range(1, int(B) + 2):
+        for qb in range(int(B) + 2):
+            qn = qa * qa + qb * qb
+            if qn > qmax2:
+                continue
+            dist_q = DIST_BOUND
+            if dist_fn is not None:
+                dist_q = min(DIST_BOUND, dist_fn(qn))
+                if dist_q <= 0.0:
+                    continue
+            db2 = dist_q * dist_q
+            u_slack = math.sqrt(2.0) * dist_q + 1e-9
+            q = GaussInt(qa, qb)
+            qc = complex(qa, qb)
+            q_abs = math.sqrt(qn)
+            center = qc * uh
+            rad = q_abs * u_slack
+            u_r_max = abs(uh) + u_slack
+            v_r_max = db2 + u_r_max * abs(uh) + abs(vh)
+            p_norm_max = int(qn * (v_r_max * v_r_max) + 1)
+            for ra in range(math.floor(center.real - rad), math.ceil(center.real + rad) + 1):
+                for rb in range(math.floor(center.imag - rad), math.ceil(center.imag + rad) + 1):
+                    dr = complex(ra, rb) - center
+                    if abs(dr) > rad:
+                        continue
+                    rn = ra * ra + rb * rb
+                    if rn % 2 != 0:
+                        continue
+                    uc = complex(ra, rb) / qc
+                    for pc, pd in solve_p_line(qa, qb, rn // 2, p_norm_max):
+                        # float prefilter: keep only candidates plausibly
+                        # within dist_q of h (exact check happens later)
+                        vc = complex(pc, pd) / qc
+                        d4f = abs(vc.conjugate() - uc.conjugate() * uh + vh) ** 2
+                        if d4f > db2 * db2 * 1.000001 + 1e-9:
+                            continue
+                        trip = (q, GaussInt(ra, rb), GaussInt(pc, pd))
+                        if _coprime(*trip):
                             yield trip
 
 
@@ -245,6 +303,14 @@ class TestApproxQuality:
         assert split > 10
 
 
+def _shrink(q_norm):  # <= 0 from |Q|^2 = 16 on, as prop71's radius can be
+    return 1.2 - 0.3 * q_norm**0.5
+
+
+# (B, dist_fn) of the searches compared with an oracle or the reference
+SEARCH_CASES = [(3, None), (5, lambda _: 1.0), (7, lambda _: 0.5), (6, _shrink)]
+
+
 class TestCandidateSearch:
     def test_spec_point_best(self):
         h = parse_planar_point("(1+i; 1+4/5i)")
@@ -259,6 +325,12 @@ class TestCandidateSearch:
         assert d == 0.0
         assert triple_to_planar(best) == h
 
+    @pytest.mark.parametrize("B", [math.nan, math.inf, 0.5])
+    def test_bound_must_be_finite_and_at_least_1(self, B):
+        h = parse_planar_point("(1+i; 1+4/5i)")
+        with pytest.raises(ValueError, match="finite and at least 1"):
+            best_approx_search(h, B)
+
     def test_candidates_are_coprime_and_folded(self):
         h = parse_planar_point("(1/2; 1/8+1/4i)")
         trips = list(candidate_triples(h, B=2.0, dist_fn=lambda _: 1.0))
@@ -272,12 +344,7 @@ class TestCandidateSearch:
     def test_matches_all_associates_oracle(self, seed):
         rng = random.Random(seed)
         h = random_rational_point(rng, length=4, q_norm_max=10**8)
-
-        def shrink(q_norm):  # <= 0 from |Q|^2 = 16 on, as prop71's radius can be
-            return 1.2 - 0.3 * q_norm**0.5
-
-        cases = [(3, None), (5, lambda _: 1.0), (7, lambda _: 0.5), (6, shrink)]
-        for B, dist_fn in cases:
+        for B, dist_fn in SEARCH_CASES:
             trips = list(candidate_triples(h, B, dist_fn=dist_fn))
             want = set(candidate_triples_all_associates(h, B, dist_fn=dist_fn))
             assert len(set(trips)) == len(trips)
@@ -294,6 +361,110 @@ class TestCandidateSearch:
         for trip in candidate_triples(h, B=math.sqrt(qn.norm()) * 0.5, dist_fn=lambda _: 1.5):
             d = distance(triple_to_planar(ProjIntPoint.reduced(*trip)), h)
             assert d >= d_n - 1e-9 or trip[0].norm() >= qn.norm()
+
+
+def _nudged(x, ulps):
+    """x moved by ulps units in the last place (down for ulps < 0)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def _float_point(x, y, t):
+    """The exact point with u = x + iy for floats x, y (so complex(u) is
+    exact) and Im v = t."""
+    x, y = Fraction(x), Fraction(y)
+    return SiegelPoint(GaussRat.from_fractions(x, y),
+                       GaussRat.from_fractions((x * x + y * y) / 2, Fraction(t)))
+
+
+def _rim_point(r, direction, dist, ulps):
+    """A point on the float rim of the Q = 1 search at radius dist.
+
+    u sits rad = sqrt(2) dist + 1e-9 from R along direction, moved by a few
+    ulps, and t makes Im(conj(P) - conj(R) u + v) = 0 for P = |R|^2 / 2, so
+    (1 : R : P) lies at the edge of both the R disk and the P prefilter:
+    the cells that the margins of the row range and of each row exist for.
+    """
+    rad = math.sqrt(2.0) * dist + 1e-9
+    x, y = (_nudged(c - rad * d, n) for c, d, n in zip(r, direction, ulps))
+    return _float_point(x, y, r[0] * Fraction(y) - r[1] * Fraction(x))
+
+
+class TestSearchMatchesReference:
+    """The row walk yields the bounding-square scan's list, in its order."""
+
+    @staticmethod
+    def same(h, B, dist_fn=None):
+        got = list(candidate_triples(h, B, dist_fn=dist_fn))
+        assert got == list(candidate_triples_reference(h, B, dist_fn=dist_fn))
+        return got
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rational_points(self, seed):
+        h = random_rational_point(random.Random(seed), length=4, q_norm_max=10**8)
+        assert any(self.same(h, B, f) for B, f in SEARCH_CASES)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_bigfloat_points(self, seed):
+        h = random_bigfloat_point(random.Random(seed), PrecisionContext(512))
+        assert any(self.same(h, B, f) for B, f in SEARCH_CASES)
+
+    def test_prop71_radii(self, monkeypatch):
+        # prop71_check's own dist_fn on census-style fixtures, |q_n| in [70, 110]
+        calls = []
+
+        def recorded(h, B, dist_fn=None):
+            calls.append((h, B, dist_fn))
+            return candidate_triples(h, B, dist_fn=dist_fn)
+
+        monkeypatch.setattr(approx, "candidate_triples", recorded)
+        for seed in range(40):
+            e = expand(random_rational_point(random.Random(seed), length=5, q_norm_max=10**10))
+            ns = [n for n in range(1, e.depth) if 70**2 <= e.first_column(n)[0].norm() <= 110**2]
+            if ns:
+                prop71_check(e, max(ns))
+            if len(calls) == 3:
+                break
+        assert len(calls) == 3 and all(f is not None for _, _, f in calls)
+        for h, B, dist_fn in calls:
+            self.same(h, B, dist_fn)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8, 13, 25])
+    def test_bound_near_integer_square(self, m):
+        # B*B within 1e-9 of m on either side, and just past it
+        h = random_rational_point(random.Random(m), length=4, q_norm_max=10**8)
+        root = math.sqrt(m)
+        bounds = [root, math.nextafter(root, 0), math.nextafter(root, math.inf),
+                  math.sqrt(m - 5e-10), math.sqrt(m + 5e-10), math.sqrt(m - 2e-9)]
+        for B in bounds:
+            self.same(h, B, lambda _: 0.6)
+
+    @pytest.mark.parametrize(
+        "direction", [(1, 0), (-1, 0), (0, 1), (0, -1), (0.6, 0.8), (-0.8, 0.6)])
+    def test_rim_cells(self, direction):
+        found = 0
+        for r in [(1, 1), (-1, 1), (1, -3), (2, 0), (-3, 1)]:
+            for dist in (0.37, 0.84, 1.083, 1.65):
+                for ulps in [(i, j) for i in range(-3, 4) for j in range(-3, 4)]:
+                    h = _rim_point(r, direction, dist, ulps)
+                    found += any(t[1] == GaussInt(*r) for t in self.same(h, 1.0, lambda _: dist))
+        assert found
+
+    @pytest.mark.parametrize("dist", [0.37, 0.84, 1.083, 1.65])
+    def test_p_segment_ends(self, dist):
+        # u = R and Im v = +-rho, a few ulps either way: P = |R|^2 / 2 lies
+        # on the prefilter's rim along the P line, at an end of its t window
+        db2 = dist * dist
+        rho = math.sqrt(db2 * db2 * 1.000001 + 1e-9)
+        found = 0
+        for r in [(1, 1), (2, 0), (-1, 3)]:
+            p = GaussInt((r[0] ** 2 + r[1] ** 2) // 2, 0)
+            for sign in (1, -1):
+                for n in range(-3, 4):
+                    h = _float_point(*r, sign * _nudged(rho, n))
+                    found += any(t[2] == p for t in self.same(h, 1.0, lambda _: dist))
+        assert found
 
 
 class TestDecompose:

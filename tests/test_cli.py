@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import heiscf
-from heiscf.cli import main
+from heiscf.cli import _render_text, main
 from heiscf.errors import ParseError
 from heiscf.gaussian import parse_gauss_rat
 from heiscf.lab.sampling import khinchin_experiment
@@ -421,6 +421,23 @@ class TestStrictJson:
         text = path.read_text()
         if text.lstrip().startswith("{"):  # the csv recordings are not JSON
             strict_json(text)
+
+
+class TestRenderText:
+    def test_list_items_get_their_marker_first(self):
+        report = {"ranges": [{"k": 4, "hits": 1}, {"k": 5, "hits": 0}], "ks": [4, 5]}
+        assert _render_text(report).splitlines() == [
+            "ranges:",
+            "    -",
+            "    k: 4",
+            "    hits: 1",
+            "    -",
+            "    k: 5",
+            "    hits: 0",
+            "ks:",
+            "  - 4",
+            "  - 5",
+        ]
 
 
 class TestReproducibility:

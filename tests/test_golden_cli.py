@@ -28,6 +28,8 @@ CASES = {
     "bestapprox_point": [
         "bestapprox", "--point", "(1+i; 1+4/5i)", "--m-max", "9", "--format", "json",
     ],
+    # prop71_check with candidates to check: 1, 0, 0, 1, 0, 0, 0, 1, 2, 0 of them
+    "bestapprox_seed4": ["bestapprox", "--samples", "10", "--seed", "4", "--format", "json"],
     "count": ["count", "--m-max", "20", "--format", "csv"],
     "khinchin": ["khinchin", "--m-max", "300", "--format", "json"],
     # the sampled experiment: its ranges as JSON, CSV rows and the text list of dicts
