@@ -230,7 +230,10 @@ def cmd_bestapprox(args) -> int:
             B = float(args.m_max or 100) ** 0.5
         except OverflowError:
             raise ParseError("--m-max is too large: it must convert to a float") from None
-        best, d = best_approx_search(h, B)
+        try:
+            best, d = best_approx_search(h, B)
+        except ValueError as e:  # a point too large for the float search
+            raise ParseError(str(e)) from None
         rep["best"] = {"point": str(best), "distance": d, "q_abs_max": B}
     else:
         qmax2 = args.m_max or 200 * 200

@@ -331,6 +331,13 @@ class TestCandidateSearch:
         with pytest.raises(ValueError, match="finite and at least 1"):
             best_approx_search(h, B)
 
+    def test_point_at_the_float_limit(self):
+        # |v| = 2^49 < 2^50: the point is integral and is found
+        h = parse_planar_point(f"(0; {2**49}i)")
+        assert best_approx_search(h, 1.0)[1] == 0.0
+        with pytest.raises(ValueError, match="too large"):
+            best_approx_search(parse_planar_point(f"(0; {2**50}i)"), 1.0)
+
     def test_candidates_are_coprime_and_folded(self):
         h = parse_planar_point("(1/2; 1/8+1/4i)")
         trips = list(candidate_triples(h, B=2.0, dist_fn=lambda _: 1.0))
@@ -391,14 +398,83 @@ def _rim_point(r, direction, dist, ulps):
     return _float_point(x, y, r[0] * Fraction(y) - r[1] * Fraction(x))
 
 
+def prop71_searches(seeds, q_range, count):
+    """(h, B, dist_fn) of the first count prop71_check searches on fixtures
+    drawn as `bestapprox` draws them, at the largest n with |q_n| in q_range."""
+    calls = []
+    lo, hi = q_range
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(approx, "candidate_triples",
+                  lambda h, B, dist_fn=None: calls.append((h, B, dist_fn)) or iter(()))
+        for seed in seeds:
+            e = expand(random_rational_point(random.Random(seed), length=5, q_norm_max=10**10))
+            ns = [n for n in range(1, e.depth)
+                  if lo * lo <= e.first_column(n)[0].norm() <= hi * hi]
+            if ns:
+                prop71_check(e, max(ns))
+            if len(calls) == count:
+                break
+    assert len(calls) == count and all(f is not None for _, _, f in calls)
+    return calls
+
+
+def search_point(seed, bits):
+    """A random rational point, or with bits a random big-float point."""
+    rng = random.Random(seed)
+    return (random_bigfloat_point(rng, PrecisionContext(bits)) if bits
+            else random_rational_point(rng, length=4, q_norm_max=10**8))
+
+
+class TestRadiusContract:
+    """dist_fn is non-increasing in q_norm; candidate_triples checks what it reads."""
+
+    def test_rising_radius_raises_on_a_walked_shell(self):
+        h = parse_planar_point("(1+i; 1+4/5i)")
+        with pytest.raises(ValueError, match="non-increasing"):
+            list(candidate_triples(h, 3.0, lambda q_norm: 0.5 + 0.01 * q_norm))
+
+    def test_rising_radius_raises_on_a_lattice_shell(self):
+        # h's own triple, |Q|^2 = 25, lies on the lattice of the shell 16..36
+        h = parse_planar_point("(1+i; 1+4/5i)")
+        with pytest.raises(ValueError, match="non-increasing"):
+            list(candidate_triples(h, 6.0, lambda q_norm: 0.001 * q_norm))
+
+    @pytest.mark.parametrize("seeds, q_range", [
+        (range(40), (70, 110)),  # rational-census fixtures
+        (range(800, 840), (2, 200)),  # criterion 8 fixtures
+    ])
+    def test_prop71_radius_non_increasing(self, seeds, q_range):
+        for _, B, dist_fn in prop71_searches(seeds, q_range, 3):
+            radii = [dist_fn(q_norm) for q_norm in range(1, int(B * B + 1e-9) + 1)]
+            assert all(a >= b for a, b in zip(radii, radii[1:]))
+
+
 class TestSearchMatchesReference:
-    """The row walk yields the bounding-square scan's list, in its order."""
+    """The shell search yields the bounding-square scan's list, in its order."""
 
     @staticmethod
     def same(h, B, dist_fn=None):
         got = list(candidate_triples(h, B, dist_fn=dist_fn))
         assert got == list(candidate_triples_reference(h, B, dist_fn=dist_fn))
         return got
+
+    @staticmethod
+    def count_routes(monkeypatch):
+        """Shells searched on the lattice, and walks that visit some q."""
+        ran = {"lattice": 0, "walk": 0}
+        lattice, walk = approx._lattice_shell, approx._walk
+
+        def counted_lattice(*args):
+            ran["lattice"] += 1
+            return lattice(*args)
+
+        def counted_walk(uh, vh, qmax2, *args):
+            ran["walk"] += qmax2 > 0
+            return walk(uh, vh, qmax2, *args)
+
+        monkeypatch.setattr(approx, "_lattice_shell", counted_lattice)
+        monkeypatch.setattr(approx, "_walk", counted_walk)
+        return ran
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rational_points(self, seed):
@@ -412,23 +488,33 @@ class TestSearchMatchesReference:
 
     def test_prop71_radii(self, monkeypatch):
         # prop71_check's own dist_fn on census-style fixtures, |q_n| in [70, 110]
-        calls = []
-
-        def recorded(h, B, dist_fn=None):
-            calls.append((h, B, dist_fn))
-            return candidate_triples(h, B, dist_fn=dist_fn)
-
-        monkeypatch.setattr(approx, "candidate_triples", recorded)
-        for seed in range(40):
-            e = expand(random_rational_point(random.Random(seed), length=5, q_norm_max=10**10))
-            ns = [n for n in range(1, e.depth) if 70**2 <= e.first_column(n)[0].norm() <= 110**2]
-            if ns:
-                prop71_check(e, max(ns))
-            if len(calls) == 3:
-                break
-        assert len(calls) == 3 and all(f is not None for _, _, f in calls)
-        for h, B, dist_fn in calls:
+        searches = prop71_searches(range(40), (70, 110), 3)
+        ran = self.count_routes(monkeypatch)
+        for h, B, dist_fn in searches:
             self.same(h, B, dist_fn)
+        assert ran["lattice"]
+
+    def test_prop71_radii_at_large_q(self, monkeypatch):
+        # criterion 8 fixtures near its largest |q_n|, in [150, 200]
+        searches = prop71_searches(range(900, 960), (150, 200), 2)
+        ran = self.count_routes(monkeypatch)
+        for h, B, dist_fn in searches:
+            self.same(h, B, dist_fn)
+        assert ran["lattice"]
+
+    @pytest.mark.parametrize("B, dist", [(30, 0.02), (45, 0.01), (60, 0.05)])
+    @pytest.mark.parametrize("bits", [None, 512])
+    def test_small_radii_on_the_lattice(self, monkeypatch, B, dist, bits):
+        ran = self.count_routes(monkeypatch)
+        self.same(search_point(B, bits), B, lambda _: dist)
+        assert ran["lattice"] and not ran["walk"]
+
+    @pytest.mark.parametrize("bits", [None, 512])
+    def test_shells_on_both_routes(self, monkeypatch, bits):
+        # radius 0.1 at B = 40: |Q| rho crosses LATTICE_TAU between shells
+        ran = self.count_routes(monkeypatch)
+        assert self.same(search_point(40, bits), 40.0, lambda _: 0.1)
+        assert ran["lattice"] and ran["walk"]
 
     @pytest.mark.parametrize("m", [1, 2, 5, 8, 13, 25])
     def test_bound_near_integer_square(self, m):
@@ -443,15 +529,16 @@ class TestSearchMatchesReference:
     @pytest.mark.parametrize(
         "direction", [(1, 0), (-1, 0), (0, 1), (0, -1), (0.6, 0.8), (-0.8, 0.6)])
     def test_rim_cells(self, direction):
+        # dist 0.05 and 0.37 search the lattice, the others walk
         found = 0
         for r in [(1, 1), (-1, 1), (1, -3), (2, 0), (-3, 1)]:
-            for dist in (0.37, 0.84, 1.083, 1.65):
+            for dist in (0.05, 0.37, 0.84, 1.083, 1.65):
                 for ulps in [(i, j) for i in range(-3, 4) for j in range(-3, 4)]:
                     h = _rim_point(r, direction, dist, ulps)
                     found += any(t[1] == GaussInt(*r) for t in self.same(h, 1.0, lambda _: dist))
         assert found
 
-    @pytest.mark.parametrize("dist", [0.37, 0.84, 1.083, 1.65])
+    @pytest.mark.parametrize("dist", [0.05, 0.37, 0.84, 1.083, 1.65])
     def test_p_segment_ends(self, dist):
         # u = R and Im v = +-rho, a few ulps either way: P = |R|^2 / 2 lies
         # on the prefilter's rim along the P line, at an end of its t window

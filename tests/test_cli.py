@@ -259,6 +259,10 @@ class TestUsageErrors:
             ["bestapprox", "--point", "(1/0; 0)"],
             # beyond the float range: the search bound sqrt(m_max) has no float
             ["bestapprox", "--point", "(1+i; 1+4/5i)", "--m-max", "1" + "0" * 400],
+            # |u|^2 + |v| >= 2^50: too large for the float candidate search,
+            # and past the float range
+            ["bestapprox", "--point", "(0; 10000000000000000000000000000000000i)"],
+            ["bestapprox", "--heis", "1" + "0" * 400 + ", 0"],
             # a file used as a directory: the output path cannot be opened
             ["constants", "--out", os.path.join(__file__, "r.json")],
             ["expand", "--point", "(1+i; 1+4/5i)", "--heis", "1/3+1/7i, 2/11"],
@@ -281,7 +285,8 @@ class TestUsageErrors:
             "khinchin-tiny-bigc", "khinchin-infinite-epsilon", "count-negative-m-max",
             "point-zero-denominator", "heis-zero-denominator",
             "point-zero-quotient-denominator", "point-zero-imag-denominator",
-            "bestapprox-zero-denominator", "bestapprox-huge-m-max", "out-not-writable",
+            "bestapprox-zero-denominator", "bestapprox-huge-m-max",
+            "bestapprox-point-too-large", "bestapprox-point-past-floats", "out-not-writable",
             "expand-point-and-heis", "bestapprox-point-and-heis",
             "bestapprox-bits-without-point", "expand-csv", "verify-csv", "measure-csv",
             "bestapprox-csv", "constants-csv",
@@ -551,6 +556,35 @@ class TestExpandFuzz:
         if code == 0:
             rep = check_json(out)
             assert rep["expansion"]["terminated"] and rep["expansion"]["backend"] == "exact"
+        else:
+            assert out == "" and err.count("\n") >= 1
+        assert run_in_process(argv) == (code, out, err)
+
+
+@st.composite
+def bestapprox_argv(draw):
+    """`bestapprox` on an `expand_argv` literal with `--m-max` 1-30, exact or
+    at 64 or 512 bits, or sampled: 1-2 samples, `--m-max` 81-2000 and any
+    seed; JSON output."""
+    if draw(st.booleans()):
+        _, flag, lit, *_ = draw(expand_argv())
+        bits = draw(st.sampled_from([[], ["--bits", "64"], ["--bits", "512"]]))
+        args = [flag, lit, *bits, "--m-max", str(draw(st.integers(1, 30)))]
+    else:
+        args = ["--samples", str(draw(st.integers(1, 2))), "--m-max",
+                str(draw(st.integers(81, 2000))), "--seed", str(draw(st.integers(0, 2**32)))]
+    return ["bestapprox", *args, "--format", "json"]
+
+
+class TestBestapproxFuzz:
+    @given(bestapprox_argv())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_contract(self, argv):
+        code, out, err = run_in_process(argv)
+        assert code in (0, 1, 2, 3)
+        if code in (0, 1):
+            rep = check_json(out)
+            assert (code == 1) == bool(rep.get("violations"))
         else:
             assert out == "" and err.count("\n") >= 1
         assert run_in_process(argv) == (code, out, err)

@@ -28,6 +28,11 @@ CASES = {
     "bestapprox_point": [
         "bestapprox", "--point", "(1+i; 1+4/5i)", "--m-max", "9", "--format", "json",
     ],
+    # the candidate search on a big-float point
+    "bestapprox_heis_bits512": [
+        "bestapprox", "--heis", "1/3+1/7i, 2/11", "--bits", "512", "--m-max", "9",
+        "--format", "json",
+    ],
     # prop71_check with candidates to check: 1, 0, 0, 1, 0, 0, 0, 1, 2, 0 of them
     "bestapprox_seed4": ["bestapprox", "--samples", "10", "--seed", "4", "--format", "json"],
     "count": ["count", "--m-max", "20", "--format", "csv"],
