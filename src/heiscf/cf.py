@@ -7,7 +7,6 @@ the tail convergents used by the relative-size machinery.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -35,7 +34,6 @@ __all__ = [
     "expand",
     "reconstruct",
     "tail_convergents",
-    "expansion_to_json",
 ]
 
 _K_D = DirichletDomain()
@@ -76,11 +74,6 @@ class CFExpansion:
     @property
     def ctx(self) -> Optional[PrecisionContext]:
         return self.point.ctx
-
-    @property
-    def max_depth_hit(self) -> bool:
-        """expand stops only at termination or at max_depth."""
-        return not self.terminated
 
     @property
     def depth(self) -> int:
@@ -248,8 +241,3 @@ def tail_convergents(
     if not 0 <= i <= n <= e.depth:
         raise IndexError(f"need 0 <= i <= n <= {e.depth}, got i={i}, n={n}")
     return _apply_digits(e.digits[i:n])
-
-
-def expansion_to_json(e: CFExpansion) -> str:
-    """One-line JSON fixture record for an expansion."""
-    return json.dumps(e.as_dict(), separators=(",", ":"))

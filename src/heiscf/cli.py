@@ -138,7 +138,7 @@ def cmd_expand(args) -> int:
     e = expand(h, max_depth=args.depth)
     rep = _base_report("expand", args)
     rep["expansion"] = e.as_dict()
-    rep["max_depth_hit"] = e.max_depth_hit
+    rep["max_depth_hit"] = not e.terminated
     _emit(rep, args.format, args.out)
     return EXIT_OK
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 from typing import Optional
 
 from mpmath.libmp import mpf_shift, mpf_sqrt, round_nearest, to_float
@@ -17,7 +16,6 @@ from mpmath.libmp import mpf_shift, mpf_sqrt, round_nearest, to_float
 from ..cf import CFExpansion
 from ..domain import RAD_KD, rk_constant
 from ..gaussian import GaussInt, _coprime, _fold_unit, _trip_key
-from ..matrices import mat_apply_triple, u21_inverse
 from ..siegel import ProjIntPoint, SiegelPoint, _int_linear_form, abs_sq, triple_distance_pow4
 
 __all__ = [
@@ -29,7 +27,6 @@ __all__ = [
     "best_approx_search",
     "candidate_triples",
     "convergent_distance",
-    "decompose_triple",
     "prop71_check",
 ]
 
@@ -203,60 +200,48 @@ def candidate_triples(h: SiegelPoint, B: float, dist_fn=None):
     product and quotient below exactly, bit for bit.
 
     A shell is walked cell by cell, or its lattice reduced and enumerated
-    (see the README); every cell found passes the same float tests, and
-    the triples come in the order of (Q, R, Im P).
+    (see the README); every cell found passes the same float tests.  The
+    triples come in no particular order.
     """
     uh, vh = complex(h.u), complex(h.v)
     qmax2 = int(B * B + 1e-9)
-    shells, found, cols = [], [], None  # shells[j]: (bound, walked) of 4^j <= |Q|^2 < 4^(j+1)
+    n0, cols = 1, None
     # In floats the lattice's scaled forms are off by about 2^-50 ((1 + |u|)^2
     # + |v|) over the bounds sqrt(2) bound and rho: fuzz below both keeps
     # that under 2^-20, far inside the 1e-4 by which the ball is widened.
     fuzz = ((1.0 + abs(uh)) * (1.0 + abs(uh)) + abs(vh)) * 2.0**-30
 
-    def radius(qn):
+    def radius(qn):  # against the bound of the shell being searched
         if dist_fn is None:
             return DIST_BOUND
-        dist_q, bound = min(DIST_BOUND, dist_fn(qn)), shells[(qn.bit_length() - 1) >> 1][0]
+        dist_q = min(DIST_BOUND, dist_fn(qn))
         if dist_q > bound:
             raise ValueError(f"dist_fn must be non-increasing: {dist_q} at {qn} exceeds"
                              f" its shell's {bound}")
         return dist_q
 
-    while 4 ** len(shells) <= qmax2:
-        n0 = 4 ** len(shells)
+    while n0 <= qmax2:
         hi = min(4 * n0 - 1, qmax2)
         bound = DIST_BOUND if dist_fn is None else min(DIST_BOUND, dist_fn(n0))
         if bound <= 0.0:
             break
         rho = _rho(bound)
-        walked = math.sqrt(hi) * rho > LATTICE_TAU or fuzz >= min(math.sqrt(2.0) * bound, rho)
-        shells.append((bound, walked))
-        if not walked:
-            cols = _lattice_shell(uh, vh, n0, hi, bound, radius, cols, found)
-    tops = [4 ** (j + 1) - 1 for j, (_, walked) in enumerate(shells) if walked]
-    walk = _walk(uh, vh, min(qmax2, max(tops, default=0)), shells, radius)
-    if found:
-        walk = sorted(chain(found, walk), key=_order)
-    yield from walk
+        if math.sqrt(hi) * rho > LATTICE_TAU or fuzz >= min(math.sqrt(2.0) * bound, rho):
+            yield from _walk(uh, vh, n0, hi, radius)
+        else:
+            cols = yield from _lattice_shell(uh, vh, n0, hi, bound, radius, cols)
+        n0 *= 4
 
 
-def _order(trip) -> tuple:
-    """The walk's order of triples: (Q, R, Im P), with t ascending along each P line."""
-    q, r, p = trip
-    return q.re, q.im, r.re, r.im, p.im
-
-
-def _walk(uh, vh, qmax2, shells, radius):
-    """The triples of the walked shells, cell by cell in (Q, R, Im P) order:
-    each q of the disk, the r disk row by row on one parity, the p segment
-    from its foot."""
+def _walk(uh, vh, n0, hi, radius):
+    """The triples of the shell n0 <= |Q|^2 <= hi, cell by cell: each q of
+    the annulus, the r disk row by row on one parity, the p segment from
+    its foot."""
     uh_c, vh_c, uh_abs, vh_abs = uh.conjugate(), vh.conjugate(), abs(uh), abs(vh)
-    for qa in range(1, math.isqrt(qmax2) + 1):
-        for qb in range(math.isqrt(qmax2 - qa * qa) + 1):
+    for qa in range(1, math.isqrt(hi) + 1):
+        gap = n0 - qa * qa
+        for qb in range(math.isqrt(gap - 1) + 1 if gap > 0 else 0, math.isqrt(hi - qa * qa) + 1):
             qn = qa * qa + qb * qb
-            if not shells[(qn.bit_length() - 1) >> 1][1]:
-                continue
             dist_q = radius(qn)
             if dist_q <= 0.0:
                 continue
@@ -296,8 +281,8 @@ def _walk(uh, vh, qmax2, shells, radius):
                             yield trip
 
 
-def _lattice_shell(uh, vh, n0, hi, bound, radius, cols, found):
-    """Append the shell's triples found on its lattice; return the reduced basis.
+def _lattice_shell(uh, vh, n0, hi, bound, radius, cols):
+    """Yield the shell's triples found on its lattice; return the reduced basis.
 
     (Q, R, P) maps to the scaled forms (Q, Q u - R, P - R conj(u) + Q conj(v))
     / sqrt(hi) / (1, sqrt(2) bound + 1e-9, rho); each is at most 1 for a
@@ -342,9 +327,8 @@ def _lattice_shell(uh, vh, n0, hi, bound, radius, cols, found):
                     continue
                 trip = (GaussInt(qa, qb), GaussInt(ra, rb), GaussInt(pc, pd))
                 if _coprime(*trip):
-                    found.append(trip)
+                    yield trip
     return cols
-
 
 
 def _axpy(col, a, b, other):
@@ -496,13 +480,6 @@ def best_approx_search(h: SiegelPoint, B: float) -> tuple[ProjIntPoint, float]:
 
 # ---------------------------------------------------------------------------
 # Best-approximant machinery
-
-
-def decompose_triple(e: CFExpansion, n: int, target) -> tuple[GaussInt, GaussInt, GaussInt]:
-    """Coordinates (a, b, c) of target in the Q_{n+1} column basis."""
-    if n + 1 > e.depth:
-        raise IndexError("decompose_triple requires n + 1 <= depth")
-    return mat_apply_triple(u21_inverse(e.continuants[n + 1]), target)
 
 
 @dataclass

@@ -3,8 +3,7 @@
 Sampling is by rejection from the box |z| <= 2^(-1/4), |t| <= 2^(-1/2)
 in C x R coordinates, which provably contains the Dirichlet domain.
 The experiment machinery runs in machine floats: margins are O(1), so
-double precision is ample, and the certified path stays available for
-cross-checks.
+double precision is ample.
 """
 
 from __future__ import annotations
@@ -15,17 +14,12 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from mpmath import mpc
-
 from ..domain import nearest_float
-from ..siegel import PrecisionContext, SiegelPoint
 from .enumerate import enumerate_rationals_qnorm, kprime_region
 from .khinchin import phi
 
 __all__ = [
-    "sample_K",
     "sample_K_floats",
-    "acceptance_stats",
     "KhinchinExperimentReport",
     "khinchin_experiment",
 ]
@@ -52,37 +46,6 @@ def sample_K_floats(rng: random.Random) -> tuple[complex, complex]:
     while (uv := _draw(rng)) is None:
         pass
     return uv
-
-
-def sample_K(
-    rng: random.Random, ctx: Optional[PrecisionContext] = None
-) -> SiegelPoint:
-    """Uniform sample of K_D w.r.t. the inherited measure, as a big-float point."""
-    ctx = ctx or PrecisionContext(64)
-    u, v = sample_K_floats(rng)
-    with ctx.work():
-        um = mpc(u.real, u.imag)
-        vm = mpc(abs(um) ** 2 / 2, v.imag)
-        return SiegelPoint(um, vm, ctx)
-
-
-def acceptance_stats(rng: random.Random, samples: int) -> dict:
-    """Acceptance rate of the rejection sampler and the empirical norm sup."""
-    accepted = 0
-    tried = 0
-    max_norm4 = 0.0
-    while accepted < samples:
-        tried += 1
-        uv = _draw(rng)
-        if uv is not None:
-            accepted += 1
-            max_norm4 = max(max_norm4, abs(uv[1]) ** 2)
-    return {
-        "samples": accepted,
-        "tried": tried,
-        "acceptance_rate": accepted / tried,
-        "max_gauge_norm": max_norm4**0.25,
-    }
 
 
 @dataclass

@@ -50,7 +50,6 @@ from .gaussian import (
     RAT_ZERO,
     _rat,
     format_gauss_int,
-    parse_gauss_int,
     parse_gauss_rat,
     reduce_triple,
 )
@@ -67,17 +66,14 @@ __all__ = [
     "group_mul",
     "group_inv",
     "koranyi_inversion",
-    "gauge_norm",
     "distance",
     "distance_pow4",
     "linear_form_terms",
     "triple_distance_pow4",
     "triple_to_planar",
     "exact_triple",
-    "planar_to_proj",
     "parse_planar_point",
     "parse_heis_point",
-    "parse_proj_point",
 ]
 
 
@@ -311,14 +307,6 @@ def koranyi_inversion(h: SiegelPoint) -> SiegelPoint:
     return SiegelPoint(mp.make_mpc(u), mp.make_mpc((re, im)), h.ctx)
 
 
-def gauge_norm(h: SiegelPoint) -> Union[float, mpf]:
-    """The gauge norm |v|^(1/2)."""
-    if h.exact:  # a float from the exact |v|^2, an mpf at working precision
-        return float(h.v.abs_sq()) ** 0.25
-    with h.ctx.work():
-        return abs(h.v) ** mpf("0.5")
-
-
 def _distance_form(h1: SiegelPoint, h2: SiegelPoint) -> Union[GaussRat, mpc]:
     """conj(v1) - conj(u1) u2 + v2, the v of h1^-1 h2, whose |.|^2 is
     d(h1, h2)^4; call inside h1.work()."""
@@ -481,13 +469,6 @@ def exact_triple(h: SiegelPoint) -> tuple[GaussInt, GaussInt, GaussInt]:
     return GaussInt(q), r, p
 
 
-def planar_to_proj(h: SiegelPoint) -> ProjIntPoint:
-    """Clear the integer denominators of an exact planar point and reduce."""
-    if not h.exact:
-        raise BackendMismatch("planar_to_proj requires the exact backend")
-    return ProjIntPoint.reduced(*exact_triple(h))
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -535,18 +516,3 @@ def parse_heis_point(s: str, ctx: Optional[PrecisionContext] = None) -> tuple:
         return z, t.re()
     with ctx.work():
         return _rat_quotient(z), _rat_quotient(t).real
-
-
-def parse_proj_point(s: str) -> ProjIntPoint:
-    """Parse `[q : r : p]` projective form; the triple must lie on the surface."""
-    body = s.strip()
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    parts = body.split(":")
-    if len(parts) != 3:
-        raise ParseError(f"expected three components in {s!r}")
-    q, r, p = (parse_gauss_int(p.strip()) for p in parts)
-    try:
-        return ProjIntPoint.reduced(q, r, p)
-    except ValueError as e:
-        raise ParseError(str(e)) from e

@@ -16,7 +16,6 @@ from heiscf.lab.approx import (
     best_approx_search,
     candidate_triples,
     convergent_distance,
-    decompose_triple,
     prop71_check,
 )
 from heiscf.lab.enumerate import solve_p_line
@@ -103,8 +102,8 @@ def candidate_triples_reference(h, B, dist_fn=None):
     every complex product and quotient below exactly, bit for bit.
 
     The search as it was before the row walk: every cell of the bounding
-    squares, one solve_p_line call per even |R|^2.  The walk must yield
-    this list, in this order.
+    squares, one solve_p_line call per even |R|^2.  The shell search must
+    yield these triples, each once, in any order.
     """
     uh, vh = complex(h.u), complex(h.v)
     qmax2 = int(B * B + 1e-9)
@@ -450,17 +449,21 @@ class TestRadiusContract:
 
 
 class TestSearchMatchesReference:
-    """The shell search yields the bounding-square scan's list, in its order."""
+    """The shell search yields the bounding-square scan's triples, each once.
+
+    The order is no contract: both callers order the triples themselves."""
 
     @staticmethod
     def same(h, B, dist_fn=None):
         got = list(candidate_triples(h, B, dist_fn=dist_fn))
-        assert got == list(candidate_triples_reference(h, B, dist_fn=dist_fn))
+        assert len(set(got)) == len(got)
+        want = sorted(candidate_triples_reference(h, B, dist_fn=dist_fn), key=_trip_key)
+        assert sorted(got, key=_trip_key) == want
         return got
 
     @staticmethod
     def count_routes(monkeypatch):
-        """Shells searched on the lattice, and walks that visit some q."""
+        """Shells searched on the lattice, and shells walked."""
         ran = {"lattice": 0, "walk": 0}
         lattice, walk = approx._lattice_shell, approx._walk
 
@@ -468,9 +471,9 @@ class TestSearchMatchesReference:
             ran["lattice"] += 1
             return lattice(*args)
 
-        def counted_walk(uh, vh, qmax2, *args):
-            ran["walk"] += qmax2 > 0
-            return walk(uh, vh, qmax2, *args)
+        def counted_walk(*args):
+            ran["walk"] += 1
+            return walk(*args)
 
         monkeypatch.setattr(approx, "_lattice_shell", counted_lattice)
         monkeypatch.setattr(approx, "_walk", counted_walk)
@@ -516,6 +519,21 @@ class TestSearchMatchesReference:
         assert self.same(search_point(40, bits), 40.0, lambda _: 0.1)
         assert ran["lattice"] and ran["walk"]
 
+    @pytest.mark.parametrize("tau", [0.0, math.inf])
+    @pytest.mark.parametrize("bits", [None, 512])
+    def test_each_route_on_every_shell(self, monkeypatch, tau, bits):
+        # LATTICE_TAU 0 walks every shell; inf puts every shell on the
+        # lattice, except where fuzz forces the walk
+        monkeypatch.setattr(approx, "LATTICE_TAU", tau)
+        ran = self.count_routes(monkeypatch)
+        for h in (search_point(seed, bits) for seed in range(2)):
+            for B, f in SEARCH_CASES:
+                self.same(h, B, f)
+        if tau:
+            assert ran["lattice"]
+        else:
+            assert ran["walk"] and not ran["lattice"]
+
     @pytest.mark.parametrize("m", [1, 2, 5, 8, 13, 25])
     def test_bound_near_integer_square(self, m):
         # B*B within 1e-9 of m on either side, and just past it
@@ -552,25 +570,6 @@ class TestSearchMatchesReference:
                     h = _float_point(*r, sign * _nudged(rho, n))
                     found += any(t[2] == p for t in self.same(h, 1.0, lambda _: dist))
         assert found
-
-
-class TestDecompose:
-    def test_columns_decompose_to_unit_vectors(self):
-        e = exact_expansion(4)
-        n = 2
-        q, r, p = e.first_column(n + 1)
-        a, b, c = decompose_triple(e, n, (q, r, p))
-        assert (a, b, c) == (GaussInt(1, 0), GaussInt(0, 0), GaussInt(0, 0))
-
-    def test_round_trip(self):
-        from heiscf.matrices import mat_apply_triple
-
-        e = exact_expansion(5)
-        n = 1
-        target = (GaussInt(3, 1), GaussInt(2, 0), GaussInt(1, 1))
-        coeffs = decompose_triple(e, n, target)
-        back = mat_apply_triple(e.continuants[n + 1], coeffs)
-        assert back == target
 
 
 class TestProp71:

@@ -1,11 +1,14 @@
 """The benchmark's orbit workloads run the identity suite that `heiscf verify` runs.
 
 bench/workloads.py keeps its own copy of the suite's loop; this pins it to
-``verify_expansion``, report for report.  The file is loaded from its path
-and not modified.
+``verify_expansion``, report for report.  Every workload that
+BENCHMARK.json declares also runs one pass here, so a change that breaks
+something the bench reaches fails here, not only in the bench gate.  The
+file is loaded from its path and not modified.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,9 @@ import pytest
 from heiscf.cf import expand, reconstruct
 from heiscf.lab.identities import verify_expansion
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "bench" / "workloads.py"
+DECLARED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +49,12 @@ def test_bigfloat_orbits_suite_is_verify_expansion(workloads):
         e = expand(h, max_depth=w.DEPTH)
         assert not e.terminated and e.depth == w.DEPTH
         assert len(assert_same_suite(workloads, e)) == 4 * e.depth - 1
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_one_pass_reports_no_problem(workloads, name):
+    w = workloads.WORKLOADS[name](0)
+    w.reset()
+    for task in w.tasks():
+        _, problems = task.check(task.run())
+        assert problems == [], task.label

@@ -1,7 +1,8 @@
 """Every exported name resolves, and the module that defines it exports it.
 
 A name is defined where a module binds it at top level by `def`, `class`
-or assignment; a module that re-exports it imports it from there.
+or assignment; a module that re-exports it imports it from there.  No
+module imports at top level a name that it neither reads nor exports.
 """
 
 import ast
@@ -56,3 +57,22 @@ def test_package_exports_its_modules_lists_in_order():
 
     modules = (gaussian, siegel, matrices, domain, cf)
     assert heiscf.__all__ == [name for m in modules for name in m.__all__]
+
+
+def _unused_imports(module_name):
+    """Names a module imports at top level and never reads, nor lists in __all__."""
+    module = importlib.import_module(module_name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names if a.name != "*")
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - read - set(getattr(module, "__all__", [])))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_import(module):
+    assert _unused_imports(module) == []

@@ -5,13 +5,11 @@ import pytest
 
 from heiscf.domain import DirichletDomain, nearest_float
 from heiscf.lab.sampling import (
+    _draw,
     _range_point_arrays,
-    acceptance_stats,
     khinchin_experiment,
-    sample_K,
     sample_K_floats,
 )
-from heiscf.siegel import PrecisionContext
 
 K = DirichletDomain()
 
@@ -47,12 +45,6 @@ class TestSampleK:
             assert nearest_float(u, v) == (0, 0, 0)
             assert abs(v) ** 0.5 <= 2.0**-0.25 + 1e-12
 
-    def test_certified_sample(self):
-        rng = random.Random(2)
-        h = sample_K(rng, ctx=PrecisionContext(64))
-        assert not h.exact
-        assert K.nearest(h).u.is_zero()
-
     def test_reproducible(self):
         a = sample_K_floats(random.Random(7))
         b = sample_K_floats(random.Random(7))
@@ -60,9 +52,13 @@ class TestSampleK:
 
     def test_acceptance_rate(self):
         # box volume 4 in (z, t) coordinates vs domain volume 1
-        st = acceptance_stats(random.Random(3), 4000)
-        assert abs(st["acceptance_rate"] - 0.25) < 0.03
-        assert st["max_gauge_norm"] <= 2.0**-0.25 + 1e-12
+        rng, tried, kept = random.Random(3), 0, []
+        while len(kept) < 4000:
+            tried += 1
+            if (uv := _draw(rng)) is not None:
+                kept.append(uv)
+        assert abs(len(kept) / tried - 0.25) < 0.03
+        assert max(abs(v) for _, v in kept) ** 0.5 <= 2.0**-0.25 + 1e-12
 
 
 class TestKhinchinExperiment:
