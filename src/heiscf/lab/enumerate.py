@@ -6,6 +6,9 @@ a naive triple loop used as its oracle.  Both count points (q : r : p)
 with |q|^2 = m whose planar coordinates lie in a box region.  In lowest
 terms the structured route tests the Gaussian primes of q by integer
 congruences; the oracle runs Gaussian Euclid once per distinct folded triple.
+Both carry (re, im) int pairs and sort the flat keys (q.re, q.im, r.re, r.im,
+p.re, p.im), which order as gaussian._trip_key does; GaussInt triples are
+built for the points returned and, in the oracle, for each triple it tests.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..gaussian import GaussInt, _coprime, _fold_unit, _trip_key
+from ..gaussian import GaussInt, _coprime, canonical_associate
 from ..gaussian import _dividing, _factor, _prime_tests
 
 __all__ = [
@@ -129,16 +132,15 @@ def enumerate_rationals_qnorm(
         if a <= 0 or b < 0:
             continue
         tests = _prime_tests(q, factors)
-        for r in _gauss_ints_in_disk(r_norm_max):
-            rn = r.norm()
-            if rn % 2 != 0:
+        for ra, rb in _disk(r_norm_max):
+            if (ra ^ rb) & 1:  # |r|^2 is odd
                 continue
-            r_tests = tests and _dividing(tests, r.re, r.im)
-            for c, d in solve_p_line(a, b, rn // 2, p_norm_max):
+            r_tests = tests and _dividing(tests, ra, rb)
+            for c, d in solve_p_line(a, b, (ra * ra + rb * rb) // 2, p_norm_max):
                 if not r_tests or not _dividing(r_tests, c, d):
-                    points.append((q, r, GaussInt(c, d)))
-    points.sort(key=_trip_key)
-    return RationalEnumeration(m, region, lowest_terms, points)
+                    points.append((a, b, ra, rb, c, d))
+    points.sort()
+    return RationalEnumeration(m, region, lowest_terms, list(map(_triple, points)))
 
 
 def enumerate_rationals_naive(
@@ -154,29 +156,34 @@ def enumerate_rationals_naive(
         raise ValueError("m must be >= 1")
     r_norm_max = math.floor(m * region.u_sq)
     p_norm_max = math.floor(m * region.v_sq)
-    rs_by_norm: dict[int, list[GaussInt]] = {}
-    for r in _gauss_ints_in_disk(r_norm_max):
-        rs_by_norm.setdefault(r.norm(), []).append(r)
-    ps = list(_gauss_ints_in_disk(p_norm_max))
-    seen = set()
-    points = []
+    rs_by_norm: dict[int, list[tuple[int, int]]] = {}
+    for ra, rb in _disk(r_norm_max):
+        rs_by_norm.setdefault(ra * ra + rb * rb, []).append((ra, rb))
+    ps = list(_disk(p_norm_max))
+    found = {}  # folded key -> its triple, or None where it is not coprime
     for q in qnorm_representations(m):
-        a, b = q.re, q.im
-        for p in ps:
-            for r in rs_by_norm.get(2 * (a * p.re + b * p.im), ()):
-                trip = _fold_unit(q, r, p)
-                if trip not in seen:
-                    seen.add(trip)
-                    if not lowest_terms or _coprime(*trip):
-                        points.append(trip)
-    points.sort(key=_trip_key)
+        c, u = canonical_associate(q)  # the unit that folds q, rotating r and p
+        a, b, qa, qb, ua, ub = q.re, q.im, c.re, c.im, u.re, u.im
+        for pa, pb in ps:
+            for ra, rb in rs_by_norm.get(2 * (a * pa + b * pb), ()):
+                key = (qa, qb, ua * ra - ub * rb, ua * rb + ub * ra,
+                       ua * pa - ub * pb, ua * pb + ub * pa)
+                if key not in found:
+                    trip = _triple(key)
+                    found[key] = trip if not lowest_terms or _coprime(*trip) else None
+    points = [found[key] for key in sorted(found) if found[key]]
     return RationalEnumeration(m, region, lowest_terms, points)
 
 
-def _gauss_ints_in_disk(norm_max: int):
+def _disk(norm_max: int):
+    """Every (re, im) with re^2 + im^2 <= norm_max, in increasing order."""
     amax = math.isqrt(norm_max) if norm_max >= 0 else -1
     for a in range(-amax, amax + 1):
         bmax = math.isqrt(norm_max - a * a)
         for b in range(-bmax, bmax + 1):
-            yield GaussInt(a, b)
+            yield a, b
 
+
+def _triple(key: tuple) -> tuple[GaussInt, GaussInt, GaussInt]:
+    """The triple (q, r, p) of a flat key (q.re, q.im, r.re, r.im, p.re, p.im)."""
+    return GaussInt(key[0], key[1]), GaussInt(key[2], key[3]), GaussInt(key[4], key[5])

@@ -2,9 +2,8 @@
 
 Each verifier evaluates one identity at h_0 = (u_0, v_0) using the
 unreduced continuant entries, decides it, and reports the residual.  On
-the exact backend an identity holds iff it holds in integers: two
-Gaussian rationals are equal iff their reduced fields are, and the
-distance formula cross-multiplies its squares.  On the big-float backend
+the exact backend an identity holds iff it holds in integers: each verdict
+cross-multiplies unreduced integers.  On the big-float backend
 it passes iff the largest |diff| keeps to the context's tolerance rule at
 k = 1, s = the largest term magnitude (PrecisionContext.tol_sign).
 The floats a report shows are computed when they are read; on big floats
@@ -20,6 +19,7 @@ from mpmath.libmp import mpc_abs, mpf_abs, round_nearest, to_float
 
 from ..cf import CFExpansion
 from ..errors import HeisCFError
+from ..gaussian import _rat
 from ..siegel import (
     _distance_form,
     _max_sq,
@@ -111,12 +111,19 @@ def _report(e: CFExpansion, identity: str, n: int, values, passed=None) -> Ident
 
 def _equality(e: CFExpansion, identity: str, n: int, lhs, rhs, terms) -> IdentityReport:
     """The report on lhs = rhs, whose magnitudes are lhs, rhs and the
-    terms() of lhs; call inside the values' work().  Exact: lhs == rhs, as
-    a GaussRat has one normal form."""
+    terms() of lhs; call inside the values' work().  Exact: each side is
+    unreduced ints (a, b, d), d > 0, cross-multiplied; reduced at a read."""
     def values():
-        return lhs, rhs, (lhs - rhs,), (lhs, rhs, *terms())
+        x, y = (lhs, rhs) if e.ctx else (_rat(*lhs), _rat(*rhs))
+        return x, y, (x - y,), (x, y, *terms())
 
-    return _report(e, identity, n, values, e.ctx is None and lhs == rhs)
+    return _report(e, identity, n, values, e.ctx is None and lhs[0] * rhs[2] == rhs[0] * lhs[2]
+                   and lhs[1] * rhs[2] == rhs[1] * lhs[2])
+
+
+def _times(x, y) -> tuple[int, int, int]:
+    """x * y for GaussRats as ints (a, b, d), not reduced."""
+    return x.a * y.a - x.b * y.b, x.a * y.b + x.b * y.a, x.d * y.d
 
 
 def verify_prq(e: CFExpansion, n: int) -> IdentityReport:
@@ -126,7 +133,7 @@ def verify_prq(e: CFExpansion, n: int) -> IdentityReport:
         _, lhs, terms = e.forms[n][0]
         prod = e.v_prefix[n + 1]
         rhs = -prod if n % 2 else prod  # a sign flip: exact on both backends
-        return _equality(e, "prq", n, lhs, rhs, terms)
+        return _equality(e, "prq", n, lhs, rhs if e.ctx else (rhs.a, rhs.b, rhs.d), terms)
 
 
 def verify_tildeprq(e: CFExpansion, n: int) -> IdentityReport:
@@ -134,8 +141,8 @@ def verify_tildeprq(e: CFExpansion, n: int) -> IdentityReport:
     with e.point.work():
         e.second_column(n)  # range-checks n
         _, lhs, terms = e.forms[n][1]
-        rhs = e.iterates[n].u * (e.v_prefix[n] if n % 2 else -e.v_prefix[n])  # (-1)^(n+1)
-        return _equality(e, "tildeprq", n, lhs, rhs, terms)
+        u, vp = e.iterates[n].u, e.v_prefix[n] if n % 2 else -e.v_prefix[n]  # (-1)^(n+1)
+        return _equality(e, "tildeprq", n, lhs, u * vp if e.ctx else _times(u, vp), terms)
 
 
 def verify_fracq(e: CFExpansion, n: int) -> IdentityReport:
@@ -150,14 +157,10 @@ def verify_fracq(e: CFExpansion, n: int) -> IdentityReport:
     if not e.v_prefix[n]:  # exact, and mpmath never rounds a nonzero product to 0
         raise HeisCFError(f"identity undefined (v_i = 0 for some i < {n})")
     with e.point.work():
-        terms = e.s_terms[n - 1]
-        lhs, rhs = e.s_values[n - 1] * e.v_prefix[n], -e.v_prefix[0] if n % 2 else e.v_prefix[0]
+        s, vp, one, terms = e.s_values[n - 1], e.v_prefix[n], e.v_prefix[0], e.s_terms[n - 1]
+        rhs = -one if n % 2 else one
+        lhs, rhs = (s * vp, rhs) if e.ctx else (_times(s, vp), (rhs.a, rhs.b, rhs.d))
         return _equality(e, "fracq", n, lhs, rhs, lambda: terms)
-
-
-def _sq_parts(x) -> tuple[int, int]:
-    """|x|^2 of a GaussRat as (numerator, denominator), not reduced."""
-    return x.a * x.a + x.b * x.b, x.d * x.d
 
 
 def _distance_sq_parts(h1, h2) -> tuple[int, int]:
@@ -200,11 +203,10 @@ def verify_distance_formula(e: CFExpansion, n: int) -> IdentityReport:
 
         passed = None
         if e.ctx is None:
-            (nw, dw), (nv, dv), q2 = _distance_sq_parts(conv, h0), _sq_parts(vp), col[0].norm()
-            passed = nw * dv * q2 == nv * dw
+            (nw, dw), q2 = _distance_sq_parts(conv, h0), col[0].norm()
+            passed = nw * vp.d * vp.d * q2 == (vp.a * vp.a + vp.b * vp.b) * dw
             if passed and s:
-                ns, ds = _sq_parts(s)
-                passed = nw * ns * q2 == dw * ds
+                passed = nw * (s.a * s.a + s.b * s.b) * q2 == dw * s.d * s.d
         return _report(e, "distance", n, values, passed)
 
 

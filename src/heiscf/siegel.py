@@ -345,13 +345,12 @@ def _linear_form(triple, h: SiegelPoint) -> tuple:
     F = conj(p) - conj(r) u + conj(q) v in h's backend, and a function giving
     F's three terms, as linear_form_terms does; call inside h.work().
 
-    An exact point forms F in integers over its own triple, with one
-    reduction, and builds the terms only when they are asked for.  Big
-    floats lift each entry once and add the terms.
+    An exact point gives F as _int_linear_form's unreduced (a, b, Q) and
+    builds the terms only when asked.  Big floats lift each entry once.
     """
     if h.exact:
         q, _, _ = triple
-        return h.lift(q), _rat(*_int_linear_form(triple, h)), lambda: linear_form_terms(triple, h)
+        return h.lift(q), _int_linear_form(triple, h), lambda: linear_form_terms(triple, h)
     q, r, p = map(h.lift, triple)
     t1, t2, t3 = terms = p.conjugate(), r.conjugate() * h.u, q.conjugate() * h.v
     return q, t1 - t2 + t3, lambda: terms

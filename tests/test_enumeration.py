@@ -20,7 +20,7 @@ from heiscf.gaussian import (
 )
 from heiscf.lab.enumerate import (
     Region,
-    _gauss_ints_in_disk,
+    _disk,
     enumerate_rationals_naive,
     enumerate_rationals_qnorm,
     kprime_region,
@@ -100,6 +100,25 @@ class TestStructuredVsNaive:
         s = enumerate_rationals_qnorm(m, REGION, lowest_terms=False)
         n = enumerate_rationals_naive(m, REGION, lowest_terms=False)
         assert s.points == n.points
+
+    @pytest.mark.parametrize("lowest_terms", [True, False])
+    @pytest.mark.parametrize("delta", [0.3, 1.0])
+    def test_match_in_table_regions(self, delta, lowest_terms):
+        """The thickened boxes the Khinchin tables enumerate, shell by shell."""
+        region = kprime_region(delta)
+        bad = [m for m in range(1, 65)
+               if enumerate_rationals_qnorm(m, region, lowest_terms).points
+               != enumerate_rationals_naive(m, region, lowest_terms).points]
+        assert bad == []
+
+    @pytest.mark.parametrize("lowest_terms", [True, False])
+    @pytest.mark.parametrize("route", [enumerate_rationals_qnorm, enumerate_rationals_naive])
+    def test_points_sorted_by_trip_key(self, route, lowest_terms):
+        """Each route's own order, so that a slip both routes share still shows."""
+        region = kprime_region(0.3)
+        for m in range(1, 65):
+            points = route(m, region, lowest_terms).points
+            assert points == sorted(points, key=_trip_key)
 
 
 def congruence_coprime(q, r, p):
@@ -205,11 +224,11 @@ def numpy_naive_points(m, region, lowest_terms):
     """The naive oracle as it was before the join: a numpy match matrix per q."""
     r_norm_max = math.floor(m * region.u_sq)
     p_norm_max = math.floor(m * region.v_sq)
-    rs = [g for g in _gauss_ints_in_disk(r_norm_max)]
-    ps = [g for g in _gauss_ints_in_disk(p_norm_max)]
-    r_norm = np.array([g.norm() for g in rs], dtype=np.int64)
-    pc = np.array([g.re for g in ps], dtype=np.int64)
-    pd = np.array([g.im for g in ps], dtype=np.int64)
+    rs = list(_disk(r_norm_max))
+    ps = list(_disk(p_norm_max))
+    r_norm = np.array([c * c + d * d for c, d in rs], dtype=np.int64)
+    pc = np.array([c for c, _ in ps], dtype=np.int64)
+    pd = np.array([d for _, d in ps], dtype=np.int64)
     seen = set()
     points = []
     for q in qnorm_representations(m):
@@ -217,7 +236,7 @@ def numpy_naive_points(m, region, lowest_terms):
         rhs = 2 * (a * pc + b * pd)
         match = r_norm[:, None] == rhs[None, :]
         for ri, pi in zip(*np.nonzero(match)):
-            trip = _fold_unit(q, rs[ri], ps[pi])
+            trip = _fold_unit(q, GaussInt(*rs[ri]), GaussInt(*ps[pi]))
             if lowest_terms and not _coprime(*trip):
                 continue
             if trip not in seen:
