@@ -11,15 +11,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+from mpmath import mp
+from mpmath.libmp import from_int, mpc_add, mpc_mul, mpf_neg, round_nearest, to_float
+
 from .domain import DirichletDomain, reduce_into_kd
 from .errors import CertificationError, InternalError, InvalidDigitString
-from .gaussian import GaussInt, _fold_unit
+from .gaussian import GaussInt, _fold_unit, _rat
 from .matrices import IDENTITY, column, mul_digit_matrix, translate
 from .siegel import (
     IntegerPoint,
     PrecisionContext,
     ProjIntPoint,
     SiegelPoint,
+    _hypot,
     _linear_form,
     abs_sq_exact,
     exact_triple,
@@ -40,9 +44,19 @@ _K_D = DirichletDomain()
 
 
 def _into_kd(h: SiegelPoint) -> tuple[IntegerPoint, SiegelPoint]:
-    """[h] and [h]^-1 h, on either backend."""
+    """[h] and [h]^-1 h, on either backend.  Big floats form group_mul's
+    (u1 + u2, v1 + conj(u1) u2 + v2) on raw tuples, [h]^-1 = (-u, conj v) lifted as
+    _lift lifts it and not surface-checked: a part rounded to bits bits moves by at
+    most 2^-bits of itself, so | |u1|^2 - 2 Re v1 | <= (3 2^-bits + 4^-bits) |u|^2
+    <= 7 2^-bits |v| (|u|^2 = 2 Re v), far below 8 check_scale max(1, |v1|)."""
     gamma = _K_D.nearest(h)
-    return gamma, group_mul(gamma.inv().to_siegel(h.ctx), h)
+    if h.exact:
+        return gamma, group_mul(gamma.inv().to_siegel(), h)
+    prec, rnd, (u, v) = h.ctx.bits, round_nearest, (h.u._mpc_, h.v._mpc_)
+    re, im = (from_int(-x, prec, rnd) for x in (gamma.u.re, gamma.u.im))
+    v1 = from_int(gamma.v.re, prec, rnd), from_int(-gamma.v.im, prec, rnd)
+    v = mpc_add(mpc_add(v1, mpc_mul((re, mpf_neg(im)), u, prec, rnd), prec, rnd), v, prec, rnd)
+    return gamma, SiegelPoint(mp.make_mpc(mpc_add((re, im), u, prec, rnd)), mp.make_mpc(v), h.ctx)
 
 
 def gauss_map_step(h: SiegelPoint) -> tuple[IntegerPoint, SiegelPoint]:
@@ -133,14 +147,23 @@ class CFExpansion:
     @cached_property
     def s_values(self) -> list:
         """s_k = q_k + q~_k u_k - q_{k-1} v_k for k = 1..depth at index k - 1."""
-        with self.point.work():
-            return [t1 + t2 - t3 for t1, t2, t3 in self.s_terms]
+        if self.ctx:
+            with self.point.work():
+                return [t1 + t2 - t3 for t1, t2, t3 in self.s_terms]
+        out = []  # exact: on ints over u_k.d v_k.d, reduced once
+        for m, prev, h in zip(self.continuants[1:], self.continuants, self.iterates[1:]):
+            (q, qt, _), qp, u, v, d = m[0], prev[0][0], h.u, h.v, h.u.d * h.v.d
+            a = q.re * d + (qt.re * u.a - qt.im * u.b) * v.d - (qp.re * v.a - qp.im * v.b) * u.d
+            b = q.im * d + (qt.re * u.b + qt.im * u.a) * v.d - (qp.re * v.b + qp.im * v.a) * u.d
+            out.append(_rat(a, b, d))
+        return out
 
     @cached_property
     def v_abs(self) -> list[float]:
         """|v_i| for i = 0..depth as floats, each rounded once."""
-        with self.point.work():
-            return [float(abs(h.v)) for h in self.iterates]
+        bits = self.ctx and self.ctx.bits
+        return [to_float(_hypot(*h.v._mpc_, bits), rnd=round_nearest) if bits else float(abs(h.v))
+                for h in self.iterates]
 
     def as_dict(self) -> dict:
         """The expansion record of fixtures and `heiscf expand` reports."""

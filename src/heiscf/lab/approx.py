@@ -11,12 +11,13 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from mpmath.libmp import mpf_shift, mpf_sqrt, round_nearest, to_float
+from mpmath.libmp import mpf_shift, round_nearest, to_float
 
 from ..cf import CFExpansion
 from ..domain import RAD_KD, rk_constant
 from ..gaussian import GaussInt, _coprime, _fold_unit, _trip_key
-from ..siegel import ProjIntPoint, SiegelPoint, _int_linear_form, abs_sq, triple_distance_pow4
+from ..siegel import (ProjIntPoint, SiegelPoint, _int_linear_form, _sqrt, abs_sq,
+                      triple_distance_pow4)
 
 __all__ = [
     "ApproxRecord",
@@ -96,8 +97,8 @@ def convergent_distance(e: CFExpansion, n: int, k: int = 0) -> float:
         return (((a * a + b * b) << 4 * k) / (col[0].norm() * Q * Q)) ** 0.25
     with h0.work():
         d4 = abs_sq(e.forms[n][0][1]) / col[0].norm()
-    root = mpf_sqrt(mpf_shift(d4._mpf_, 4 * k), e.ctx.bits, round_nearest)
-    return to_float(mpf_sqrt(root, e.ctx.bits, round_nearest), rnd=round_nearest)
+    root = _sqrt(mpf_shift(d4._mpf_, 4 * k), e.ctx.bits)
+    return to_float(_sqrt(root, e.ctx.bits), rnd=round_nearest)
 
 
 def approx_quality(e: CFExpansion, n: int) -> ApproxRecord:

@@ -15,13 +15,14 @@ verify` does.
 from __future__ import annotations
 
 from mpmath import mpc
-from mpmath.libmp import mpc_abs, mpf_abs, round_nearest, to_float
+from mpmath.libmp import fzero, round_nearest, to_float
 
 from ..cf import CFExpansion
 from ..errors import HeisCFError
 from ..gaussian import _rat
 from ..siegel import (
     _distance_form,
+    _hypot,
     _max_sq,
     abs_sq,
     abs_sq_exact,
@@ -66,10 +67,9 @@ class IdentityReport:
         the report's bits, taken of the x with the largest exact square."""
         if self._bits is None:
             return float(max(map(abs, values)))
-        x = max(values, key=abs_sq_exact)
-        if isinstance(x, mpc):
-            return to_float(mpc_abs(x._mpc_, self._bits, round_nearest), rnd=round_nearest)
-        return to_float(mpf_abs(x._mpf_, self._bits, round_nearest), rnd=round_nearest)
+        x = max(values, key=abs_sq_exact)  # an mpf as x + 0i: _hypot gives mpf_abs(x)
+        re, im = x._mpc_ if isinstance(x, mpc) else (x._mpf_, fzero)
+        return to_float(_hypot(re, im, self._bits), rnd=round_nearest)
 
     lhs = property(lambda self: complex(self._raw()[0]))
     rhs = property(lambda self: complex(self._raw()[1]))
@@ -157,10 +157,10 @@ def verify_fracq(e: CFExpansion, n: int) -> IdentityReport:
     if not e.v_prefix[n]:  # exact, and mpmath never rounds a nonzero product to 0
         raise HeisCFError(f"identity undefined (v_i = 0 for some i < {n})")
     with e.point.work():
-        s, vp, one, terms = e.s_values[n - 1], e.v_prefix[n], e.v_prefix[0], e.s_terms[n - 1]
+        s, vp, one = e.s_values[n - 1], e.v_prefix[n], e.v_prefix[0]
         rhs = -one if n % 2 else one
         lhs, rhs = (s * vp, rhs) if e.ctx else (_times(s, vp), (rhs.a, rhs.b, rhs.d))
-        return _equality(e, "fracq", n, lhs, rhs, lambda: terms)
+        return _equality(e, "fracq", n, lhs, rhs, lambda: e.s_terms[n - 1])
 
 
 def _distance_sq_parts(h1, h2) -> tuple[int, int]:

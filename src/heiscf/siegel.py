@@ -22,19 +22,21 @@ from typing import Optional, Union
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
+    ComplexResult,
     fone,
     from_int,
+    from_man_exp,
     fzero,
-    mpc_abs,
-    mpc_div,
-    mpc_neg,
+    mpf_abs,
     mpf_add,
     mpf_cmp,
     mpf_div,
     mpf_mul,
+    mpf_neg,
     mpf_shift,
     mpf_sub,
     prec_to_dps,
+    round_down,
     round_nearest,
 )
 
@@ -99,16 +101,18 @@ class PrecisionContext:
         with mp.workprec(self.bits):
             return mpf(2) ** (-self.bits / 2)
 
-    @cached_property
-    def _check_scale_sq(self) -> tuple:
-        return mpf_mul(self.check_scale._mpf_, self.check_scale._mpf_)  # exact
+    @cached_property  # (k check_scale)^2 by k, exact, each formed at its first use
+    def _bound_sq(self) -> dict:
+        return {}
 
     def tol_sign(self, x_sq: tuple, k: int, scale: tuple = ()) -> int:
         """The sign of x^2 - (k check_scale)^2 max(1, s^2), exactly, for a raw
         unrounded x_sq = x^2 and s the largest |y| of the mpcs or mpfs in scale
         (0 if none): |x| <= k check_scale max(1, |s|) is the rule.  scale is
         read only when x^2 >= (k check_scale)^2, below which the sign is known."""
-        bound_sq = mpf_mul(from_int(k * k), self._check_scale_sq)
+        if (bound_sq := self._bound_sq.get(k)) is None:
+            s = self.check_scale._mpf_
+            bound_sq = self._bound_sq[k] = mpf_mul(from_int(k * k), mpf_mul(s, s))
         sign = mpf_cmp(x_sq, bound_sq)
         if sign < 0 or not scale:
             return sign
@@ -265,7 +269,42 @@ def abs_sq(x: Union[GaussRat, mpc]) -> Union[Fraction, mpf]:
 def abs_sq_exact(x: Union[mpc, mpf]) -> mpf:
     """|x|^2 of an mpc or an mpf, unrounded: an mpf to compare, not to compute with."""
     re, im = x._mpc_ if isinstance(x, mpc) else (x._mpf_, fzero)
-    return mp.make_mpf(mpf_add(mpf_mul(re, re), mpf_mul(im, im)))
+    (_, m1, e1, _), (_, m2, e2, _) = re, im
+    if not (m1 and m2):  # a zero or non-finite part; else one int sum at the lower exponent
+        return mp.make_mpf(mpf_add(mpf_mul(re, re), mpf_mul(im, im)))
+    e = min(e1, e2)
+    return mp.make_mpf(from_man_exp((m1 * m1 << 2 * (e1 - e)) + (m2 * m2 << 2 * (e2 - e)), 2 * e))
+
+
+def _sqrt(x: tuple, prec: int) -> tuple:
+    """mpf_sqrt(x, prec, round_nearest) with math.isqrt for mpmath's sqrtrem: the same
+    shift and perturb-up of an inexact root, so the same correctly rounded bits."""
+    sign, man, exp, bc = x
+    if sign:
+        raise ComplexResult("square root of a negative number")
+    if not man:
+        return x
+    if exp & 1:
+        exp, man, bc = exp - 1, man << 1, bc + 1
+    elif man == 1:  # an even power of 2
+        return 0, 1, exp // 2, 1
+    shift = max(4, 2 * prec - bc + 4)
+    shift += shift & 1
+    man <<= shift
+    root = math.isqrt(man)
+    if root * root != man:  # perturb up
+        root, shift = (root << 1) + 1, shift + 2
+    return from_man_exp(root, (exp - shift) // 2, prec, round_nearest)
+
+
+def _hypot(x: tuple, y: tuple, prec: int) -> tuple:
+    """mpf_hypot(x, y, prec, round_nearest) on _sqrt: the sum of squares
+    truncated at prec + 4 bits (mpmath's round_fast), then one root."""
+    if y == fzero:
+        return mpf_abs(x, prec, round_nearest)
+    if x == fzero:
+        return mpf_abs(y, prec, round_nearest)
+    return _sqrt(mpf_add(mpf_mul(x, x), mpf_mul(y, y), prec + 4, round_down), prec)
 
 
 def _max_sq(values) -> tuple:
@@ -298,12 +337,15 @@ def koranyi_inversion(h: SiegelPoint) -> SiegelPoint:
         raise InversionAtOrigin("inversion at origin")
     if h.exact:  # exact: 1/v is on the surface as it stands
         return SiegelPoint(-(h.u / h.v), h.v.inverse())
-    # -u/v, abs(u) ** 2 / 2 and Im(1/v), each rounded as mpmath's operators round them at bits
-    prec, rnd, v = h.ctx.bits, round_nearest, h.v._mpc_
-    u = mpc_neg(mpc_div(h.u._mpc_, v, prec, rnd), prec, rnd)
-    a = mpc_abs(u, prec, rnd)
-    re = mpf_shift(mpf_mul(a, a, prec, rnd), -1)  # the halving is exact
-    im = mpc_div((fone, fzero), v, prec, rnd)[1]
+    # -u/v, abs(u) ** 2 / 2 and Im(1/v) as mpmath's operators round them, over one |v|^2
+    prec, rnd, (a, b), (c, d) = h.ctx.bits, round_nearest, h.u._mpc_, h.v._mpc_
+    wp = prec + 10
+    mag = mpf_add(mpf_mul(c, c), mpf_mul(d, d), wp)
+    u = (mpf_neg(mpf_div(mpf_add(mpf_mul(a, c), mpf_mul(b, d), wp), mag, prec, rnd)),
+         mpf_neg(mpf_div(mpf_sub(mpf_mul(b, c), mpf_mul(a, d), wp), mag, prec, rnd)))
+    r = _hypot(*u, prec)
+    re = mpf_shift(mpf_mul(r, r, prec, rnd), -1)  # the halving is exact
+    im = mpf_div(mpf_sub(fzero, d, wp), mag, prec, rnd)
     return SiegelPoint(mp.make_mpc(u), mp.make_mpc((re, im)), h.ctx)
 
 

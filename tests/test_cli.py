@@ -590,6 +590,34 @@ class TestBestapproxFuzz:
         assert run_in_process(argv) == (code, out, err)
 
 
+@st.composite
+def verify_measure_argv(draw):
+    """`verify` or `measure` with `--bits` absent or one of the edges of its
+    range, `--depth` -1 to 12 (to 24 with `--bits`), `--samples` -1 to 2 and a
+    seed that may be negative or above 2^64; JSON output."""
+    # each list starts with a value that runs: examples shrink towards it
+    bits = draw(st.sampled_from([64, None, 65, 127, 512, 1024, 0, 63]))
+    seed = draw(st.one_of(st.integers(0, 9), st.integers(-(2**70), -1), st.integers(2**64, 2**70)))
+    argv = [draw(st.sampled_from(["verify", "measure"])), "--samples",
+            str(draw(st.sampled_from([1, 2, 0, -1]))), "--depth",
+            str(draw(st.integers(-1, 24 if bits else 12))), "--seed", str(seed)]
+    return [*argv, *([] if bits is None else ["--bits", str(bits)]), "--format", "json"]
+
+
+class TestVerifyMeasureFuzz:
+    @given(verify_measure_argv())
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_contract(self, argv):
+        code, out, err = run_in_process(argv)
+        assert code in (0, 1, 2, 3)
+        if code in (0, 1):
+            rep = check_json(out)
+            assert (code == 1) == bool(rep["violations"])
+        else:
+            assert out == "" and err.count("\n") >= 1
+        assert run_in_process(argv) == (code, out, err)
+
+
 class TestEntryPoint:
     def test_console_script(self):
         assert run_module(["--version"]).returncode == 0

@@ -14,16 +14,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    fone,
     from_man_exp,
     from_rational,
+    fzero,
+    mpc_abs,
+    mpc_div,
+    mpc_neg,
     mpf_add,
+    mpf_hypot,
     mpf_mul,
+    mpf_neg,
     mpf_shift,
+    mpf_sqrt,
     mpf_sub,
     round_nearest,
     to_rational,
 )
 
+import heiscf.cf
 import heiscf.domain
 from heiscf.cf import expand
 from heiscf.domain import DirichletDomain, _dyadic, _ranked_candidates, integer_point
@@ -33,7 +45,9 @@ from heiscf.lab.identities import IdentityReport
 from heiscf.siegel import (
     PrecisionContext,
     SiegelPoint,
+    _hypot,
     _max_sq,
+    _sqrt,
     abs_sq,
     abs_sq_exact,
     group_mul,
@@ -613,6 +627,174 @@ class TestRawKernels:
         assert [abs_sq_exact(x)._mpf_ for x in values] == [
             abs_sq_exact_oracle(x)._mpf_ for x in values]
         assert _max_sq(values) == max(map(abs_sq_exact_oracle, values))._mpf_
+
+
+# ---------------------------------------------------------------------------
+# The square-root kernel, the one-denominator inversion and the raw
+# translation by a digit, each against the mpmath code it replaced
+
+ROOT_PRECS = st.sampled_from([64, 65, 127, 512, 1023, 2048])
+
+
+def same(f, g, *args):
+    """f(*args) == g(*args) as raw tuples, or both raise the same exception type."""
+    try:
+        want = g(*args)
+    except ValueError as e:
+        with pytest.raises(type(e)):
+            f(*args)
+        return
+    assert f(*args) == want
+
+
+def sqrt_oracle(x, prec):
+    return mpf_sqrt(x, prec, round_nearest)
+
+
+def hypot_oracle(x, y, prec):
+    return mpf_hypot(x, y, prec, round_nearest)
+
+
+@st.composite
+def wide_mpfs(draw):
+    """A positive raw mpf of 1 to 4,100 bits at an odd or even exponent."""
+    bc = draw(st.integers(1, 4100))
+    man = draw(st.integers(2 ** (bc - 1), 2**bc - 1))
+    return from_man_exp(man, draw(st.integers(-5000, 5000)))
+
+
+@st.composite
+def squares_near(draw):
+    """An exact square k^2, k^2 - 1 or k^2 + 1 (k of up to 2,100 bits), or a
+    power of 4, at an odd or even exponent."""
+    k = draw(st.integers(1, 2**2100))
+    man = draw(st.sampled_from([k * k, k * k - 1, k * k + 1, 4 ** (k.bit_length())]))
+    return from_man_exp(max(man, 1), draw(st.integers(-300, 300)))
+
+
+SPECIALS = [fzero, finf, fninf, fnan, from_man_exp(-3, 1)]
+
+
+def koranyi_two_div_oracle(h):
+    """koranyi_inversion's big-float branch as it was written: two mpc_divs,
+    each forming |v|^2, and mpc_abs."""
+    prec, rnd, v = h.ctx.bits, round_nearest, h.v._mpc_
+    u = mpc_neg(mpc_div(h.u._mpc_, v, prec, rnd), prec, rnd)
+    a = mpc_abs(u, prec, rnd)
+    re = mpf_shift(mpf_mul(a, a, prec, rnd), -1)
+    return u, (re, mpc_div((fone, fzero), v, prec, rnd)[1])
+
+
+@st.composite
+def finite_parts(draw, bits):
+    """An mpc of bits-bit parts, zero or not, over exponents far apart."""
+    parts = []
+    for _ in "ri":
+        man = draw(st.integers(-(2**bits) + 1, 2**bits - 1))
+        parts.append(from_man_exp(man, draw(st.integers(-4 * bits, 4 * bits)), bits))
+    return mp.make_mpc(tuple(parts))
+
+
+def digits(bits_range):
+    """Integer points (a, b, c) with |a|, |b|, |c| below 2^bits_range."""
+    n = st.integers(-(2**bits_range), 2**bits_range)
+    return st.tuples(n, n, n).map(lambda t: integer_point(t[0], t[1] + (t[0] - t[1]) % 2, t[2]))
+
+
+def translated(gamma, h):
+    """cf._into_kd(h) with gamma for [h]: the translated point, or None if refused."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heiscf.cf._K_D, "nearest", lambda _: gamma)
+        try:
+            return heiscf.cf._into_kd(h)[1]
+        except ValueError:
+            return None
+
+
+class TestRootsAndTranslation:
+    @given(wide_mpfs(), ROOT_PRECS)
+    @settings(max_examples=300, deadline=None)
+    def test_sqrt_of_wide_mantissas(self, x, prec):
+        same(_sqrt, sqrt_oracle, x, prec)
+
+    @given(squares_near(), ROOT_PRECS)
+    @settings(max_examples=300, deadline=None)
+    def test_sqrt_of_squares_and_their_neighbours(self, x, prec):
+        same(_sqrt, sqrt_oracle, x, prec)
+
+    @pytest.mark.parametrize("prec", [64, 65, 127, 512, 1023, 2048])
+    @pytest.mark.parametrize("x", SPECIALS, ids=["zero", "inf", "-inf", "nan", "-3"])
+    def test_sqrt_of_zero_non_finite_and_negative(self, x, prec):
+        same(_sqrt, sqrt_oracle, x, prec)
+
+    @given(st.one_of(wide_mpfs(), squares_near(), st.sampled_from(SPECIALS)),
+           st.one_of(wide_mpfs(), squares_near(), st.sampled_from(SPECIALS)),
+           st.booleans(), st.booleans(), ROOT_PRECS)
+    @settings(max_examples=300, deadline=None)
+    def test_hypot_as_mpf_hypot(self, x, y, neg_x, neg_y, prec):
+        x, y = (mpf_neg(t) if neg else t for t, neg in ((x, neg_x), (y, neg_y)))
+        same(_hypot, hypot_oracle, x, y, prec)
+
+    @pytest.mark.parametrize("u, v", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_hypot_of_non_finite_parts(self, u, v):
+        for prec in (64, 512):
+            for x in (mpc(*u), mpc(*v)):
+                same(_hypot, hypot_oracle, *x._mpc_, prec)
+
+    @given(WIDE_BITS.flatmap(finite_parts), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_abs_sq_exact_over_far_exponents(self, x, real):
+        # one int sum at the lower exponent, a zero part through mpf_add
+        y = x.real if real else x
+        assert abs_sq_exact(y)._mpf_ == abs_sq_exact_oracle(y)._mpf_
+
+    @given(WIDE_BITS.flatmap(lambda bits: st.tuples(
+        st.just(bits), finite_parts(bits), finite_parts(bits))))
+    @settings(max_examples=300, deadline=None)
+    def test_one_denominator_inversion_as_two_divisions(self, args):
+        # arbitrary finite parts: the inverted point is re-projected onto the surface
+        bits, u, v = args
+        if not v:
+            return
+        h = unchecked_point(u, v, PrecisionContext(bits))
+        got = koranyi_inversion(h)
+        assert (got.u._mpc_, got.v._mpc_) == koranyi_two_div_oracle(h)
+
+    @given(surface_points())
+    @settings(max_examples=200, deadline=None)
+    def test_one_denominator_inversion_on_the_surface(self, h):
+        got = koranyi_inversion(h)
+        assert (got.u._mpc_, got.v._mpc_) == koranyi_two_div_oracle(h)
+
+    @given(surface_points(), st.sampled_from([4, 40, 400]).flatmap(digits))
+    @settings(max_examples=300, deadline=None)
+    def test_raw_translation_as_group_mul(self, h, gamma):
+        got = translated(gamma, h)
+        try:
+            want = group_mul(gamma.inv().to_siegel(h.ctx), h)
+        except ValueError:
+            assert got is None
+        else:
+            assert (got.u._mpc_, got.v._mpc_) == (want.u._mpc_, want.v._mpc_)
+
+    @given(WIDE_BITS, st.integers(1, 6).flatmap(lambda m: digits(2000 * m)))
+    @settings(max_examples=200, deadline=None)
+    def test_digit_lifts_far_beyond_bits_keep_the_surface_bound(self, bits, gamma):
+        # the check that the raw translation skips: accepted, and within the
+        # bound that _into_kd's docstring proves
+        ctx = PrecisionContext(bits)
+        lifted = gamma.inv().to_siegel(ctx)  # raises if the check refuses it
+        resid = exact_sq(lifted.u) - 2 * rat(lifted.v.real)
+        assert resid * resid <= 49 * Fraction(1, 4**bits) * gamma.v.norm()
+        h = point(ctx, mpf(1) / 3, mpf(1) / 5, mpf(1) / 7)
+        got, want = translated(gamma, h), group_mul(lifted, h)
+        assert (got.u._mpc_, got.v._mpc_) == (want.u._mpc_, want.v._mpc_)
+
+    def test_tol_sign_bounds_leave_equality_and_hash_alone(self):
+        ctx = PrecisionContext(65)
+        for k in (1, 4, 8, 4):
+            assert ctx.tol_sign(abs_sq_exact(ctx.check_scale)._mpf_, k) == (0 if k == 1 else -1)
+        assert ctx == PrecisionContext(65) and hash(ctx) == hash(PrecisionContext(65))
 
 
 # ---------------------------------------------------------------------------

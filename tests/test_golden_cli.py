@@ -24,6 +24,14 @@ CASES = {
     "measure_bits128": [
         "measure", "--bits", "128", "--samples", "2", "--depth", "8", "--format", "json",
     ],
+    # criterion 3's 512 bits at depth 20: the residual, c_n and relsize floats
+    # hang on every bit of the big-float orbit
+    "verify_bits512": [
+        "verify", "--bits", "512", "--samples", "3", "--depth", "20", "--format", "json",
+    ],
+    "measure_bits512": [
+        "measure", "--bits", "512", "--samples", "2", "--depth", "20", "--format", "json",
+    ],
     "bestapprox_samples": ["bestapprox", "--samples", "1", "--format", "json"],
     "bestapprox_point": [
         "bestapprox", "--point", "(1+i; 1+4/5i)", "--m-max", "9", "--format", "json",
