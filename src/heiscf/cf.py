@@ -2,7 +2,7 @@
 
 Implements the Gauss-map orbit, the digit sequence, the continuant
 matrices accumulated as products of digit matrices, the convergents, and
-the tail convergents used by the relative-size machinery.
+the tail convergents.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """Command-line interface.
 
 One binary, seven subcommands, flags only; every randomized run records
-its seed so reports are reproducible byte for byte.  Exit codes: 0 ok,
-1 hard-bound violation, 2 parse/usage error, 3 certification failure.
+its seed so reports are reproducible byte for byte.  Each command only
+fills in its report; `main` frames it, writes it and judges it.  Exit
+codes: 0 ok, 1 exactly when the report lists violations (a verify or
+measure bound, a count mismatch, bestapprox's thm16 check), 2 parse/usage
+error, 3 certification failure.
 """
 
 from __future__ import annotations
@@ -47,11 +50,14 @@ def _finite(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def _emit(report: dict, fmt: str, out: Optional[str], csv_rows=None) -> None:
+def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
         text = json.dumps(_finite(report), indent=2, allow_nan=False)
     elif fmt == "csv":  # only count and khinchin accept it (_check_usage)
-        text = "\n".join(",".join(str(c) for c in row) for row in csv_rows)
+        # the report's own row dicts: count's counts, the sampled ranges, else the sums
+        rows = report.get("counts") or report.get("experiment", {}).get("ranges") or [
+            {k: report["sums"][k] for k in ("M", "partial_sum", "tail_bound")}]
+        text = "\n".join(",".join(map(str, row)) for row in [rows[0], *map(dict.values, rows)])
     else:
         text = _render_text(report)
     if out:
@@ -84,15 +90,19 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _base_report(command: str, args, seed=None) -> dict:
+def _base_report(args) -> dict:
+    """The frame of every report: its command, parameters and seed, and the
+    depth verify/measure clamp exact samples to."""
     params = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in ("func", "format", "out", "command") and v is not None
     }
-    rep = {"command": command, "version": __version__, "params": params}
-    if seed is not None:
-        rep["seed"] = seed
+    rep = {"command": args.command, "version": __version__, "params": params}
+    if hasattr(args, "seed"):
+        rep["seed"] = args.seed
+    if args.command in ("verify", "measure") and not args.bits and args.depth > EXACT_DEPTH_MAX:
+        rep["depth_used"] = EXACT_DEPTH_MAX
     return rep
 
 
@@ -133,22 +143,10 @@ def _parse_point_arg(args):
     raise ParseError("one of --point or --heis is required")
 
 
-def cmd_expand(args) -> int:
-    h = _parse_point_arg(args)
-    e = expand(h, max_depth=args.depth)
-    rep = _base_report("expand", args)
+def cmd_expand(args, rep: dict) -> None:
+    e = expand(_parse_point_arg(args), max_depth=args.depth)
     rep["expansion"] = e.as_dict()
     rep["max_depth_hit"] = not e.terminated
-    _emit(rep, args.format, args.out)
-    return EXIT_OK
-
-
-def _sample_report(command: str, args) -> dict:
-    """The report of verify/measure; it states a clamped depth."""
-    rep = _base_report(command, args, seed=args.seed)
-    if not args.bits and args.depth > EXACT_DEPTH_MAX:
-        rep["depth_used"] = EXACT_DEPTH_MAX
-    return rep
 
 
 def _random_expansions(args, rng):
@@ -164,7 +162,7 @@ def _random_expansions(args, rng):
             yield expand(reconstruct(g0, digits))
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, rep: dict) -> None:
     from .lab.identities import verify_expansion
 
     rng = random.Random(args.seed)
@@ -179,31 +177,21 @@ def cmd_verify(args) -> int:
                 max_residual = max(max_residual, residual / r.scale)
             if not r.passed:
                 failures.append(r.as_dict())
-    rep = _sample_report("verify", args)
     rep["identities"] = {
         "checked": checked,
         "max_relative_residual": max_residual,
         "failures": failures,
     }
     rep["violations"] = failures
-    _emit(rep, args.format, args.out)
-    return EXIT_VIOLATION if failures else EXIT_OK
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args, rep: dict) -> None:
     from .lab.approx import approx_quality
 
     rng = random.Random(args.seed)
-    records = []
-    violations = []
-    for e in _random_expansions(args, rng):
-        for n in range(e.depth):
-            rec = approx_quality(e, n)
-            records.append(rec)
-            violations.extend(rec.violations)
+    records = [approx_quality(e, n) for e in _random_expansions(args, rng) for n in range(e.depth)]
     c_max = max((r.c_n for r in records), default=0.0)
     rel = [r.relsize_n for r in records]
-    rep = _sample_report("measure", args)
     # reference_*: the bands acceptance criterion 4 observes (tests/test_acceptance.py)
     rep["measurements"] = {
         "indices_measured": len(records),
@@ -213,17 +201,13 @@ def cmd_measure(args) -> int:
         "relsize_max": max(rel, default=0.0),
         "reference_relsize_range": [0.35, 3.38],
     }
-    rep["violations"] = violations
-    _emit(rep, args.format, args.out)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    rep["violations"] = [v for r in records for v in r.violations]
 
 
-def cmd_bestapprox(args) -> int:
+def cmd_bestapprox(args, rep: dict) -> None:
     from .lab.approx import best_approx_search, prop71_check
     from .lab.random_points import DIGIT_V_NORM_MIN, random_rational_point
 
-    rep = _base_report("bestapprox", args, seed=args.seed)
-    violations = []
     if args.point is not None or args.heis is not None:
         h = _parse_point_arg(args)
         try:
@@ -240,7 +224,7 @@ def cmd_bestapprox(args) -> int:
         if qmax2 < DIGIT_V_NORM_MIN:
             raise ParseError(f"--m-max must be at least {DIGIT_V_NORM_MIN} without --point"
                              f" or --heis: sampled q_n, n >= 1, have |q_n|^2 >= {DIGIT_V_NORM_MIN}")
-        fixtures = []
+        fixtures, violations = [], []
         rng = random.Random(args.seed)
         while len(fixtures) < args.samples:
             h = random_rational_point(rng, length=5, q_norm_max=10**10)
@@ -253,11 +237,9 @@ def cmd_bestapprox(args) -> int:
             violations.extend(r.violations_thm16)
         rep["best"] = {"fixtures": fixtures}
         rep["violations"] = violations
-    _emit(rep, args.format, args.out)
-    return EXIT_VIOLATION if violations else EXIT_OK
 
 
-def cmd_count(args) -> int:
+def cmd_count(args, rep: dict) -> None:
     from .lab.enumerate import (
         enumerate_rationals_naive,
         enumerate_rationals_qnorm,
@@ -265,9 +247,7 @@ def cmd_count(args) -> int:
     )
 
     region = kprime_region(0.0)
-    rows = [("m", "structured", "naive", "all_terms")]
-    mismatches = []
-    counts = []
+    counts, violations = [], []
     for m in range(1, args.m_max + 1):
         s = enumerate_rationals_qnorm(m, region)
         n = enumerate_rationals_naive(m, region)
@@ -275,49 +255,32 @@ def cmd_count(args) -> int:
         counts.append(
             {"m": m, "structured": s.count, "naive": n.count, "all_terms": allt.count}
         )
-        rows.append((m, s.count, n.count, allt.count))
         if s.points != n.points:
-            mismatches.append(m)
-    rep = _base_report("count", args)
+            violations.append(f"structured != naive at m={m}")
     rep["counts"] = counts
-    rep["violations"] = [f"structured != naive at m={m}" for m in mismatches]
-    _emit(rep, args.format, args.out, csv_rows=rows)
-    return EXIT_VIOLATION if mismatches else EXIT_OK
+    rep["violations"] = violations
 
 
-def cmd_khinchin(args) -> int:
+def cmd_khinchin(args, rep: dict) -> None:
     from .lab.khinchin import khinchin_partial_sum
 
-    rep = _base_report("khinchin", args, seed=args.seed)
-    ks = khinchin_partial_sum(args.bigc, args.epsilon, args.m_max or 10000)
-    rep["sums"] = ks.as_dict()
-    csv_rows = [("M", "partial_sum", "tail_bound"), (ks.M, ks.partial, ks.tail_bound)]
+    rep["sums"] = khinchin_partial_sum(args.bigc, args.epsilon, args.m_max or 10000).as_dict()
     if args.samples:
         from .lab.sampling import khinchin_experiment
 
-        ex = khinchin_experiment(
+        rep["experiment"] = khinchin_experiment(
             args.bigc, args.epsilon, (4, 8), args.samples, args.seed
-        )
-        rep["experiment"] = ex.as_dict()
-        csv_rows = [("k", "m_lo", "m_hi", "points", "hits", "fraction")] + [
-            (r["k"], r["m_lo"], r["m_hi"], r["points"], r["hits"], r["fraction"])
-            for r in ex.ranges
-        ]
-    _emit(rep, args.format, args.out, csv_rows=csv_rows)
-    return EXIT_OK
+        ).as_dict()
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args, rep: dict) -> None:
     rk = rk_constant(RAD_KD, 1e-9)
-    rep = _base_report("constants", args)
     rep["constants"] = {
         "rad": RAD_KD,
         "rad_exact": "2^(-1/4)",
         "rk": rk,
         "rad_times_rk": RAD_KD * rk,
     }
-    _emit(rep, args.format, args.out)
-    return EXIT_OK
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -392,7 +355,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_usage(args)
-        return args.func(args)
+        rep = _base_report(args)
+        args.func(args, rep)
+        _emit(rep, args.format, args.out)
     except (ParseError, OSError) as e:  # OSError: an --out path that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
@@ -402,6 +367,7 @@ def main(argv=None) -> int:
     except HeisCFError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    return EXIT_VIOLATION if rep.get("violations") else EXIT_OK
 
 
 if __name__ == "__main__":

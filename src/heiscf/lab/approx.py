@@ -43,7 +43,6 @@ class ApproxRecord:
     n: int
     q_abs: float
     d_n: float
-    v_next: complex
     ratio_thm14: Optional[float]
     c_n: float
     relsize_n: float
@@ -118,7 +117,6 @@ def approx_quality(e: CFExpansion, n: int) -> ApproxRecord:
         raise IndexError("approx_quality requires n + 1 <= depth")
     q_abs, k = _abs_gi(e.first_column(n)[0])
     d_n = convergent_distance(e, n, k)
-    v_next = complex(e.iterates[n + 1].v)
     v_next_abs = e.v_abs[n + 1]
 
     ratio = None
@@ -141,7 +139,6 @@ def approx_quality(e: CFExpansion, n: int) -> ApproxRecord:
         n=n,
         q_abs=_ldexp(q_abs, k),
         d_n=math.ldexp(d_n, -k),
-        v_next=v_next,
         ratio_thm14=ratio,
         c_n=c_n,
         relsize_n=relsize,

@@ -14,7 +14,7 @@ built for the points returned and, in the oracle, for each triple it tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ..gaussian import GaussInt, _coprime, canonical_associate
@@ -57,10 +57,7 @@ def kprime_region(delta: float = 0.0) -> Region:
 
 @dataclass
 class RationalEnumeration:
-    m: int
-    region: Region
-    lowest_terms: bool
-    points: list[tuple[GaussInt, GaussInt, GaussInt]] = field(default_factory=list)
+    points: list[tuple[GaussInt, GaussInt, GaussInt]]
 
     @property
     def count(self) -> int:
@@ -140,7 +137,7 @@ def enumerate_rationals_qnorm(
                 if not r_tests or not _dividing(r_tests, c, d):
                     points.append((a, b, ra, rb, c, d))
     points.sort()
-    return RationalEnumeration(m, region, lowest_terms, list(map(_triple, points)))
+    return RationalEnumeration(list(map(_triple, points)))
 
 
 def enumerate_rationals_naive(
@@ -172,7 +169,7 @@ def enumerate_rationals_naive(
                     trip = _triple(key)
                     found[key] = trip if not lowest_terms or _coprime(*trip) else None
     points = [found[key] for key in sorted(found) if found[key]]
-    return RationalEnumeration(m, region, lowest_terms, points)
+    return RationalEnumeration(points)
 
 
 def _disk(norm_max: int):

@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import Optional
 
 import jsonschema
 import pytest
@@ -547,18 +548,33 @@ def run_in_process(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def check_contract(argv) -> Optional[dict]:
+    """The CLI contract on one argv, and the report it printed, if any.
+
+    No exception leaves `main` but argparse's exit 2; the exit code is one of
+    0-3; exit 0 or 1 prints JSON that validates against the schema, and exit
+    1 comes exactly with a non-empty `violations`; exit 2 or 3 prints nothing
+    to stdout and a line to stderr; the same argv gives the same bytes twice.
+    """
+    code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2, 3)
+    rep = None
+    if code in (0, 1):
+        rep = check_json(out)
+        assert (code == 1) == bool(rep.get("violations"))
+    else:
+        assert out == "" and err.count("\n") >= 1
+    assert run_in_process(argv) == (code, out, err)
+    return rep
+
+
 class TestExpandFuzz:
     @given(expand_argv())
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     def test_contract(self, argv):
-        code, out, err = run_in_process(argv)
-        assert code in (0, 1, 2, 3)
-        if code == 0:
-            rep = check_json(out)
+        rep = check_contract(argv)
+        if rep is not None:
             assert rep["expansion"]["terminated"] and rep["expansion"]["backend"] == "exact"
-        else:
-            assert out == "" and err.count("\n") >= 1
-        assert run_in_process(argv) == (code, out, err)
 
 
 @st.composite
@@ -580,14 +596,7 @@ class TestBestapproxFuzz:
     @given(bestapprox_argv())
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_contract(self, argv):
-        code, out, err = run_in_process(argv)
-        assert code in (0, 1, 2, 3)
-        if code in (0, 1):
-            rep = check_json(out)
-            assert (code == 1) == bool(rep.get("violations"))
-        else:
-            assert out == "" and err.count("\n") >= 1
-        assert run_in_process(argv) == (code, out, err)
+        check_contract(argv)
 
 
 @st.composite
@@ -608,14 +617,50 @@ class TestVerifyMeasureFuzz:
     @given(verify_measure_argv())
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     def test_contract(self, argv):
-        code, out, err = run_in_process(argv)
-        assert code in (0, 1, 2, 3)
-        if code in (0, 1):
-            rep = check_json(out)
-            assert (code == 1) == bool(rep["violations"])
-        else:
-            assert out == "" and err.count("\n") >= 1
-        assert run_in_process(argv) == (code, out, err)
+        check_contract(argv)
+
+
+class TestCountFuzz:
+    @given(st.integers(-1, 60))
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    def test_contract(self, m_max):
+        check_contract(["count", "--m-max", str(m_max), "--format", "json"])
+
+
+# the flag edges: the float extremes, the smallest subnormal, the infinities,
+# nan, and --bigc's open range (2^-255, 2^255) on both sides of each end
+FLOAT_EDGES = [1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan, 2.0**-255, 2.0**255,
+               math.nextafter(2.0**-255, 1), math.nextafter(2.0**255, 0)]
+
+
+@st.composite
+def khinchin_argv(draw):
+    """`khinchin` with `--m-max` -1 to 300 and a seed that may be negative or
+    above 2^64; at the default (C, eps), `--samples` absent or -1 to 2, else
+    `--epsilon` and `--bigc` absent or at the flag edges; JSON output.
+
+    A sampled run at any other (C, eps) builds its tables cold, 1.1-3.5 s
+    each (ROADMAP item 9), so only the default's tables, built once and
+    cached, are sampled here.
+    """
+    seed = draw(st.one_of(st.integers(0, 9), st.integers(-(2**70), -1), st.integers(2**64, 2**70)))
+    argv = ["khinchin", "--m-max", str(draw(st.integers(-1, 300))), "--seed", str(seed)]
+    if draw(st.booleans()):
+        samples = draw(st.sampled_from([None, 1, 2, 0, -1]))
+        argv += [] if samples is None else ["--samples", str(samples)]
+    else:
+        # --flag=value: argparse reads a bare -1e308 as an option
+        for flag in ("--epsilon", "--bigc"):
+            value = draw(st.none() | st.sampled_from(FLOAT_EDGES))
+            argv += [] if value is None else [f"{flag}={value!r}"]
+    return [*argv, "--format", "json"]
+
+
+class TestKhinchinFuzz:
+    @given(khinchin_argv())
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_contract(self, argv):
+        check_contract(argv)
 
 
 class TestEntryPoint:
