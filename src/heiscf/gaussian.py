@@ -110,7 +110,6 @@ _set_re = GaussInt.__dict__["re"].__set__
 _set_im = GaussInt.__dict__["im"].__set__
 
 ONE = GaussInt(1, 0)
-I = GaussInt(0, 1)
 UNITS = (GaussInt(1, 0), GaussInt(0, 1), GaussInt(-1, 0), GaussInt(0, -1))
 
 

@@ -15,7 +15,7 @@ from mpmath.libmp import mpf_shift, round_nearest, to_float
 
 from ..cf import CFExpansion
 from ..domain import RAD_KD, rk_constant
-from ..gaussian import GaussInt, _coprime, _fold_unit, _trip_key
+from ..gaussian import GaussInt, _dividing, _factor, _fold_unit, _prime_tests, _trip_key
 from ..siegel import (ProjIntPoint, SiegelPoint, _int_linear_form, _sqrt, abs_sq,
                       triple_distance_pow4)
 
@@ -167,22 +167,41 @@ LATTICE_TAU = 0.25
 _UNIT_COLS = ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0))
 
 
-def _rho(dist_q: float) -> float:
-    """The prefilter's bound on |conj(P/Q) - conj(R/Q) u + v| at radius dist_q."""
+def _widened(dist_q: float) -> tuple[float, float]:
+    """The R disk's radius per unit |Q| and the bound on d^4 at dist_q, widened past rounding."""
     db2 = dist_q * dist_q
-    return math.sqrt(db2 * db2 * 1.000001 + 1e-9)
+    return math.sqrt(2.0) * dist_q + 1e-9, db2 * db2 * 1.000001 + 1e-9
 
 
-def _q_tests(qa, qb, qn, dist_q, uh, uh_abs, vh_abs):
-    """The float tests of denominator qa + i qb at radius dist_q: Q as a
-    complex, the R disk's center and radius, the bound on |P|^2 and the
-    prefilter's bound on d^4."""
-    db2 = dist_q * dist_q
-    u_slack = math.sqrt(2.0) * dist_q + 1e-9
-    qc = complex(qa, qb)
-    v_r_max = db2 + (uh_abs + u_slack) * uh_abs + vh_abs
-    return (qc, qc * uh, math.sqrt(qn) * u_slack, int(qn * (v_r_max * v_r_max) + 1),
-            db2 * db2 * 1.000001 + 1e-9)
+def _cell_test(qa, qb, dist_q, uh, vh):
+    """(cells, the R disk's center and radius, the bound on d^4) of Q = qa + i qb at
+    radius dist_q.  cells(ra, rb, p0, dp, ts) yields the triples (Q, R, P), P = p0 +
+    t dp for t in ts, that pass the R disk, |P|^2 and d^4 tests in floats and are in
+    lowest terms by the census's rule: no Gaussian prime of Q divides R and P.  Only
+    one over a prime of gcd(|Q|^2, |R|^2) can, for its norm divides every norm."""
+    qn, q, qc = qa * qa + qb * qb, GaussInt(qa, qb), complex(qa, qb)
+    u_slack, d4_max = _widened(dist_q)
+    center, rad = qc * uh, math.sqrt(qn) * u_slack
+    v_r_max = dist_q * dist_q + (abs(uh) + u_slack) * abs(uh) + abs(vh)
+    p_norm_max = int(qn * (v_r_max * v_r_max) + 1)
+
+    def cells(ra, rb, p0, dp=(0, 0), ts=(0,)):  # by default P = p0 alone
+        if abs(complex(ra, rb) - center) > rad:
+            return
+        g = math.gcd(qn, ra * ra + rb * rb)
+        shared = g > 1 and _dividing(_prime_tests(q, _factor(g)), ra, rb)
+        ucu, r = (complex(ra, rb) / qc).conjugate() * uh, GaussInt(ra, rb)
+        for t in ts:
+            pc, pd = p0[0] + dp[0] * t, p0[1] + dp[1] * t
+            if pc * pc + pd * pd > p_norm_max:
+                continue
+            # float prefilter: plausibly within dist_q of h (exact check later)
+            if abs((complex(pc, pd) / qc).conjugate() - ucu + vh) ** 2 > d4_max:
+                continue
+            if not shared or not _dividing(shared, pc, pd):
+                yield q, r, GaussInt(pc, pd)
+
+    return cells, center, rad, d4_max
 
 
 def candidate_triples(h: SiegelPoint, B: float, dist_fn=None):
@@ -198,7 +217,7 @@ def candidate_triples(h: SiegelPoint, B: float, dist_fn=None):
     product and quotient below exactly, bit for bit.
 
     A shell is walked cell by cell, or its lattice reduced and enumerated
-    (see the README); every cell found passes the same float tests.  The
+    (see the README); either route hands its cells to _cell_test.  The
     triples come in no particular order.
     """
     uh, vh = complex(h.u), complex(h.v)
@@ -223,7 +242,7 @@ def candidate_triples(h: SiegelPoint, B: float, dist_fn=None):
         bound = DIST_BOUND if dist_fn is None else min(DIST_BOUND, dist_fn(n0))
         if bound <= 0.0:
             break
-        rho = _rho(bound)
+        rho = math.sqrt(_widened(bound)[1])
         if math.sqrt(hi) * rho > LATTICE_TAU or fuzz >= min(math.sqrt(2.0) * bound, rho):
             yield from _walk(uh, vh, n0, hi, radius)
         else:
@@ -235,16 +254,15 @@ def _walk(uh, vh, n0, hi, radius):
     """The triples of the shell n0 <= |Q|^2 <= hi, cell by cell: each q of
     the annulus, the r disk row by row on one parity, the p segment from
     its foot."""
-    uh_c, vh_c, uh_abs, vh_abs = uh.conjugate(), vh.conjugate(), abs(uh), abs(vh)
+    uh_c, vh_c = uh.conjugate(), vh.conjugate()
     for qa in range(1, math.isqrt(hi) + 1):
         gap = n0 - qa * qa
         for qb in range(math.isqrt(gap - 1) + 1 if gap > 0 else 0, math.isqrt(hi - qa * qa) + 1):
             qn = qa * qa + qb * qb
-            dist_q = radius(qn)
-            if dist_q <= 0.0:
+            if (dist_q := radius(qn)) <= 0.0:
                 continue
-            qc, center, rad, p_norm_max, d4_max = _q_tests(qa, qb, qn, dist_q, uh, uh_abs, vh_abs)
-            cx, cy, qv = center.real, center.imag, qc * vh_c
+            cells, center, rad, d4_max = _cell_test(qa, qb, dist_q, uh, vh)
+            cx, cy, qv = center.real, center.imag, complex(qa, qb) * vh_c
             # P = (s x - b t, s y + a t) on a c + b d = s, with a x + b y = 1
             g = math.gcd(qa, qb)
             a, b = qa // g, qb // g
@@ -257,40 +275,28 @@ def _walk(uh, vh, n0, hi, radius):
                 w = math.sqrt(max(rad * rad - dx * dx, 0.0) + 1e-9 * rad * rad) + 1e-6
                 lo = math.ceil(cy - w)
                 for rb in range(lo + (lo - ra) % 2, math.floor(cy + w) + 1, 2):
-                    if abs(complex(dx, rb - cy)) > rad:
-                        continue
                     s, rem = divmod((ra * ra + rb * rb) >> 1, g)
                     if rem:
                         continue
-                    rc = complex(ra, rb)
-                    ucu = (rc / qc).conjugate() * uh
-                    pz = rc * uh_c - qv
+                    pz = complex(ra, rb) * uh_c - qv
                     t_mid = (s * k - b * pz.real + a * pz.imag) / step2
-                    for t in range(math.ceil(t_mid - t_half), math.floor(t_mid + t_half) + 1):
-                        pc, pd = s * x - b * t, s * y + a * t
-                        if pc * pc + pd * pd > p_norm_max:
-                            continue
-                        # float prefilter: plausibly within dist_q of h (exact check later)
-                        vc = complex(pc, pd) / qc
-                        if abs(vc.conjugate() - ucu + vh) ** 2 > d4_max:
-                            continue
-                        trip = (GaussInt(qa, qb), GaussInt(ra, rb), GaussInt(pc, pd))
-                        if _coprime(*trip):
-                            yield trip
+                    ts = range(math.ceil(t_mid - t_half), math.floor(t_mid + t_half) + 1)
+                    yield from cells(ra, rb, (s * x, s * y), (-b, a), ts)
 
 
 def _lattice_shell(uh, vh, n0, hi, bound, radius, cols):
     """Yield the shell's triples found on its lattice; return the reduced basis.
 
     (Q, R, P) maps to the scaled forms (Q, Q u - R, P - R conj(u) + Q conj(v))
-    / sqrt(hi) / (1, sqrt(2) bound + 1e-9, rho); each is at most 1 for a
+    / sqrt(hi) / (1, u_slack, rho) at bound (_widened); each is at most 1 for a
     cell that passes the float tests, so the cells lie in the ball of
     squared radius 3, which is enumerated widened past rounding.  cols, the
     previous shell's reduced basis, warm-starts the reduction.
     """
     s = math.sqrt(hi)
-    w1, w2, w3 = 1.0 / s, 1.0 / (s * (math.sqrt(2.0) * bound + 1e-9)), 1.0 / (s * _rho(bound))
-    uh_c, vh_c, uh_abs, vh_abs = uh.conjugate(), vh.conjugate(), abs(uh), abs(vh)
+    u_slack, d4_max = _widened(bound)
+    w1, w2, w3 = 1.0 / s, 1.0 / (s * u_slack), 1.0 / (s * math.sqrt(d4_max))
+    uh_c, vh_c = uh.conjugate(), vh.conjugate()
 
     def vec(col):
         qa, qb, ra, rb, pc, pd = col
@@ -312,20 +318,8 @@ def _lattice_shell(uh, vh, n0, hi, bound, radius, cols):
                 qn = qa * qa + qb * qb
                 if not n0 <= qn <= hi or ra * ra + rb * rb != 2 * (qa * pc + qb * pd):
                     continue
-                dist_q = radius(qn)
-                if dist_q <= 0.0:
-                    continue
-                qc, center, rad, p_norm_max, d4_max = _q_tests(
-                    qa, qb, qn, dist_q, uh, uh_abs, vh_abs)
-                rc = complex(ra, rb)
-                if abs(rc - center) > rad or pc * pc + pd * pd > p_norm_max:
-                    continue
-                vc = complex(pc, pd) / qc
-                if abs(vc.conjugate() - (rc / qc).conjugate() * uh + vh) ** 2 > d4_max:
-                    continue
-                trip = (GaussInt(qa, qb), GaussInt(ra, rb), GaussInt(pc, pd))
-                if _coprime(*trip):
-                    yield trip
+                if (dist_q := radius(qn)) > 0.0:
+                    yield from _cell_test(qa, qb, dist_q, uh, vh)[0](ra, rb, (pc, pd))
     return cols
 
 

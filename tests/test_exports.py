@@ -2,7 +2,8 @@
 
 A name is defined where a module binds it at top level by `def`, `class`
 or assignment; a module that re-exports it imports it from there.  No
-module imports at top level a name that it neither reads nor exports.
+module imports at top level a name that it neither reads nor exports, and
+no module binds at top level a name that no module reads or it exports.
 """
 
 import ast
@@ -19,8 +20,12 @@ MODULES = ["heiscf"] + [
 ]
 
 
+def _tree(module_name):
+    return ast.parse(Path(importlib.import_module(module_name).__file__).read_text())
+
+
 def _top_level_names(module_name):
-    tree = ast.parse(Path(importlib.import_module(module_name).__file__).read_text())
+    tree = _tree(module_name)
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -62,7 +67,7 @@ def test_package_exports_its_modules_lists_in_order():
 def _unused_imports(module_name):
     """Names a module imports at top level and never reads, nor lists in __all__."""
     module = importlib.import_module(module_name)
-    tree = ast.parse(Path(module.__file__).read_text())
+    tree = _tree(module_name)
     imported = set()
     for node in tree.body:
         if isinstance(node, ast.Import):
@@ -76,3 +81,26 @@ def _unused_imports(module_name):
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
     assert _unused_imports(module) == []
+
+
+def _names_read():
+    """Every name the package reads, by name: loaded, read as an attribute or
+    imported from another module."""
+    read = set()
+    for node in (n for m in MODULES for n in ast.walk(_tree(m))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+NAMES_READ = _names_read()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unread_top_level_name(module):
+    exported = set(getattr(importlib.import_module(module), "__all__", []))
+    assert sorted(_top_level_names(module) - NAMES_READ - exported - {"__all__"}) == []
