@@ -132,20 +132,24 @@ def canonical_associate(g: GaussInt) -> tuple[GaussInt, GaussInt]:
 
 
 def gi_gcd(g1: GaussInt, g2: GaussInt) -> GaussInt:
-    """GCD in Z[i], normalized to the canonical associate.
-
-    Euclidean algorithm with rounded division; the remainder norm strictly
-    decreases, so this terminates.
-    """
+    """GCD in Z[i], normalized to the canonical associate."""
     if g1.is_zero() and g2.is_zero():
         raise ValueError("gcd undefined for (0, 0)")
-    a, b, c, d = g1.re, g1.im, g2.re, g2.im
+    return canonical_associate(GaussInt(*_euclid(g1.re, g1.im, g2.re, g2.im)))[0]
+
+
+def _euclid(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """A GCD of a + bi and c + di as an int pair, up to a unit.
+
+    Euclidean algorithm with rounded division; the remainder norm strictly
+    decreases, so this terminates.  (0, 0) for two zeros.
+    """
     while c or d:  # (a + bi, c + di) -> (c + di, (a + bi) - q (c + di))
         n = c * c + d * d
         qr = _round_half_up(a * c + b * d, n)
         qi = _round_half_up(b * c - a * d, n)
         a, b, c, d = c, d, a - qr * c + qi * d, b - qr * d - qi * c
-    return canonical_associate(GaussInt(a, b))[0]
+    return a, b
 
 
 def reduce_triple(
@@ -175,15 +179,12 @@ def _fold_unit(
     return c, u * r, u * p
 
 
-def _coprime(q: GaussInt, r: GaussInt, p: GaussInt) -> bool:
-    """True iff q, r and p have no common non-unit factor in Z[i]."""
-    g = q
-    for x in (r, p):
-        if not x.is_zero():
-            g = gi_gcd(g, x)
-        if g.is_unit():
-            return True
-    return g.is_unit()
+def _coprime(qa: int, qb: int, ra: int, rb: int, pa: int, pb: int) -> bool:
+    """True iff q = qa + qb*i, r and p have no common non-unit factor in Z[i]."""
+    a, b = _euclid(qa, qb, ra, rb)
+    if a * a + b * b != 1:
+        a, b = _euclid(a, b, pa, pb)
+    return a * a + b * b == 1
 
 
 def _trip_key(t) -> tuple:

@@ -6,9 +6,9 @@ a naive triple loop used as its oracle.  Both count points (q : r : p)
 with |q|^2 = m whose planar coordinates lie in a box region.  In lowest
 terms the structured route tests the Gaussian primes of q by integer
 congruences; the oracle runs Gaussian Euclid once per distinct folded triple.
-Both carry (re, im) int pairs and sort the flat keys (q.re, q.im, r.re, r.im,
-p.re, p.im), which order as gaussian._trip_key does; GaussInt triples are
-built for the points returned and, in the oracle, for each triple it tests.
+Both carry (re, im) int pairs, test lowest terms on them and sort the flat
+keys (q.re, q.im, r.re, r.im, p.re, p.im), which order as gaussian._trip_key
+does; a GaussInt triple is built only for a point returned.
 """
 
 from __future__ import annotations
@@ -83,28 +83,39 @@ def solve_p_line(
     c = c0 - (b/g) t, d = d0 + (a/g) t; only the segment meeting the disk is
     walked, in increasing t.
     """
+    return _p_line(a, b, p_norm_max)(s)
+
+
+def _p_line(a: int, b: int, p_norm_max: int):
+    """solve_p_line for one q = a+bi and disk, as a function of s alone.
+
+    g, the inverse of a/g mod |b/g| and the step are computed once.  With
+    a, b, s divided by g and w = step t + (a d0 - b c0), step |(c, d)|^2 =
+    w^2 + s^2, so the disk is |w| <= isqrt(step p_norm_max - s^2): the
+    t range is exact and every point on it is a solution.
+    """
     g = math.gcd(a, b)
     if g == 0:
         raise ValueError("q must be nonzero")
-    if s % g != 0:
-        return []
-    a, b, s = a // g, b // g, s // g
-    if b == 0:  # a = +-1
-        c0, d0 = s * a, 0
-    else:  # a c0 = s mod b
-        c0 = s * pow(a, -1, abs(b)) % abs(b)
-        d0 = (s - a * c0) // b
-    # walk t over a window centered on the line's point nearest the origin
-    step_sq = a * a + b * b
-    t_center = (b * c0 - a * d0) // step_sq
-    t_half = math.isqrt(4 * p_norm_max // step_sq) + 2
-    out = []
-    for t in range(t_center - t_half, t_center + t_half + 1):
-        c = c0 - b * t
-        d = d0 + a * t
-        if c * c + d * d <= p_norm_max:
-            out.append((c, d))
-    return out
+    a, b = a // g, b // g
+    inv = pow(a, -1, abs(b)) if b else 0
+    step = a * a + b * b
+
+    def solve(s: int) -> list[tuple[int, int]]:
+        s, rest = divmod(s, g)
+        disc = step * p_norm_max - s * s
+        if rest or disc < 0:
+            return []
+        if b == 0:  # a = +-1
+            c0, d0 = s * a, 0
+        else:  # a c0 = s mod b
+            c0 = s * inv % abs(b)
+            d0 = (s - a * c0) // b
+        w0, w = a * d0 - b * c0, math.isqrt(disc)
+        return [(c0 - b * t, d0 + a * t)
+                for t in range(-((w + w0) // step), (w - w0) // step + 1)]
+
+    return solve
 
 
 def enumerate_rationals_qnorm(
@@ -118,26 +129,31 @@ def enumerate_rationals_qnorm(
     factored once, each Gaussian prime of q is a congruence (_prime_tests),
     r is tested once and p only against the primes dividing r: no gcd.
     """
+    return RationalEnumeration(list(map(_triple, sorted(_qnorm_keys(m, region, lowest_terms)))))
+
+
+def _qnorm_keys(m: int, region: Region, lowest_terms: bool) -> list[tuple]:
+    """The flat keys of enumerate_rationals_qnorm's points, unsorted."""
     if m < 1:
         raise ValueError("m must be >= 1")
     r_norm_max = math.floor(m * region.u_sq)
     p_norm_max = math.floor(m * region.v_sq)
     factors = _factor(m) if lowest_terms else []
-    points = []
+    keys = []
     for q in qnorm_representations(m):
         a, b = q.re, q.im
         if a <= 0 or b < 0:
             continue
         tests = _prime_tests(q, factors)
+        solve = _p_line(a, b, p_norm_max)
         for ra, rb in _disk(r_norm_max):
             if (ra ^ rb) & 1:  # |r|^2 is odd
                 continue
             r_tests = tests and _dividing(tests, ra, rb)
-            for c, d in solve_p_line(a, b, (ra * ra + rb * rb) // 2, p_norm_max):
+            for c, d in solve((ra * ra + rb * rb) // 2):
                 if not r_tests or not _dividing(r_tests, c, d):
-                    points.append((a, b, ra, rb, c, d))
-    points.sort()
-    return RationalEnumeration(list(map(_triple, points)))
+                    keys.append((a, b, ra, rb, c, d))
+    return keys
 
 
 def enumerate_rationals_naive(
@@ -147,7 +163,8 @@ def enumerate_rationals_naive(
 
     The r disk is grouped by norm once; no line is solved, so this stays
     independent of solve_p_line.  Every associate of q is walked; lowest terms
-    are Gaussian Euclid (_coprime), once per distinct folded triple.
+    are Gaussian Euclid on int pairs (_coprime), once per distinct folded
+    triple.  A GaussInt triple is built only for a point returned.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -157,7 +174,7 @@ def enumerate_rationals_naive(
     for ra, rb in _disk(r_norm_max):
         rs_by_norm.setdefault(ra * ra + rb * rb, []).append((ra, rb))
     ps = list(_disk(p_norm_max))
-    found = {}  # folded key -> its triple, or None where it is not coprime
+    found = {}  # folded key -> whether it is kept
     for q in qnorm_representations(m):
         c, u = canonical_associate(q)  # the unit that folds q, rotating r and p
         a, b, qa, qb, ua, ub = q.re, q.im, c.re, c.im, u.re, u.im
@@ -166,10 +183,8 @@ def enumerate_rationals_naive(
                 key = (qa, qb, ua * ra - ub * rb, ua * rb + ub * ra,
                        ua * pa - ub * pb, ua * pb + ub * pa)
                 if key not in found:
-                    trip = _triple(key)
-                    found[key] = trip if not lowest_terms or _coprime(*trip) else None
-    points = [found[key] for key in sorted(found) if found[key]]
-    return RationalEnumeration(points)
+                    found[key] = not lowest_terms or _coprime(*key)
+    return RationalEnumeration([_triple(key) for key in sorted(found) if found[key]])
 
 
 def _disk(norm_max: int):

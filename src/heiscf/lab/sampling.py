@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Optional
 
 from ..domain import nearest_float
-from .enumerate import enumerate_rationals_qnorm, kprime_region
+from .enumerate import _qnorm_keys, kprime_region
 from .khinchin import phi
 
 __all__ = [
@@ -68,8 +68,11 @@ def _range_point_arrays(k_lo: int, k_hi: int, C: float, eps: float):
     """Per dyadic range k, the float points (u_s, v_s, phi(m)^4) sorted by Re u_s.
 
     Rational points are enumerated over the K' box (K thickened by the
-    largest relevant phi) in lowest terms.  Cached: the tables depend only
-    on the parameters, not the seed.
+    largest relevant phi) in lowest terms, as the structured walk's unsorted
+    flat keys: u_s = r/q and v_s = p/q are complex quotients of int pairs,
+    the same bits as complex(r) / complex(q), and each range is sorted once.
+    Points tied on Re u_s keep no fixed order; no hit count depends on it.
+    Cached: the tables depend only on the parameters, not the seed.
     """
     delta = min(1.0, phi(2.0**k_lo, C, eps))
     region = kprime_region(delta)
@@ -77,11 +80,10 @@ def _range_point_arrays(k_lo: int, k_hi: int, C: float, eps: float):
     for k in range(k_lo, k_hi + 1):
         points = []
         for m in range(2**k, 2 ** (k + 1)):
-            enum = enumerate_rationals_qnorm(m, region, lowest_terms=True)
             phi4 = phi(m, C, eps) ** 4
-            for q, r, p in enum.points:
-                qc = complex(q)
-                points.append((complex(r) / qc, complex(p) / qc, phi4))
+            for qa, qb, ra, rb, pa, pb in _qnorm_keys(m, region, True):
+                qc = complex(qa, qb)
+                points.append((complex(ra, rb) / qc, complex(pa, pb) / qc, phi4))
         points.sort(key=lambda point: point[0].real)
         out.append((k, points))
     return tuple(out)

@@ -84,7 +84,7 @@ def candidate_triples_all_associates(h, B, dist_fn=None):
                         if d4f > db2 * db2 * 1.000001 + 1e-9:
                             continue
                         trip = (q, GaussInt(ra, rb), GaussInt(pc, pd))
-                        if not _coprime(*trip):
+                        if not _coprime(qa, qb, ra, rb, pc, pd):
                             continue
                         trip = _fold_unit(*trip)
                         if trip not in seen:
@@ -144,7 +144,7 @@ def candidate_triples_reference(h, B, dist_fn=None):
                         if d4f > db2 * db2 * 1.000001 + 1e-9:
                             continue
                         trip = (q, GaussInt(ra, rb), GaussInt(pc, pd))
-                        if _coprime(*trip):
+                        if _coprime(qa, qb, ra, rb, pc, pd):
                             yield trip
 
 
@@ -343,7 +343,7 @@ class TestCandidateSearch:
         assert trips
         for q, r, p in trips:
             assert q.re > 0 and q.im >= 0
-            assert _coprime(q, r, p)
+            assert _coprime(q.re, q.im, r.re, r.im, p.re, p.im)
         assert len(set(trips)) == len(trips)
 
     @pytest.mark.parametrize("seed", range(3))

@@ -121,6 +121,11 @@ class TestStructuredVsNaive:
             assert points == sorted(points, key=_trip_key)
 
 
+def flat(trip):
+    """The flat key (q.re, q.im, r.re, r.im, p.re, p.im) of a triple."""
+    return sum(_trip_key(trip), ())
+
+
 def congruence_coprime(q, r, p):
     """The structured route's verdict: no Gaussian prime of q divides r and p."""
     r_tests = _dividing(_prime_tests(q, _factor(q.norm())), r.re, r.im)
@@ -140,7 +145,7 @@ class TestPrimeCongruences:
             (m, trip)
             for m in range(1, 301)
             for trip in enumerate_rationals_qnorm(m, region, lowest_terms=False).points
-            if congruence_coprime(*trip) != _coprime(*trip)
+            if congruence_coprime(*trip) != _coprime(*flat(trip))
         ]
         assert bad == []
 
@@ -185,12 +190,15 @@ class TestPrimeCongruences:
     )
     def test_named_triples(self, q, r, p, coprime):
         assert congruence_coprime(q, r, p) is coprime
-        assert _coprime(q, r, p) is coprime
+        assert _coprime(*flat((q, r, p))) is coprime
 
     def test_structured_route_takes_no_gcd(self, monkeypatch):
         want = [enumerate_rationals_naive(m, REGION).points for m in range(1, 101)]
         calls = []
-        monkeypatch.setattr(gaussian, "gi_gcd", lambda *a: calls.append(a))
+        for name in ("gi_gcd", "_euclid"):  # the GaussInt Euclid and its int core
+            real = getattr(gaussian, name)
+            monkeypatch.setattr(gaussian, name,
+                                lambda *a, real=real: calls.append(a) or real(*a))
         got = [enumerate_rationals_qnorm(m, REGION).points for m in range(1, 101)]
         assert calls == []
         assert got == want
@@ -201,15 +209,15 @@ class TestNaiveOracleCoprimality:
         bad = [m for m in range(1, 121)
                if enumerate_rationals_naive(m, REGION, True).points
                != [t for t in enumerate_rationals_naive(m, REGION, False).points
-                   if _coprime(*t)]]
+                   if _coprime(*flat(t))]]
         assert bad == []
 
     def test_one_euclid_per_distinct_folded_triple(self, monkeypatch):
         calls = []
 
-        def counted(*trip):
-            calls.append(trip)
-            return _coprime(*trip)
+        def counted(*key):
+            calls.append(key)
+            return _coprime(*key)
 
         monkeypatch.setattr(enumerate_module, "_coprime", counted)
         for m in range(1, 121):
@@ -217,7 +225,7 @@ class TestNaiveOracleCoprimality:
             distinct = enumerate_rationals_naive(m, REGION, False).points
             assert calls == []
             enumerate_rationals_naive(m, REGION, True)
-            assert sorted(calls, key=_trip_key) == distinct
+            assert sorted(calls) == list(map(flat, distinct))
 
 
 def numpy_naive_points(m, region, lowest_terms):
@@ -237,7 +245,7 @@ def numpy_naive_points(m, region, lowest_terms):
         match = r_norm[:, None] == rhs[None, :]
         for ri, pi in zip(*np.nonzero(match)):
             trip = _fold_unit(q, GaussInt(*rs[ri]), GaussInt(*ps[pi]))
-            if lowest_terms and not _coprime(*trip):
+            if lowest_terms and not _coprime(*flat(trip)):
                 continue
             if trip not in seen:
                 seen.add(trip)

@@ -13,6 +13,7 @@ from heiscf.gaussian import (
     UNITS,
     GaussInt,
     GaussRat,
+    _euclid,
     _fold_unit,
     canonical_associate,
     format_gauss_int,
@@ -223,6 +224,33 @@ class TestGcdAgainstReference:
     def test_zero_and_negative(self, a, b):
         a, b = GaussInt(*a), GaussInt(*b)
         assert gi_gcd(a, b) == _gi_gcd_reference(a, b)
+
+
+mega_parts = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
+mega_pairs = st.tuples(mega_parts, mega_parts)
+
+
+class TestEuclidCore:
+    """_euclid, the int-pair Euclid under gi_gcd and the census's _coprime."""
+
+    @given(mega_pairs, mega_pairs)
+    @settings(max_examples=300)
+    @example((0, 0), (0, 0))
+    @example((0, 5), (0, 0))
+    def test_divides_both_with_unit_cofactors(self, x, y):
+        g = _euclid(*x, *y)
+        if x == y == (0, 0):
+            assert g == (0, 0)
+            with pytest.raises(ValueError):
+                gi_gcd(GaussInt(), GaussInt())
+            return
+        g, x, y = GaussInt(*g), GaussInt(*x), GaussInt(*y)
+        assert g.divides(x) and g.divides(y)
+        cx, cy = x.exact_div(g), y.exact_div(g)
+        assert GaussInt(*_euclid(cx.re, cx.im, cy.re, cy.im)).is_unit()
+        # gi_gcd is the canonical associate of the same gcd
+        assert gi_gcd(x, y) == canonical_associate(g)[0]
+        assert gi_gcd(x, y).re > 0 and gi_gcd(x, y).im >= 0
 
 
 class TestReduceTriple:

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from heiscf.domain import DirichletDomain, nearest_float
+from heiscf.lab.enumerate import enumerate_rationals_qnorm, kprime_region
+from heiscf.lab.khinchin import phi
 from heiscf.lab.sampling import (
     _draw,
     _range_point_arrays,
@@ -131,6 +134,41 @@ class TestWindowVsNumpyFullScan:
 
     def test_tables_sorted_by_re_u(self):
         for _, points in _range_point_arrays(3, 5, 1.0, 1.0):
+            keys = [p[0].real for p in points]
+            assert keys == sorted(keys)
+
+
+def gauss_int_tables(k_lo, k_hi, C, eps):
+    """The tables as built from GaussInt points: complex(r) / complex(q)."""
+    region = kprime_region(min(1.0, phi(2.0**k_lo, C, eps)))
+    out = []
+    for k in range(k_lo, k_hi + 1):
+        points = []
+        for m in range(2**k, 2 ** (k + 1)):
+            phi4 = phi(m, C, eps) ** 4
+            for q, r, p in enumerate_rationals_qnorm(m, region).points:
+                points.append((complex(r) / complex(q), complex(p) / complex(q), phi4))
+        out.append((k, points))
+    return out
+
+
+def bits(points):
+    """The multiset of points, each float by its exact bits (-0.0 apart from 0.0)."""
+    return Counter(tuple(x.hex() for x in (u.real, u.imag, v.real, v.imag, t4))
+                   for u, v, t4 in points)
+
+
+class TestTablesFromIntKeys:
+    """Tables from the walk's int keys hold the GaussInt tables' points, bit for bit."""
+
+    # (10, 1) has phi(8) = 1.25, so delta clamps to 1
+    @pytest.mark.parametrize("C,eps", [(1.0, 1.0), (4.0, 0.5), (10.0, 1.0)])
+    def test_same_points_bit_for_bit(self, C, eps):
+        want = gauss_int_tables(3, 5, C, eps)
+        got = _range_point_arrays(3, 5, C, eps)
+        assert [k for k, _ in got] == [k for k, _ in want] == [3, 4, 5]
+        for (_, points), (_, ref) in zip(got, want):
+            assert bits(points) == bits(ref)
             keys = [p[0].real for p in points]
             assert keys == sorted(keys)
 
