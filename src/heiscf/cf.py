@@ -27,7 +27,6 @@ from .siegel import (
     _linear_form,
     abs_sq_exact,
     exact_triple,
-    group_mul,
     koranyi_inversion,
     triple_to_planar,
 )
@@ -44,14 +43,12 @@ _K_D = DirichletDomain()
 
 
 def _into_kd(h: SiegelPoint) -> tuple[IntegerPoint, SiegelPoint]:
-    """[h] and [h]^-1 h, on either backend.  Big floats form group_mul's
+    """[h] and [h]^-1 h for a big-float h.  It forms group_mul's
     (u1 + u2, v1 + conj(u1) u2 + v2) on raw tuples, [h]^-1 = (-u, conj v) lifted as
     _lift lifts it and not surface-checked: a part rounded to bits bits moves by at
     most 2^-bits of itself, so | |u1|^2 - 2 Re v1 | <= (3 2^-bits + 4^-bits) |u|^2
     <= 7 2^-bits |v| (|u|^2 = 2 Re v), far below 8 check_scale max(1, |v1|)."""
     gamma = _K_D.nearest(h)
-    if h.exact:
-        return gamma, group_mul(gamma.inv().to_siegel(), h)
     prec, rnd, (u, v) = h.ctx.bits, round_nearest, (h.u._mpc_, h.v._mpc_)
     re, im = (from_int(-x, prec, rnd) for x in (gamma.u.re, gamma.u.im))
     v1 = from_int(gamma.v.re, prec, rnd), from_int(-gamma.v.im, prec, rnd)
@@ -62,10 +59,15 @@ def _into_kd(h: SiegelPoint) -> tuple[IntegerPoint, SiegelPoint]:
 def gauss_map_step(h: SiegelPoint) -> tuple[IntegerPoint, SiegelPoint]:
     """One Gauss-map step: digit [iota h] and next iterate [iota h]^-1 * iota h.
 
-    The origin is a fixed point and yields the zero digit.
+    The origin is a fixed point and yields the zero digit.  An exact point
+    takes expand's step on its triple: iota (q, r, p) = (p, -r, q).
     """
     if h.is_origin():
         return IntegerPoint.origin(), h
+    if h.exact:
+        q, r, p = h._triple
+        gamma, t = reduce_into_kd((p, -r, q))
+        return gamma, triple_to_planar(t)
     return _into_kd(koranyi_inversion(h))
 
 

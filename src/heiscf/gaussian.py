@@ -110,7 +110,6 @@ _set_re = GaussInt.__dict__["re"].__set__
 _set_im = GaussInt.__dict__["im"].__set__
 
 ONE = GaussInt(1, 0)
-UNITS = (GaussInt(1, 0), GaussInt(0, 1), GaussInt(-1, 0), GaussInt(0, -1))
 
 
 def canonical_associate(g: GaussInt) -> tuple[GaussInt, GaussInt]:
@@ -119,16 +118,29 @@ def canonical_associate(g: GaussInt) -> tuple[GaussInt, GaussInt]:
     Canonical means re > 0 and im >= 0 (the quarter-plane containing the
     positive real axis); zero maps to zero.  Exactly one of the four
     associates lands there, which makes lowest-terms outputs reproducible.
-    The signs of (re, im) say which one, so c is a rotation of g.
+    The unit is read off _fold, which rotates r = 1 with g.
     """
-    a, b = g.re, g.im
-    if a > 0 and b >= 0 or a == b == 0:
-        return g, ONE
-    if a >= 0 and b < 0:  # i*g
-        return GaussInt(-b, a), UNITS[1]
-    if a < 0 and b <= 0:  # -g
-        return GaussInt(-a, -b), UNITS[2]
-    return GaussInt(b, -a), UNITS[3]  # -i*g, for a <= 0 < b
+    ca, cb, ua, ub, _, _ = _fold((g.re, g.im, 1, 0, 0, 0))
+    return (g, ONE) if ua == 1 else (GaussInt(ca, cb), GaussInt(ua, ub))
+
+
+def _fold(key: tuple) -> tuple:
+    """The unit multiple of a flat key (q.re, q.im, r.re, r.im, p.re, p.im)
+    whose q is canonical (re > 0 and im >= 0, or zero): the key itself when
+    q already is.  The signs of q say which unit, so each part is rotated."""
+    qa, qb, ra, rb, pa, pb = key
+    if qa > 0 and qb >= 0 or qa == qb == 0:
+        return key
+    if qa >= 0 and qb < 0:  # i
+        return (-qb, qa, -rb, ra, -pb, pa)
+    if qa < 0 and qb <= 0:  # -1
+        return (-qa, -qb, -ra, -rb, -pa, -pb)
+    return (qb, -qa, rb, -ra, pb, -pa)  # -i, for qa <= 0 < qb
+
+
+def _triple(key: tuple) -> tuple[GaussInt, GaussInt, GaussInt]:
+    """The triple (q, r, p) of a flat key (q.re, q.im, r.re, r.im, p.re, p.im)."""
+    return GaussInt(key[0], key[1]), GaussInt(key[2], key[3]), GaussInt(key[4], key[5])
 
 
 def gi_gcd(g1: GaussInt, g2: GaussInt) -> GaussInt:
@@ -173,10 +185,9 @@ def _fold_unit(
     q: GaussInt, r: GaussInt, p: GaussInt
 ) -> tuple[GaussInt, GaussInt, GaussInt]:
     """The unit multiple of (q, r, p) whose q is the canonical associate."""
-    c, u = canonical_associate(q)
-    if u is ONE:
-        return q, r, p
-    return c, u * r, u * p
+    key = (q.re, q.im, r.re, r.im, p.re, p.im)
+    folded = _fold(key)
+    return (q, r, p) if folded is key else _triple(folded)
 
 
 def _coprime(qa: int, qb: int, ra: int, rb: int, pa: int, pb: int) -> bool:

@@ -15,9 +15,10 @@ from mpmath.libmp import mpf_shift, round_nearest, to_float
 
 from ..cf import CFExpansion
 from ..domain import RAD_KD, rk_constant
-from ..gaussian import GaussInt, _dividing, _factor, _fold_unit, _prime_tests, _trip_key
+from ..gaussian import GaussInt, _dividing, _factor, _fold, _fold_unit, _prime_tests, _trip_key
 from ..siegel import (ProjIntPoint, SiegelPoint, _int_linear_form, _sqrt, abs_sq,
                       triple_distance_pow4)
+from .enumerate import _line
 
 __all__ = [
     "ApproxRecord",
@@ -263,11 +264,7 @@ def _walk(uh, vh, n0, hi, radius):
                 continue
             cells, center, rad, d4_max = _cell_test(qa, qb, dist_q, uh, vh)
             cx, cy, qv = center.real, center.imag, complex(qa, qb) * vh_c
-            # P = (s x - b t, s y + a t) on a c + b d = s, with a x + b y = 1
-            g = math.gcd(qa, qb)
-            a, b = qa // g, qb // g
-            x = pow(a, -1, b) if b else 1
-            y = (1 - a * x) // b if b else 0
+            g, a, b, x, y = _line(qa, qb)  # P = s (x, y) + t (-b, a) on a c + b d = s
             k, step2 = b * x - a * y, a * a + b * b
             t_half = (math.sqrt(qn) * math.sqrt(d4_max) * 1.000001 + 1e-6) / math.sqrt(step2)
             for ra in range(math.ceil(cx - rad - 1e-6), math.floor(cx + rad + 1e-6) + 1):
@@ -329,18 +326,6 @@ def _axpy(col, a, b, other):
     return (col[0] + a * x0 - b * y0, col[1] + a * y0 + b * x0,
             col[2] + a * x1 - b * y1, col[3] + a * y1 + b * x1,
             col[4] + a * x2 - b * y2, col[5] + a * y2 + b * x2)
-
-
-def _fold(col):
-    """The unit multiple of a column whose Q is canonical (re > 0, im >= 0)."""
-    qa, qb, ra, rb, pc, pd = col
-    if qa > 0 and qb >= 0:
-        return col
-    if qa <= 0 and qb > 0:
-        return (qb, -qa, rb, -ra, pd, -pc)
-    if qa < 0 and qb <= 0:
-        return (-qa, -qb, -ra, -rb, -pc, -pd)
-    return (-qb, qa, -rb, ra, -pd, pc)
 
 
 def _rows(c, r2, canon):

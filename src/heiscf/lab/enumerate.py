@@ -1,14 +1,14 @@
 """Enumeration of rational points of the Siegel model.
 
 Two routes are kept deliberately separate: a structured enumeration that
-solves the linear relation |r|^2 = 2(ac + bd) for the p coordinate, and
-a naive triple loop used as its oracle.  Both count points (q : r : p)
-with |q|^2 = m whose planar coordinates lie in a box region.  In lowest
-terms the structured route tests the Gaussian primes of q by integer
-congruences; the oracle runs Gaussian Euclid once per distinct folded triple.
-Both carry (re, im) int pairs, test lowest terms on them and sort the flat
-keys (q.re, q.im, r.re, r.im, p.re, p.im), which order as gaussian._trip_key
-does; a GaussInt triple is built only for a point returned.
+solves |r|^2 = 2(ac + bd) for the p coordinate on the line basis of _line,
+and a naive triple loop, which solves no line, used as its oracle.  Both
+count points (q : r : p) with |q|^2 = m whose planar coordinates lie in a box
+region.  In lowest terms the structured route tests the Gaussian primes of q
+by integer congruences; the oracle folds each triple (gaussian._fold) and runs
+Gaussian Euclid once per distinct folded triple.  Both carry (re, im) int pairs
+and sort the flat keys (q.re, q.im, r.re, r.im, p.re, p.im), which order as
+gaussian._trip_key does; a GaussInt triple is built only for a point returned.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..gaussian import GaussInt, _coprime, canonical_associate
-from ..gaussian import _dividing, _factor, _prime_tests
+from ..gaussian import GaussInt, _coprime, _dividing, _factor, _fold, _prime_tests, _triple
 
 __all__ = [
     "Region",
@@ -86,32 +85,36 @@ def solve_p_line(
     return _p_line(a, b, p_norm_max)(s)
 
 
-def _p_line(a: int, b: int, p_norm_max: int):
-    """solve_p_line for one q = a+bi and disk, as a function of s alone.
-
-    g, the inverse of a/g mod |b/g| and the step are computed once.  With
-    a, b, s divided by g and w = step t + (a d0 - b c0), step |(c, d)|^2 =
-    w^2 + s^2, so the disk is |w| <= isqrt(step p_norm_max - s^2): the
-    t range is exact and every point on it is a solution.
-    """
-    g = math.gcd(a, b)
+def _line(qa: int, qb: int) -> tuple[int, int, int, int, int]:
+    """(g, a, b, x, y): g = gcd(qa, qb), (a, b) = (qa, qb) / g and a x + b y = 1,
+    so the integer points of qa c + qb d = s are s/g (x, y) + t (-b, a) when g | s."""
+    g = math.gcd(qa, qb)
     if g == 0:
         raise ValueError("q must be nonzero")
-    a, b = a // g, b // g
-    inv = pow(a, -1, abs(b)) if b else 0
-    step = a * a + b * b
+    a, b = qa // g, qb // g
+    if b == 0:  # a = +-1
+        return g, a, b, a, 0
+    x = pow(a, -1, abs(b))
+    return g, a, b, x, (1 - a * x) // b
+
+
+def _p_line(qa: int, qb: int, p_norm_max: int):
+    """solve_p_line for one q = qa+qb i and disk, as a function of s alone.
+
+    The basis of _line and the step are computed once.  With s divided by
+    g, the base point (c0, d0) = s (x, y) and w = step t + (a d0 - b c0),
+    step |(c, d)|^2 = w^2 + s^2, so the disk is |w| <= isqrt(step p_norm_max
+    - s^2): the t range is exact and every point on it is a solution.
+    """
+    g, a, b, x, y = _line(qa, qb)
+    step, k = a * a + b * b, a * y - b * x
 
     def solve(s: int) -> list[tuple[int, int]]:
         s, rest = divmod(s, g)
         disc = step * p_norm_max - s * s
         if rest or disc < 0:
             return []
-        if b == 0:  # a = +-1
-            c0, d0 = s * a, 0
-        else:  # a c0 = s mod b
-            c0 = s * inv % abs(b)
-            d0 = (s - a * c0) // b
-        w0, w = a * d0 - b * c0, math.isqrt(disc)
+        c0, d0, w0, w = s * x, s * y, s * k, math.isqrt(disc)
         return [(c0 - b * t, d0 + a * t)
                 for t in range(-((w + w0) // step), (w - w0) // step + 1)]
 
@@ -162,9 +165,9 @@ def enumerate_rationals_naive(
     """Naive oracle: every (q, p) pair joined to the r with |r|^2 = 2 Re(conj(q) p).
 
     The r disk is grouped by norm once; no line is solved, so this stays
-    independent of solve_p_line.  Every associate of q is walked; lowest terms
-    are Gaussian Euclid on int pairs (_coprime), once per distinct folded
-    triple.  A GaussInt triple is built only for a point returned.
+    independent of solve_p_line.  Every associate of q is walked and folded
+    (_fold); lowest terms are Gaussian Euclid on int pairs (_coprime), once
+    per distinct folded triple.  A GaussInt triple is built only for a point returned.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -176,12 +179,10 @@ def enumerate_rationals_naive(
     ps = list(_disk(p_norm_max))
     found = {}  # folded key -> whether it is kept
     for q in qnorm_representations(m):
-        c, u = canonical_associate(q)  # the unit that folds q, rotating r and p
-        a, b, qa, qb, ua, ub = q.re, q.im, c.re, c.im, u.re, u.im
+        a, b = q.re, q.im
         for pa, pb in ps:
             for ra, rb in rs_by_norm.get(2 * (a * pa + b * pb), ()):
-                key = (qa, qb, ua * ra - ub * rb, ua * rb + ub * ra,
-                       ua * pa - ub * pb, ua * pb + ub * pa)
+                key = _fold((a, b, ra, rb, pa, pb))
                 if key not in found:
                     found[key] = not lowest_terms or _coprime(*key)
     return RationalEnumeration([_triple(key) for key in sorted(found) if found[key]])
@@ -194,8 +195,3 @@ def _disk(norm_max: int):
         bmax = math.isqrt(norm_max - a * a)
         for b in range(-bmax, bmax + 1):
             yield a, b
-
-
-def _triple(key: tuple) -> tuple[GaussInt, GaussInt, GaussInt]:
-    """The triple (q, r, p) of a flat key (q.re, q.im, r.re, r.im, p.re, p.im)."""
-    return GaussInt(key[0], key[1]), GaussInt(key[2], key[3]), GaussInt(key[4], key[5])

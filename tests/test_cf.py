@@ -329,6 +329,26 @@ seeded_points = st.builds(
 )
 
 
+def refuse_call(name):
+    def refused(*args):
+        raise AssertionError(f"the exact step called {name}")
+    return refused
+
+
+class TestExactStepRoute:
+    @given(st.one_of(heis_points, seeded_points))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_step_takes_no_planar_route(self, h):
+        # an exact point steps on its integer triple, as expand does
+        want = gauss_map_step_reference(h)
+        with pytest.MonkeyPatch.context() as mp_:
+            for owner, name in ((cf, "koranyi_inversion"), (siegel, "koranyi_inversion"),
+                                (siegel, "group_mul"), (DirichletDomain, "nearest")):
+                mp_.setattr(owner, name, refuse_call(name))
+            assert gauss_map_step(h) == want
+        assert not hasattr(cf, "group_mul")  # _into_kd translates big floats only
+
+
 class TestExactStepDifferential:
     @given(st.one_of(heis_points, seeded_points))
     @settings(max_examples=200, deadline=None)

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import heiscf
+import heiscf.lab.enumerate as enumerate_module
+import heiscf.lab.identities as identities
 from heiscf.cli import _render_text, main
 from heiscf.errors import ParseError
 from heiscf.gaussian import parse_gauss_rat
@@ -276,6 +278,13 @@ class TestUsageErrors:
             ["measure", "--samples", "1", "--format", "csv"],
             ["bestapprox", "--samples", "1", "--format", "csv"],
             ["constants", "--format", "csv"],
+            # each error of the complex-literal parser
+            ["expand", "--point", "(1+2; 0)"],
+            ["expand", "--point", "(i+2i; 0)"],
+            ["expand", "--point", "(--1; 0)"],
+            ["expand", "--point", "((1+i)/(1/2); 0)"],
+            ["expand", "--point", "(1/2/3; 0)"],
+            ["expand", "--point", "(/2i; 0)"],
         ],
         ids=[
             "bits-below-64", "negative-depth", "bits-without-depth",
@@ -290,7 +299,9 @@ class TestUsageErrors:
             "bestapprox-point-too-large", "bestapprox-point-past-floats", "out-not-writable",
             "expand-point-and-heis", "bestapprox-point-and-heis",
             "bestapprox-bits-without-point", "expand-csv", "verify-csv", "measure-csv",
-            "bestapprox-csv", "constants-csv",
+            "bestapprox-csv", "constants-csv", "duplicate-real-part",
+            "duplicate-imaginary-part", "bad-complex-literal", "not-a-gaussian-integer",
+            "bad-term-two-denominators", "bad-term-no-numerator",
         ],
     )
     def test_exit_2_with_one_line(self, args, capsys):
@@ -444,6 +455,59 @@ class TestRenderText:
             "  - 4",
             "  - 5",
         ]
+
+
+class TestViolationExits:
+    """Exit 1 exactly when the report lists violations, on a failure made on purpose."""
+
+    @pytest.mark.parametrize("bits", [None, "128"])
+    def test_verify_lists_a_failed_report(self, bits, monkeypatch, capsys):
+        real, failed = identities.verify_expansion, []
+
+        def one_fails(e):
+            reports = real(e)
+            if not failed:
+                reports[0].passed = False
+                failed.append(reports[0])
+            return reports
+
+        monkeypatch.setattr(identities, "verify_expansion", one_fails)
+        args = ["verify", "--samples", "2", "--depth", "4", "--seed", "1", "--format", "json"]
+        code, out = run_cli(args + (["--bits", bits] if bits else []), capsys)
+        rep = check_json(out)
+        assert code == 1
+        assert rep["violations"] == rep["identities"]["failures"]
+        [entry] = rep["violations"]
+        assert (entry["identity"], entry["n"], entry["pass"]) == (failed[0].identity, 0, False)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_count_flags_a_point_the_oracle_drops(self, fmt, monkeypatch, capsys):
+        real = enumerate_module.enumerate_rationals_naive
+
+        def drops_one(m, region, lowest_terms=True):
+            found = real(m, region, lowest_terms)
+            if m == 5:
+                found.points.pop()
+            return found
+
+        monkeypatch.setattr(enumerate_module, "enumerate_rationals_naive", drops_one)
+        code, out = run_cli(["count", "--m-max", "6", "--format", fmt], capsys)
+        assert code == 1
+        if fmt == "json":
+            rep = check_json(out)
+            assert rep["violations"] == ["structured != naive at m=5"]
+            assert rep["counts"][4] == {"m": 5, "structured": 24, "naive": 23, "all_terms": 26}
+        else:
+            assert out.splitlines()[5] == "5,24,23,26"
+
+
+class TestOutFile:
+    def test_writes_the_bytes_stdout_would(self, tmp_path, capsys):
+        args = ["constants", "--format", "json"]
+        code, want = run_cli(args, capsys)
+        path = tmp_path / "constants.json"
+        assert run_cli(args + ["--out", str(path)], capsys) == (code, "")
+        assert code == 0 and path.read_bytes() == want.encode()
 
 
 class TestReproducibility:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import heiscf.gaussian as gaussian
@@ -53,6 +53,25 @@ def disk_scan(a, b, s, bound):
     }
 
 
+def solve_p_line_reference(a, b, s, p_norm_max):
+    """solve_p_line as first written: its base point from the inverse of a/g
+    mod |b/g|, with a branch of its own for b = 0."""
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    s, rest = divmod(s, g)
+    disc = (a * a + b * b) * p_norm_max - s * s
+    if rest or disc < 0:
+        return []
+    if b == 0:
+        c0, d0 = s * a, 0
+    else:
+        c0 = s * pow(a, -1, abs(b)) % abs(b)
+        d0 = (s - a * c0) // b
+    step, w0, w = a * a + b * b, a * d0 - b * c0, math.isqrt(disc)
+    return [(c0 - b * t, d0 + a * t)
+            for t in range(-((w + w0) // step), (w - w0) // step + 1)]
+
+
 class TestSolvePLine:
     @pytest.mark.parametrize(
         "a,b,s,bound",
@@ -72,6 +91,23 @@ class TestSolvePLine:
         got = solve_p_line(a, b, s, bound)
         assert len(got) == len(set(got))
         assert set(got) == disk_scan(a, b, s, bound)
+
+    @given(
+        st.one_of(st.integers(-12, 12), st.integers(-(10**12), 10**12)),
+        st.one_of(st.integers(-12, 12), st.integers(-(10**12), 10**12)),
+        st.integers(-150, 150), st.integers(0, 300),
+    )
+    @example(0, 5, 10, 200)
+    @example(0, -5, -10, 200)
+    @example(4, 0, 8, 200)
+    @example(-4, 0, 8, 200)
+    @example(-2, 6, 12, 200)
+    @settings(max_examples=300)
+    def test_same_list_as_reference(self, a, b, s, bound):
+        # the base point s (x, y) of _line's basis moves along the line only:
+        # the same points, in the same order of increasing t
+        assume(a or b)
+        assert solve_p_line(a, b, s, bound) == solve_p_line_reference(a, b, s, bound)
 
     def test_large_coefficients(self):
         """The walk window is found in integers, so it holds at any size."""
@@ -205,6 +241,17 @@ class TestPrimeCongruences:
 
 
 class TestNaiveOracleCoprimality:
+    def test_no_congruence_test_or_line_solver(self, monkeypatch):
+        # the oracle stays independent of the structured route's machinery
+        want = [enumerate_rationals_naive(m, REGION).points for m in range(1, 41)]
+
+        def refused(*args):
+            raise AssertionError("the naive oracle reached the structured route")
+
+        for name in ("_line", "_p_line", "solve_p_line", "_prime_tests", "_dividing"):
+            monkeypatch.setattr(enumerate_module, name, refused)
+        assert [enumerate_rationals_naive(m, REGION).points for m in range(1, 41)] == want
+
     def test_lowest_terms_filters_all_terms(self):
         bad = [m for m in range(1, 121)
                if enumerate_rationals_naive(m, REGION, True).points

@@ -10,10 +10,10 @@ from heiscf.errors import ParseError, PointAtInfinity
 from heiscf.gaussian import (
     ONE,
     RAT_ZERO,
-    UNITS,
     GaussInt,
     GaussRat,
     _euclid,
+    _fold,
     _fold_unit,
     canonical_associate,
     format_gauss_int,
@@ -29,6 +29,7 @@ gauss_ints = st.builds(
     GaussInt, st.integers(-50, 50), st.integers(-50, 50)
 )
 nonzero_gauss_ints = gauss_ints.filter(lambda g: not g.is_zero())
+UNITS = (GaussInt(1, 0), GaussInt(0, 1), GaussInt(-1, 0), GaussInt(0, -1))
 
 
 class TestGaussIntArithmetic:
@@ -124,6 +125,17 @@ class TestClosedForms:
     def test_fold_unit_equals_unit_products(self, q, r, p):
         u = _canonical_by_search(q)[1]
         assert _fold_unit(q, r, p) == (u * q, u * r, u * p)
+
+    @given(st.one_of(gauss_ints, axis_gauss_ints, st.just(GaussInt(0, 0))), gauss_ints, gauss_ints)
+    @example(GaussInt(0, 0), GaussInt(3, -1), GaussInt(-2, 5))
+    @settings(max_examples=200)
+    def test_fold_on_flat_keys_equals_unit_products(self, q, r, p):
+        # q = 0 is canonical, so its key is returned as it is
+        u = _canonical_by_search(q)[1]
+        key = (q.re, q.im, r.re, r.im, p.re, p.im)
+        want = tuple(x for g in (u * q, u * r, u * p) for x in (g.re, g.im))
+        assert _fold(key) == want
+        assert (_fold(key) is key) == (u == ONE)
 
 
 class TestValueTypes:
